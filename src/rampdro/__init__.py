@@ -10,8 +10,6 @@ from .analytic import (
     stationarity_residual,
 )
 from .dataset import (
-    CorruptionKind,
-    CorruptionSpec,
     CsvFormatError,
     Dataset,
     flip_labels,

@@ -17,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "CorruptionKind",
-    "CorruptionSpec",
     "CsvFormatError",
     "generate_separable",
     "select_corruption_indices",
@@ -62,7 +60,7 @@ class Dataset:
         if not np.all(weights > 0.0):
             raise ValueError("weights must be strictly positive")
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+            raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
         for arr, name in ((points, "points"), (labels, "labels"), (weights, "weights")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -87,28 +85,6 @@ class Dataset:
             and np.array_equal(self.labels, other.labels)
             and np.all(np.abs(self.weights - other.weights) <= tol)
         )
-
-
-class CorruptionKind:
-    FLIP_LABELS = "flip_labels"
-    INJECT_ADVERSARIAL = "inject_adversarial"
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str
-    fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if self.kind not in (CorruptionKind.FLIP_LABELS, CorruptionKind.INJECT_ADVERSARIAL):
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
-        _check_fraction(self.fraction)
-
-    def apply(self, ds: Dataset) -> Dataset:
-        if self.kind == CorruptionKind.FLIP_LABELS:
-            return flip_labels(ds, self.fraction, self.seed)
-        return inject_adversarial(ds, self.fraction, self.seed)
 
 
 def _check_fraction(fraction: float) -> None:

@@ -13,6 +13,12 @@ per unit, budget epsilon), solved greedily in increasing-distance order.
 Both routes are computed exactly by breakpoint enumeration, which is what
 makes the tight dual-equals-primal equality tests possible.
 
+The dual, the knapsack and the CVaR of the distance all read one sorted
+distance profile: the finite distances in ascending order with prefix sums
+of p and p*d, built once per query (once for both sides of
+``check_chance_cvar``).  The dual and the knapsack share that sort but not a
+formula, so their agreement remains an independent check.
+
 Points at infinite distance (w = 0 with y*b > 0) contribute nothing to the
 dual sum and are untouchable by the knapsack; the CVaR enumeration likewise
 takes its breakpoints from the finite distances only, with the t -> infinity
@@ -22,6 +28,7 @@ limit handled analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,114 +68,111 @@ class CvarRadius(NamedTuple):
     argmax: list
 
 
-def _check_dist_weights(dists, weights):
-    d = np.asarray(dists, dtype=float).ravel()
-    p = np.asarray(weights, dtype=float).ravel()
-    if d.shape != p.shape:
-        raise ValueError("distances and weights must have matching shapes")
-    if np.any(d < 0.0) or np.any(np.isnan(d)):
-        raise ValueError("distances must be nonnegative")
-    return d, p
+class _DistanceProfile:
+    """The finite distances in ascending order, with prefix sums of p and p*d.
+
+    ``cum_p[k]`` and ``cum_pd[k]`` sum p_i and p_i * d_i over the first k
+    sorted points; the first ``zeros`` of them are the misclassified points.
+    Infinite distances are dropped: no budget reaches them and they add
+    nothing to either dual.
+    """
+
+    def __init__(self, dists, weights):
+        d = np.asarray(dists, dtype=float).ravel()
+        p = np.asarray(weights, dtype=float).ravel()
+        if d.shape != p.shape:
+            raise ValueError("distances and weights must have matching shapes")
+        if np.any(d < 0.0) or np.any(np.isnan(d)):
+            raise ValueError("distances must be nonnegative")
+        finite = np.isfinite(d)
+        d, p = d[finite], p[finite]
+        order = np.argsort(d, kind="stable")
+        self.d = d[order]
+        p = p[order]
+        self.cum_p = np.concatenate([[0.0], np.cumsum(p)])
+        self.cum_pd = np.concatenate([[0.0], np.cumsum(p * self.d)])
+        self.zeros = int(np.searchsorted(self.d, 0.0, side="right"))
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """First index tied with each positive distance d_k.
+
+        Prefix sums there cover d_i < d_k only; ties at d_k add exactly zero
+        to phi(1/d_k) and to g(d_k).  Only the dual and the CVaR need it.
+        """
+        return np.searchsorted(self.d, self.d[self.zeros:], side="left")
+
+    def dual(self, epsilon: float) -> WorstCaseResult:
+        """Minimize phi over the positive breakpoints t = 1/d_k and t -> 0+."""
+        if epsilon < 0.0:
+            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+        if epsilon == 0.0:
+            # the ball degenerates to the nominal distribution; the infimum is
+            # attained only in the limit t -> infinity
+            return WorstCaseResult(float(self.cum_p[self.zeros]), float("inf"))
+        limit_zero = float(self.cum_p[-1])  # phi(t) -> reachable mass as t -> 0+
+        if self.zeros == self.d.size:
+            return WorstCaseResult(limit_zero, 0.0)
+
+        d = self.d[self.zeros:]
+        lo = self.lower
+        # phi(1/d_k), dividing by d_k: 1/d_k overflows for subnormal d_k, and
+        # inf * 0 would be nan where epsilon / d_k is a correct +inf
+        with np.errstate(over="ignore"):
+            phi = epsilon / d + self.cum_p[lo] - self.cum_pd[lo] / d
+        # t = 1/d_k is descending, so the smallest minimizing t is the last argmin
+        best = phi.size - 1 - int(np.argmin(phi[::-1]))
+        if limit_zero < phi[best]:
+            return WorstCaseResult(limit_zero, 0.0)
+        return WorstCaseResult(float(phi[best]), 1.0 / float(d[best]))
+
+    def knapsack(self, epsilon: float) -> float:
+        """Fill whole items in increasing-distance order, then a fraction."""
+        if epsilon < 0.0:
+            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+        z = self.zeros
+        if epsilon == 0.0:
+            # p_i * d_i can round to 0 for subnormal d_i; no such item is free
+            return float(self.cum_p[z])
+        cost = self.cum_pd[z + 1:]  # cumulative cost of the movable items
+        k = int(np.searchsorted(cost, epsilon, side="right"))
+        value = float(self.cum_p[z + k])
+        if k < cost.size:
+            value += (epsilon - float(self.cum_pd[z + k])) / self.d[z + k]
+        return value
+
+    def cvar(self, rho: float) -> float:
+        """Maximize g over the positive breakpoints t = d_k, plus the flat tail."""
+        if not (0.0 < rho < 1.0):
+            raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        finite_mass = float(self.cum_p[-1])
+        if finite_mass < rho:
+            # g(t) = t * (1 - finite_mass / rho) + const grows without bound
+            return float("inf")
+
+        # g(t) = t + (1/rho) * sum_{d_i < t} p_i (d_i - t), at t = each positive
+        # breakpoint; the t -> 0+ limit contributes the baseline 0
+        t_vals = self.d[self.zeros:]
+        lo = self.lower
+        g = t_vals + (self.cum_pd[lo] - t_vals * self.cum_p[lo]) / rho
+        best = float(g.max(initial=0.0))
+        if finite_mass == rho:
+            # flat tail: g is constant at sum(p_i d_i) / rho beyond the largest
+            # finite breakpoint
+            best = max(best, float(self.cum_pd[-1]) / rho)
+        return best
 
 
 def worst_case_dual_from_distances(dists, weights, epsilon: float) -> WorstCaseResult:
-    d, p = _check_dist_weights(dists, weights)
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-
-    finite = np.isfinite(d)
-    mass_zero = float(p[d == 0.0].sum())
-    if epsilon == 0.0:
-        # the ball degenerates to the nominal distribution; the infimum is
-        # attained only in the limit t -> infinity
-        return WorstCaseResult(mass_zero, float("inf"))
-
-    df = d[finite]
-    pf = p[finite]
-    limit_zero = float(pf.sum())  # phi(t) -> sum of reachable mass as t -> 0+
-
-    pos = df > 0.0
-    dp = df[pos]
-    pp = pf[pos]
-    if dp.size == 0:
-        return WorstCaseResult(limit_zero, 0.0)
-
-    order = np.argsort(dp, kind="stable")
-    ds_sorted = dp[order]
-    ps_sorted = pp[order]
-    # prefix sums over strictly smaller distances; ties at d = d_k add
-    # exactly zero to phi(1/d_k) so the strict cut is what matters
-    cum_p = np.concatenate([[0.0], np.cumsum(ps_sorted)])
-    cum_pd = np.concatenate([[0.0], np.cumsum(ps_sorted * ds_sorted)])
-    lower = np.searchsorted(ds_sorted, ds_sorted, side="left")
-
-    t_vals = 1.0 / ds_sorted
-    phi = epsilon * t_vals + mass_zero + cum_p[lower] - t_vals * cum_pd[lower]
-
-    # t_vals is descending, so the smallest minimizing t is the last argmin
-    best = phi.size - 1 - int(np.argmin(phi[::-1]))
-    if limit_zero < phi[best]:
-        return WorstCaseResult(limit_zero, 0.0)
-    return WorstCaseResult(float(phi[best]), float(t_vals[best]))
+    return _DistanceProfile(dists, weights).dual(epsilon)
 
 
 def worst_case_knapsack_from_distances(dists, weights, epsilon: float) -> float:
-    d, p = _check_dist_weights(dists, weights)
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-
-    value = float(p[d == 0.0].sum())
-    movable = np.isfinite(d) & (d > 0.0)
-    dm = d[movable]
-    pm = p[movable]
-    if dm.size == 0 or epsilon == 0.0:
-        return value
-
-    order = np.argsort(dm, kind="stable")
-    dm = dm[order]
-    pm = pm[order]
-    cum_cost = np.cumsum(dm * pm)
-    k = int(np.searchsorted(cum_cost, epsilon, side="right"))
-    value += float(pm[:k].sum())
-    if k < dm.size:
-        spent = float(cum_cost[k - 1]) if k > 0 else 0.0
-        value += (epsilon - spent) / dm[k]
-    return value
+    return _DistanceProfile(dists, weights).knapsack(epsilon)
 
 
 def cvar_from_distances(dists, weights, rho: float) -> float:
-    d, p = _check_dist_weights(dists, weights)
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-
-    finite = np.isfinite(d)
-    finite_mass = float(p[finite].sum())
-    if finite_mass < rho:
-        # g(t) = t * (1 - finite_mass / rho) + const grows without bound
-        return float("inf")
-
-    df = d[finite]
-    pf = p[finite]
-    order = np.argsort(df, kind="stable")
-    ds_sorted = df[order]
-    ps_sorted = pf[order]
-    cum_p = np.concatenate([[0.0], np.cumsum(ps_sorted)])
-    cum_pd = np.concatenate([[0.0], np.cumsum(ps_sorted * ds_sorted)])
-    lower = np.searchsorted(ds_sorted, ds_sorted, side="left")
-
-    # g(t) = t + (1/rho) * sum_{d_i < t} p_i (d_i - t), at t = each positive
-    # breakpoint; the t -> 0+ limit contributes the baseline 0
-    pos = ds_sorted > 0.0
-    best = 0.0
-    if pos.any():
-        t_vals = ds_sorted[pos]
-        g = t_vals + (cum_pd[lower][pos] - t_vals * cum_p[lower][pos]) / rho
-        best = max(best, float(g.max()))
-    if finite_mass == rho:
-        # flat tail: g is constant at sum(p_i d_i) / rho beyond the largest
-        # finite breakpoint
-        best = max(best, float(cum_pd[-1]) / rho)
-    return best
+    return _DistanceProfile(dists, weights).cvar(rho)
 
 
 def worst_case_prob_dual(ds, h: Hyperplane, epsilon: float) -> WorstCaseResult:
@@ -195,8 +199,9 @@ def check_chance_cvar(ds, h: Hyperplane, epsilon: float, rho: float):
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    chance_holds = worst_case_prob_dual(ds, h, epsilon).value <= rho
-    cvar_holds = rho * cvar_distance(ds, h, rho) >= epsilon
+    profile = _DistanceProfile(distances(h, ds), ds.weights)
+    chance_holds = profile.dual(epsilon).value <= rho
+    cvar_holds = rho * profile.cvar(rho) >= epsilon
     return chance_holds, cvar_holds
 
 

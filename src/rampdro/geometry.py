@@ -96,12 +96,6 @@ def distances(h: Hyperplane, ds) -> np.ndarray:
     return np.maximum(0.0, scores) / norm
 
 
-def misclassified_mask(h: Hyperplane, ds) -> np.ndarray:
-    dist = distances(h, ds)
-    tol = MISCLASS_TOL * (1.0 + np.linalg.norm(ds.points, axis=1))
-    return dist <= tol
-
-
 def margin_profile(h: Hyperplane, ds) -> MarginProfile:
     dist = distances(h, ds)
     bad = dist <= MISCLASS_TOL * (1.0 + np.linalg.norm(ds.points, axis=1))

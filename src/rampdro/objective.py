@@ -43,13 +43,10 @@ class ObjectiveSpec:
     loss: LossSpec
     reg_kind: RegKind = RegKind.SQUARED_NORM
     reg_weight: float = 0.0
-    regularize_intercept: bool = False
 
     def __post_init__(self):
         if self.reg_weight < 0.0:
             raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
-        if self.regularize_intercept:
-            raise ValueError("the intercept is never regularized")
 
 
 class DroVariables(NamedTuple):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import knapsack_lp_vertices, random_knapsack_instance
 from rampdro.dataset import Dataset
@@ -94,6 +96,61 @@ def test_dual_knapsack_lp_agree_on_random_instances():
         lp = knapsack_lp_vertices(d, p, eps)
         assert abs(dual - knap) <= 1e-10
         assert abs(dual - lp) <= 1e-10
+
+
+def test_subnormal_distance_is_not_nan():
+    # 1/d overflows for subnormal d, and inf * 0 must not make the dual nan
+    d, p = [0.0, 5e-324, 1.0], [0.25, 0.25, 0.5]
+    res = worst_case_dual_from_distances(d, p, 1e-3)
+    assert res.value == pytest.approx(0.501, abs=1e-15)
+    assert worst_case_knapsack_from_distances(d, p, 1e-3) == pytest.approx(0.501, abs=1e-15)
+    # p * d rounds to 0 here, yet nothing moves at epsilon = 0
+    assert worst_case_knapsack_from_distances(d, p, 0.0) == 0.25
+
+
+# ties among positive distances and infinite distances, which
+# random_knapsack_instance never draws, next to arbitrary distances.  Not
+# subnormal ones: p * d keeps only a few bits there, so the LP reference
+# itself rounds such items to free (the test above covers the oracles).
+_DISTANCE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.inf]),
+    st.floats(0.0, 5.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def _oracle_instance(draw):
+    n = draw(st.integers(1, 12))
+    d = np.array(draw(st.lists(_DISTANCE, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return d, w / w.sum()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    _oracle_instance(),
+    st.lists(st.floats(0.0, 1.2), min_size=1, max_size=5),
+    st.floats(0.05, 0.95),
+)
+def test_oracle_invariants_property(instance, budget_fractions, rho):
+    d, p = instance
+    finite = np.isfinite(d)
+    full_cost = float(np.sum(p[finite] * d[finite]))
+    epsilons = sorted(f * max(full_cost, 1e-6) for f in budget_fractions)
+    duals, knaps = [], []
+    for eps in epsilons:
+        dual = worst_case_dual_from_distances(d, p, eps).value
+        knap = worst_case_knapsack_from_distances(d, p, eps)
+        assert abs(dual - knap) <= 1e-10
+        assert abs(dual - knapsack_lp_vertices(d, p, eps)) <= 1e-10
+        duals.append(dual)
+        knaps.append(knap)
+        if eps > 0.0 and abs(dual - rho) > 1e-9:
+            cvar_holds = rho * cvar_from_distances(d, p, rho) >= eps
+            assert (dual <= rho) == cvar_holds
+    # a dozen rounded terms of size <= 1 stay far inside 1e-12
+    assert np.all(np.diff(duals) >= -1e-12)
+    assert np.all(np.diff(knaps) >= -1e-12)
 
 
 def test_worst_case_monotone_in_epsilon():

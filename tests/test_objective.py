@@ -95,8 +95,6 @@ def test_norm_gradient_rejects_origin():
 
 
 def test_intercept_never_regularized():
-    with pytest.raises(ValueError):
-        ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.NORM, 0.1, regularize_intercept=True)
     ds = generate_separable(30, 2, 4)
     h1 = Hyperplane(np.array([0.5, 0.5]), 0.0)
     h2 = Hyperplane(np.array([0.5, 0.5]), 100.0)
