@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import smoothed_ramp_deriv
+from .losses import LossKind, LossSpec
+from .objective import ObjectiveSpec, evaluate_with_gradient
 
 __all__ = [
     "UniformModel",
@@ -41,10 +42,10 @@ __all__ = [
     "scan_stationary_points",
     "label_flip_balance",
     "closed_form_minimizer",
-    "x2_slice_integral",
 ]
 
 _DEGENERATE_NORM = 1e-10
+_FALLBACK_GRID = 400  # midpoint grid per axis when ||w|| < _DEGENERATE_NORM
 _RECT = ((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0))  # CCW
 
 # refinement acceptance: residual must essentially vanish, and the point
@@ -54,17 +55,17 @@ _ACCEPT_RESIDUAL = 1e-8
 _ACCEPT_MIN_NORM = 1e-4
 _MERGE_RADIUS = 1e-5
 
+# difference steps of the one-sided derivatives at the origin
+_ORIGIN_STEPS = (1e-3, 1e-4, 1e-5)
+
 
 @dataclass(frozen=True)
 class UniformModel:
     epsilon: float
-    grid_per_axis: int = 400
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.grid_per_axis < 200:
-            raise ValueError(f"grid_per_axis must be >= 200, got {self.grid_per_axis}")
 
 
 def _clip_halfplane(poly, a, b, c):
@@ -111,13 +112,13 @@ def _band_moments(w1, w2):
 def f_epsilon(model: UniformModel, w) -> float:
     """Population objective by exact piecewise integration.
 
-    Falls back to midpoint quadrature on the configured grid when
+    Falls back to midpoint quadrature on a fixed grid when
     ||w|| < 1e-10 and the strip decomposition degenerates.
     """
     w1, w2 = float(w[0]), float(w[1])
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
     if math.hypot(w1, w2) < _DEGENERATE_NORM:
-        return reg + _expected_ramp_quadrature(w1, w2, model.grid_per_axis)
+        return reg + _expected_ramp_quadrature(w1, w2, _FALLBACK_GRID)
     below = _clip_halfplane(list(_RECT), w1, w2, 0.0)
     area_below = _moments(below)[0] if len(below) >= 3 else 0.0
     area_band, mu, mv = _band_moments(w1, w2)
@@ -134,11 +135,11 @@ def _expected_ramp_quadrature(w1, w2, grid):
     return total / (grid * grid)
 
 
-def f_epsilon_quadrature(model: UniformModel, w, grid: int | None = None) -> float:
+def f_epsilon_quadrature(model: UniformModel, w, grid: int) -> float:
     """Composite-midpoint evaluation of the same objective (cross-check path)."""
     w1, w2 = float(w[0]), float(w[1])
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
-    return reg + _expected_ramp_quadrature(w1, w2, grid or model.grid_per_axis)
+    return reg + _expected_ramp_quadrature(w1, w2, grid)
 
 
 def stationarity_residual(model: UniformModel, w) -> np.ndarray:
@@ -157,14 +158,14 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
     )
 
 
-def origin_directional_derivative(model: UniformModel, direction, alphas=(1e-3, 1e-4, 1e-5)) -> float:
+def origin_directional_derivative(model: UniformModel, direction) -> float:
     """Richardson-extrapolated one-sided derivative of F at the origin."""
     u = np.asarray(direction, dtype=float)
     f0 = f_epsilon(model, np.zeros(2))
-    d = [(f_epsilon(model, a * u) - f0) / a for a in alphas]
-    # the alphas decrease by a fixed factor; two Richardson levels kill the
+    d = [(f_epsilon(model, a * u) - f0) / a for a in _ORIGIN_STEPS]
+    # the steps decrease by a fixed factor; two Richardson levels kill the
     # O(alpha) and O(alpha^2) error terms
-    ratio = alphas[0] / alphas[1]
+    ratio = _ORIGIN_STEPS[0] / _ORIGIN_STEPS[1]
     e1 = (ratio * d[1] - d[0]) / (ratio - 1.0)
     e2 = (ratio * d[2] - d[1]) / (ratio - 1.0)
     return (ratio**2 * e2 - e1) / (ratio**2 - 1.0)
@@ -275,22 +276,6 @@ def closed_form_minimizer(epsilon: float):
     return 1.0 / (2.0 * epsilon), 1.0 - 1.0 / (8.0 * epsilon)
 
 
-def x2_slice_integral(w1: float, w2: float, r: float) -> float:
-    """Integral of x2 over the admissible x2-slice at fixed r, for w2 > 0.
-
-    Half the signed second-moment of the interval
-    [max(-1, -w1 r / w2), min(1, (1 - w1 r) / w2)]; anti-symmetric about
-    r = 1/(2 w1) when w1 > 0, which the integration self-test exploits.
-    """
-    if not w2 > 0.0:
-        raise ValueError("the slice integral is defined for w2 > 0")
-    lo = max(-1.0, -w1 * r / w2)
-    hi = min(1.0, (1.0 - w1 * r) / w2)
-    if hi <= lo:
-        return 0.0
-    return 0.25 * (hi * hi - lo * lo)
-
-
 def label_flip_balance(ds, h, sigma: float):
     """Per-coordinate mass of the stationarity balance for the smoothed ramp.
 
@@ -299,10 +284,10 @@ def label_flip_balance(ds, h, sigma: float):
     stationary w must be proportional to.  With labels y = sign(x1), every
     term pushes the first coordinate the same way while the others largely
     cancel, which is the mechanism behind the flip-robustness results.
+    This is minus the w-part of the unregularized empirical gradient, so a
+    nonpositive ``sigma`` is rejected by ``LossSpec``.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    r = ds.labels * (ds.points @ h.w + h.b)
-    coeff = -ds.weights * smoothed_ramp_deriv(r, sigma) * ds.labels
-    balance = ds.points.T @ coeff
+    spec = ObjectiveSpec(LossSpec(LossKind.SMOOTHED_RAMP, sigma))
+    _, grad = evaluate_with_gradient(spec, ds, h)
+    balance = -grad[:-1]
     return float(balance[0]), balance[1:]

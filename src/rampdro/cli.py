@@ -193,8 +193,8 @@ def _cmd_train(args) -> int:
             "adv_fraction": args.adv_fraction,
             "reference": reference if reference is not None else "e1",
             "start_distribution": "unit_sphere",
-            "wolfe_c1": opts.wolfe_c1,
-            "wolfe_c2": opts.wolfe_c2,
+            "wolfe_c1": solve.WOLFE_C1,
+            "wolfe_c2": solve.WOLFE_C2,
         },
         "result": {
             "minimizer": {"w": h.w, "b": h.b},

@@ -35,8 +35,8 @@ __all__ = [
 # scale-aware floor (floating-point ties on the boundary d = 0)
 MISCLASS_TOL = 1e-12
 
-_EXHAUSTIVE_DEFAULT_N = 20
-_EXHAUSTIVE_MAX_N = 30
+# rho_bar enumerates all 2^n subset sums up to this n
+_EXHAUSTIVE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -136,32 +136,25 @@ def _rho_bar_observed(profiles, weights, rho_star: float) -> float:
     return float(above.min()) if above.size else float("inf")
 
 
-def generalized_margin(
-    ds, candidates: Sequence[Hyperplane], exhaustive: bool | None = None
-) -> GeneralizedMargin:
+def generalized_margin(ds, candidates: Sequence[Hyperplane]) -> GeneralizedMargin:
     """Best misclassified mass, best margin at that mass, and the next mass up.
 
     The classifier family is approximated by the explicit finite candidate
     list, so the returned optimum is exact only when the family's optimum
     lies in that list.  ``rho_bar`` is the smallest achievable subset weight
-    strictly above ``rho_star``: exact over all 2^n subsets when n <= 20 (or
-    when ``exhaustive=True``, accepted up to n = 30), otherwise approximated
-    from the masses observed at the candidates plus single-point increments.
+    strictly above ``rho_star``: exact over all 2^n subsets when n <= 20,
+    otherwise approximated from the masses observed at the candidates plus
+    single-point increments.
     """
     if not candidates:
         raise ValueError("candidate list must be non-empty")
-    n = ds.n
-    if exhaustive is None:
-        exhaustive = n <= _EXHAUSTIVE_DEFAULT_N
-    if exhaustive and n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive rho_bar computation rejected for n = {n} > {_EXHAUSTIVE_MAX_N}")
 
     profiles = [margin_profile(h, ds) for h in candidates]
     rho_star = min(p.misclass_mass for p in profiles)
     gamma_star = max(
         p.eta for p in profiles if p.misclass_mass <= rho_star + 1e-12
     )
-    if exhaustive:
+    if ds.n <= _EXHAUSTIVE_MAX_N:
         rho_bar = _rho_bar_exhaustive(ds.weights, rho_star)
     else:
         rho_bar = _rho_bar_observed(profiles, ds.weights, rho_star)

@@ -42,6 +42,13 @@ CLUSTER_VALUE_TOL = 1e-6
 
 _ZERO_W = 1e-12
 
+# L-BFGS history length, the weak Wolfe constants (0 < c1 < c2 < 1) and the
+# cap on trial steps per line search
+LBFGS_MEMORY = 10
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+MAX_LINESEARCH = 60
+
 
 class Method(enum.Enum):
     CG_PR_PLUS = "cg"
@@ -55,23 +62,13 @@ class SolveAbort(RuntimeError):
 @dataclass(frozen=True)
 class SolveOptions:
     method: Method = Method.CG_PR_PLUS
-    lbfgs_memory: int = 10
     grad_tol: float = 1e-8
     max_iters: int = 10000
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_linesearch: int = 60
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError(
-                f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
-            )
-        if self.grad_tol <= 0 or self.max_iters < 1 or self.max_linesearch < 1:
-            raise ValueError("grad_tol, max_iters, max_linesearch must be positive")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be positive")
+        if self.grad_tol <= 0 or self.max_iters < 1:
+            raise ValueError("grad_tol and max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class MultiStartReport:
     clusters: list
 
 
-def _wolfe_search(fun, x, f0, g0, p, opts: SolveOptions, alpha0: float) -> LineSearchResult:
+def _wolfe_search(fun, x, f0, g0, p, alpha0: float) -> LineSearchResult:
     """Bracketing/bisection search for the weak Wolfe conditions.
 
     Expands until the sufficient-decrease test fails or curvature holds,
@@ -136,32 +133,31 @@ def _wolfe_search(fun, x, f0, g0, p, opts: SolveOptions, alpha0: float) -> LineS
     slope0 = float(g0 @ p)
     if not slope0 < 0.0:
         raise ValueError(f"search direction has nonnegative slope {slope0}")
-    c1, c2 = opts.wolfe_c1, opts.wolfe_c2
     lo, hi = 0.0, np.inf
     alpha = alpha0 if alpha0 > 0.0 else 1.0
     best = (0.0, f0, g0)
 
-    for k in range(opts.max_linesearch):
+    for k in range(MAX_LINESEARCH):
         fa, ga = fun(x + alpha * p)
         finite = np.isfinite(fa) and np.all(np.isfinite(ga))
         if finite and fa < best[1]:
             best = (alpha, fa, ga)
-        if not finite or fa > f0 + c1 * alpha * slope0:
+        if not finite or fa > f0 + WOLFE_C1 * alpha * slope0:
             hi = alpha
-        elif float(ga @ p) < c2 * slope0:
+        elif float(ga @ p) < WOLFE_C2 * slope0:
             lo = alpha
         else:
             return LineSearchResult(alpha, True, fa, ga, k + 1)
         alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
 
-    return LineSearchResult(best[0], False, best[1], best[2], opts.max_linesearch)
+    return LineSearchResult(best[0], False, best[1], best[2], MAX_LINESEARCH)
 
 
-def line_search_weak_wolfe(fun, x, direction, opts: SolveOptions, alpha0: float = 1.0) -> LineSearchResult:
+def line_search_weak_wolfe(fun, x, direction, alpha0: float = 1.0) -> LineSearchResult:
     """Public wrapper that evaluates the anchor point itself."""
     x = np.asarray(x, dtype=float)
     f0, g0 = fun(x)
-    return _wolfe_search(fun, x, f0, g0, np.asarray(direction, float), opts, alpha0)
+    return _wolfe_search(fun, x, f0, g0, np.asarray(direction, float), alpha0)
 
 
 def _lbfgs_direction(g, memory):
@@ -225,7 +221,7 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
         else:
             alpha0 = 1.0
 
-        ls = _wolfe_search(fun, x, f, g, p, opts, alpha0)
+        ls = _wolfe_search(fun, x, f, g, p, alpha0)
         if not ls.ok:
             message = f"line search failed at iteration {k}"
             k -= 1
@@ -247,7 +243,7 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
             sy = float(s @ y)
             if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
                 memory.append((s, y, 1.0 / sy))
-                if len(memory) > opts.lbfgs_memory:
+                if len(memory) > LBFGS_MEMORY:
                     memory.pop(0)
 
         alpha_prev, slope_prev = ls.step, slope

@@ -30,6 +30,9 @@ def knapsack_lp_vertices(dists, weights, epsilon):
     cost = masks @ (d * p)
     value = masks @ p
     feasible = cost <= epsilon
+    if epsilon == 0.0:
+        # p * d of a subnormal d can round to 0; no item with d > 0 is free
+        feasible &= ~masks[:, d > 0.0].any(axis=1)
     best = float(value[feasible].max()) if feasible.any() else 0.0
 
     rem = epsilon - cost[feasible]
@@ -37,7 +40,8 @@ def knapsack_lp_vertices(dists, weights, epsilon):
     open_slots = ~masks[feasible]
     movable = d > 0.0
     if movable.any() and rem.size:
-        frac = np.minimum(p[movable][None, :], rem[:, None] / d[movable][None, :])
+        with np.errstate(over="ignore"):  # rem / d -> inf caps at p
+            frac = np.minimum(p[movable][None, :], rem[:, None] / d[movable][None, :])
         frac = np.where(open_slots[:, movable], frac, 0.0)
         best = max(best, float((vals[:, None] + frac).max()))
     return best

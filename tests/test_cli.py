@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -235,3 +236,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "certify-analytic" in proc.stdout
+
+
+def test_train_report_independent_of_blas_threads(tmp_path):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rampdro.cli", "train", "--n", "10000", "--d", "10",
+             "--seed", "3", "--starts", "4", "--max-iters", "300", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = _read_json(out)
+        payload.pop("timestamp")
+        reports.append(payload)
+    assert reports[0] == reports[1]

@@ -108,13 +108,20 @@ def test_subnormal_distance_is_not_nan():
     assert worst_case_knapsack_from_distances(d, p, 0.0) == 0.25
 
 
+def test_lp_reference_subnormal_distance_at_zero_budget():
+    # p * d rounds to 0 here; the reference must not move the item for free
+    d, p = [0.0, 5e-324], [0.5, 0.5]
+    assert knapsack_lp_vertices(d, p, 0.0) == 0.5
+    assert worst_case_dual_from_distances(d, p, 0.0).value == 0.5
+    assert worst_case_knapsack_from_distances(d, p, 0.0) == 0.5
+
+
 # ties among positive distances and infinite distances, which
-# random_knapsack_instance never draws, next to arbitrary distances.  Not
-# subnormal ones: p * d keeps only a few bits there, so the LP reference
-# itself rounds such items to free (the test above covers the oracles).
+# random_knapsack_instance never draws, next to arbitrary distances,
+# subnormal ones included.
 _DISTANCE = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.inf]),
-    st.floats(0.0, 5.0, allow_subnormal=False),
+    st.floats(0.0, 5.0),
 )
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampdro.losses import (
     LossKind,
@@ -55,6 +57,14 @@ def test_smoothed_ramp_extreme_arguments_stable():
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_symmetry_identity(sigma):
     r = np.linspace(-5.0, 6.0, 10_000)
+    total = smoothed_ramp(r, sigma) + smoothed_ramp(1.0 - r, sigma)
+    assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20), st.floats(0.005, 1.0))
+def test_symmetry_identity_drawn(r, sigma):
+    r = np.array(r)
     total = smoothed_ramp(r, sigma) + smoothed_ramp(1.0 - r, sigma)
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
