@@ -11,9 +11,11 @@ the loss is constant 1 below the first line, affine in between, and 0 above
 the second.  Clipping the rectangle against those half-planes and applying
 the shoelace moment formulas integrates each piece exactly, which is what
 lets the stationarity residuals be resolved to 1e-8 and beyond (Monte Carlo
-or fixed quadrature cannot get close).  Midpoint quadrature remains as the
-fallback when ||w|| is too small for the strip to be a meaningful polygon,
-and as an independent cross-check.
+or fixed quadrature cannot get close).  The clip works on arrays of w: a
+polygon is its set of directed boundary segments, so a clip trims each
+segment and adds one closing segment, the rectangle's 4 segments become 5
+and then 6, and w = 0 needs no special case.  Midpoint quadrature remains
+only as an independent cross-check.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .losses import LossKind, LossSpec
 from .objective import ObjectiveSpec, evaluate_with_gradient
@@ -45,8 +48,10 @@ __all__ = [
 ]
 
 _DEGENERATE_NORM = 1e-10
-_FALLBACK_GRID = 400  # midpoint grid per axis when ||w|| < _DEGENERATE_NORM
-_RECT = ((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0))  # CCW
+
+# the rectangle [0,1] x [-1,1] as its CCW boundary segments p -> q
+_RECT_P = np.array([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)])
+_RECT_Q = np.roll(_RECT_P, -1, axis=0)
 
 # refinement acceptance: residual must essentially vanish, and the point
 # must sit away from the excluded origin (where the gradient formula does
@@ -54,6 +59,11 @@ _RECT = ((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0))  # CCW
 _ACCEPT_RESIDUAL = 1e-8
 _ACCEPT_MIN_NORM = 1e-4
 _MERGE_RADIUS = 1e-5
+
+# compass directions of the refinement, in tie-breaking order
+_COMPASS = np.array(
+    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
+)
 
 # difference steps of the one-sided derivatives at the origin
 _ORIGIN_STEPS = (1e-3, 1e-4, 1e-5)
@@ -68,78 +78,73 @@ class UniformModel:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def _clip_halfplane(poly, a, b, c):
-    # keep the part of a convex CCW polygon with a*u + b*v <= c
-    out = []
-    m = len(poly)
-    for i in range(m):
-        u1, v1 = poly[i]
-        u2, v2 = poly[(i + 1) % m]
-        s1 = a * u1 + b * v1 - c
-        s2 = a * u2 + b * v2 - c
-        if s1 <= 0.0:
-            out.append((u1, v1))
-        if (s1 < 0.0 < s2) or (s2 < 0.0 < s1):
-            t = s1 / (s1 - s2)
-            out.append((u1 + t * (u2 - u1), v1 + t * (v2 - v1)))
-    return out
+def _clip(p, q, a, b, c):
+    # Keep the part of a convex polygon with a*u + b*v <= c.  The polygon is
+    # its directed boundary segments p -> q (segments on axis -2, the point
+    # on axis -1).  Each segment is trimmed to the half-plane, to zero length
+    # when wholly outside, and one closing segment runs along the line from
+    # the exit to the entry point (zero length when nothing crosses).
+    a, b = a[..., None], b[..., None]
+    sp = a * p[..., 0] + b * p[..., 1] - c
+    sq = a * q[..., 0] + b * q[..., 1] - c
+    p_in, q_in = (sp <= 0.0)[..., None], (sq <= 0.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x is used only where p_in != q_in
+        x = p + (sp / (sp - sq))[..., None] * (q - p)
+    exit_point = np.where(p_in & ~q_in, x, 0.0).sum(axis=-2, keepdims=True)
+    entry_point = np.where(q_in & ~p_in, x, 0.0).sum(axis=-2, keepdims=True)
+    return (
+        np.concatenate([np.where(p_in, p, np.where(q_in, x, 0.0)), exit_point], axis=-2),
+        np.concatenate([np.where(q_in, q, np.where(p_in, x, 0.0)), entry_point], axis=-2),
+    )
 
 
-def _moments(poly):
-    # area, integral of u, integral of v over a CCW polygon (shoelace)
-    area = mu = mv = 0.0
-    m = len(poly)
-    for i in range(m):
-        u1, v1 = poly[i]
-        u2, v2 = poly[(i + 1) % m]
-        cross = u1 * v2 - u2 * v1
-        area += cross
-        mu += (u1 + u2) * cross
-        mv += (v1 + v2) * cross
-    return 0.5 * area, mu / 6.0, mv / 6.0
+def _moments(p, q):
+    # area and the integrals of (u, v) over a polygon given by its segments
+    cross = p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
+    return 0.5 * cross.sum(axis=-1), ((p + q) * cross[..., None]).sum(axis=-2) / 6.0
 
 
 def _band_moments(w1, w2):
-    # moments of {0 <= w1*u + w2*v <= 1} within the rectangle
-    poly = _clip_halfplane(list(_RECT), -w1, -w2, 0.0)
-    if len(poly) >= 3:
-        poly = _clip_halfplane(poly, w1, w2, 1.0)
-    if len(poly) < 3:
-        return 0.0, 0.0, 0.0
-    return _moments(poly)
+    """Area of {s >= 0}, and area, integral of u and integral of v over the
+    band {0 <= s <= 1}, within the rectangle; s = w1*u + w2*v, w1 and w2
+    broadcast against each other.
+    """
+    w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
+    upper = _clip(_RECT_P, _RECT_Q, -w1, -w2, 0.0)
+    area_band, m = _moments(*_clip(*upper, w1, w2, 1.0))
+    return _moments(*upper)[0], area_band, m[..., 0], m[..., 1]
+
+
+def _residual(model, w1, w2):
+    # gradient components of F away from the origin
+    _, _, mu, mv = _band_moments(w1, w2)
+    return model.epsilon * w1 - 0.5 * mu, model.epsilon * w2 - 0.5 * mv
+
+
+def _residual_norm(model, w1, w2):
+    r1, r2 = _residual(model, w1, w2)
+    return np.maximum(np.abs(r1), np.abs(r2))
 
 
 def f_epsilon(model: UniformModel, w) -> float:
-    """Population objective by exact piecewise integration.
-
-    Falls back to midpoint quadrature on a fixed grid when
-    ||w|| < 1e-10 and the strip decomposition degenerates.
-    """
+    """Population objective by exact piecewise integration."""
     w1, w2 = float(w[0]), float(w[1])
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
-    if math.hypot(w1, w2) < _DEGENERATE_NORM:
-        return reg + _expected_ramp_quadrature(w1, w2, _FALLBACK_GRID)
-    below = _clip_halfplane(list(_RECT), w1, w2, 0.0)
-    area_below = _moments(below)[0] if len(below) >= 3 else 0.0
-    area_band, mu, mv = _band_moments(w1, w2)
-    expected = 0.5 * (area_below + area_band - w1 * mu - w2 * mv)
-    return reg + expected
-
-
-def _expected_ramp_quadrature(w1, w2, grid):
-    r = (np.arange(grid) + 0.5) / grid
-    x2 = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
-    total = 0.0
-    for ri in r:  # row at a time to bound memory at large grids
-        total += float(np.clip(1.0 - (w1 * ri + w2 * x2), 0.0, 1.0).sum())
-    return total / (grid * grid)
+    area_upper, area_band, mu, mv = _band_moments(w1, w2)
+    expected = 0.5 * (2.0 - area_upper + area_band - w1 * mu - w2 * mv)
+    return reg + float(expected)
 
 
 def f_epsilon_quadrature(model: UniformModel, w, grid: int) -> float:
     """Composite-midpoint evaluation of the same objective (cross-check path)."""
     w1, w2 = float(w[0]), float(w[1])
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
-    return reg + _expected_ramp_quadrature(w1, w2, grid)
+    r = (np.arange(grid) + 0.5) / grid
+    x2 = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
+    total = 0.0
+    for ri in r:  # row at a time to bound memory at large grids
+        total += float(np.clip(1.0 - (w1 * ri + w2 * x2), 0.0, 1.0).sum())
+    return reg + total / (grid * grid)
 
 
 def stationarity_residual(model: UniformModel, w) -> np.ndarray:
@@ -152,10 +157,7 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
     w1, w2 = float(w[0]), float(w[1])
     if math.hypot(w1, w2) < _DEGENERATE_NORM:
         raise ValueError("stationarity residual is undefined at w = 0")
-    _, mu, mv = _band_moments(w1, w2)
-    return np.array(
-        [model.epsilon * w1 - 0.5 * mu, model.epsilon * w2 - 0.5 * mv]
-    )
+    return np.array(_residual(model, w1, w2), dtype=float)
 
 
 def origin_directional_derivative(model: UniformModel, direction) -> float:
@@ -179,39 +181,31 @@ def origin_directional_derivatives(model: UniformModel):
     )
 
 
-def _residual_norm(model, w1, w2):
-    _, mu, mv = _band_moments(w1, w2)
-    return max(
-        abs(model.epsilon * w1 - 0.5 * mu), abs(model.epsilon * w2 - 0.5 * mv)
-    )
-
-
 def refine_candidate(model: UniformModel, w0, half_width: float):
     """Compass-shrink minimization of the residual norm from a seed cell.
 
-    Returns the refined point and its residual norm.  Genuine roots collapse
-    to residuals near machine precision; spurious sub-threshold cells either
+    Each round evaluates the eight compass points at distance h and moves to
+    the best one that improves, or halves h when none does.  Returns the
+    refined point and its residual norm.  Genuine roots collapse to
+    residuals near machine precision; spurious sub-threshold cells either
     stall at a positive residual or slide into the excluded origin, and both
     outcomes fail the acceptance test in the scan.
     """
-    best = (float(w0[0]), float(w0[1]))
-    best_res = _residual_norm(model, *best)
+    best = np.array([float(w0[0]), float(w0[1])])
+    best_res = float(_residual_norm(model, best[0], best[1]))
     h = half_width
     rounds = 0
     while h > 1e-13 and rounds < 500:
         rounds += 1
-        moved = False
-        for du, dv in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            cand = (best[0] + du * h, best[1] + dv * h)
-            if math.hypot(*cand) < _DEGENERATE_NORM:
-                continue
-            res = _residual_norm(model, *cand)
-            if res < best_res:
-                best, best_res = cand, res
-                moved = True
-        if not moved:
+        cand = best + h * _COMPASS
+        res = _residual_norm(model, cand[:, 0], cand[:, 1])
+        res[np.hypot(cand[:, 0], cand[:, 1]) < _DEGENERATE_NORM] = np.inf
+        k = int(np.argmin(res))
+        if res[k] < best_res:
+            best, best_res = cand[k], float(res[k])
+        else:
             h *= 0.5
-    return np.array(best), best_res
+    return best, best_res
 
 
 def scan_stationary_points(model: UniformModel, box=(-3.0, 3.0), grid: int = 300) -> np.ndarray:
@@ -231,27 +225,21 @@ def scan_stationary_points(model: UniformModel, box=(-3.0, 3.0), grid: int = 300
     cell = (hi - lo) / grid
     threshold = 10.0 * cell
 
-    norms = np.full((grid, grid), np.inf)
+    # residual norms, padded by a ring of inf so every cell has 3x3 neighbours
+    norms = np.full((grid + 2, grid + 2), np.inf)
+    inner = norms[1:-1, 1:-1]
     for i, w1 in enumerate(axis):
-        for j, w2 in enumerate(axis):
-            if math.hypot(w1, w2) < _DEGENERATE_NORM:
-                continue
-            norms[i, j] = _residual_norm(model, w1, w2)
+        row = _residual_norm(model, w1, axis)
+        row[np.hypot(w1, axis) < _DEGENERATE_NORM] = np.inf
+        inner[i] = row
 
     # seed refinement at sub-threshold cells that are grid-local minima
-    seeds = []
-    for i in range(grid):
-        for j in range(grid):
-            v = norms[i, j]
-            if v > threshold:
-                continue
-            neigh = norms[max(0, i - 1): i + 2, max(0, j - 1): j + 2]
-            if v <= neigh.min():
-                seeds.append((axis[i], axis[j]))
+    local_min = sliding_window_view(norms, (3, 3)).min(axis=(2, 3))
+    seeds = np.argwhere((inner <= threshold) & (inner <= local_min))
 
     accepted = []
-    for seed in seeds:
-        point, res = refine_candidate(model, seed, cell)
+    for i, j in seeds:
+        point, res = refine_candidate(model, (axis[i], axis[j]), cell)
         if res <= _ACCEPT_RESIDUAL and np.linalg.norm(point) >= _ACCEPT_MIN_NORM:
             for other in accepted:
                 if np.linalg.norm(other - point) <= _MERGE_RADIUS:

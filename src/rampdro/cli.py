@@ -43,6 +43,7 @@ _T2_EPS_BAR = (0.001, 0.01, 0.1, 1.0, 10.0)
 _T3_FLIP = (0.10, 0.20, 0.30, 0.40)
 _T3_DATASETS = 10
 _T4_ADV = (0.10, 0.20, 0.30)
+_ALLOWED_INVERSIONS = 1  # a trend tolerates one out-of-order step
 
 
 def _child_seed(base: int, *key: int) -> int:
@@ -112,10 +113,6 @@ def _build_dataset(args) -> dataset.Dataset:
     return ds
 
 
-def _loss_spec(name: str, sigma: float) -> LossSpec:
-    return LossSpec(LossKind(name), sigma)
-
-
 def _solve_options(args, seed: int) -> solve.SolveOptions:
     return solve.SolveOptions(
         method=solve.Method(args.method),
@@ -151,7 +148,7 @@ def _cluster_payload(report: solve.MultiStartReport):
 
 
 def _cmd_train(args) -> int:
-    loss = _loss_spec(args.loss, args.sigma)
+    loss = LossSpec(LossKind(args.loss), args.sigma)
     if not loss.smooth:
         raise ValueError("training requires a smoothed loss (sramp or shinge)")
     ds = _build_dataset(args)
@@ -222,7 +219,7 @@ def _cmd_oracle(args) -> int:
     if w.size != ds.d:
         raise ValueError(f"--w has {w.size} components, dataset has d={ds.d}")
     h = geometry.Hyperplane(w, args.b)
-    if args.epsilon < 0:
+    if not args.epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {args.epsilon}")
 
     profile = geometry.margin_profile(h, ds)
@@ -269,14 +266,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _monotone(values, direction: str, allowed_inversions: int = 1) -> bool:
+def _monotone(values, direction: str) -> bool:
     bad = 0
     for a, b in zip(values, values[1:]):
         if direction == "nonincreasing" and b > a:
             bad += 1
         if direction == "nondecreasing" and b < a:
             bad += 1
-    return bad <= allowed_inversions
+    return bad <= _ALLOWED_INVERSIONS
 
 def _scaled(value: int, scale: float, floor: int) -> int:
     return max(floor, int(round(value * scale)))
@@ -294,8 +291,8 @@ def _run_table(args):
     d = args.d
     reference = np.zeros(d)
     reference[0] = 1.0
-    sramp = _loss_spec("sramp", args.sigma)
-    shinge = _loss_spec("shinge", args.sigma)
+    sramp = LossSpec(LossKind.SMOOTHED_RAMP, args.sigma)
+    shinge = LossSpec(LossKind.SMOOTHED_HINGE, args.sigma)
     starts = _scaled(args.starts, scale, 1)
     rows, trends = [], {}
 

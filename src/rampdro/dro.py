@@ -104,7 +104,7 @@ class _DistanceProfile:
 
     def dual(self, epsilon: float) -> WorstCaseResult:
         """Minimize phi over the positive breakpoints t = 1/d_k and t -> 0+."""
-        if epsilon < 0.0:
+        if not epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         if epsilon == 0.0:
             # the ball degenerates to the nominal distribution; the infimum is
@@ -128,7 +128,7 @@ class _DistanceProfile:
 
     def knapsack(self, epsilon: float) -> float:
         """Fill whole items in increasing-distance order, then a fraction."""
-        if epsilon < 0.0:
+        if not epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
         z = self.zeros
         if epsilon == 0.0:

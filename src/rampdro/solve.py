@@ -67,7 +67,7 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iters < 1:
+        if not self.grad_tol > 0 or self.max_iters < 1:
             raise ValueError("grad_tol and max_iters must be positive")
 
 

@@ -60,6 +60,17 @@ def test_exact_integration_matches_dense_quadrature():
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("w", [
+    (1.0, 1.0), (0.5, 0.5), (2.0, 1.0), (0.3, 1.0), (0.7, -1.0), (1.0, -1.0),
+    (0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (1e-12, 0.0),
+])
+def test_exact_integration_degenerate_clips(w):
+    # lines through rectangle corners, parallel to an edge, or absent: the
+    # clip's touching, zero-length and empty cases against quadrature
+    model = UniformModel(0.1)
+    assert f_epsilon(model, w) == pytest.approx(f_epsilon_quadrature(model, w, 4000), abs=1e-6)
+
+
 def test_residual_is_gradient_of_objective():
     model = UniformModel(0.37)
     rng = np.random.default_rng(8)

@@ -147,6 +147,20 @@ def test_oracle_dimension_mismatch(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "nan"],
+    ["train", "--n", "20", "--d", "2", "--starts", "1", "--grad-tol", "nan"],
+    ["train", "--n", "20", "--d", "2", "--starts", "1", "--epsilon-bar", "nan"],
+])
+def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "validation"
+    assert not out.exists()
+
+
 def test_oracle_malformed_csv_is_validation_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,y\n1.0,7\n")

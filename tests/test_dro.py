@@ -58,6 +58,14 @@ def test_dual_rejects_negative_epsilon():
         worst_case_dual_from_distances([1.0], [1.0], -0.1)
 
 
+def test_oracles_reject_nan_epsilon():
+    # nan passes an `epsilon < 0` guard; the knapsack then returned 1.0
+    with pytest.raises(ValueError):
+        worst_case_dual_from_distances([0.0, 1.0], [0.5, 0.5], math.nan)
+    with pytest.raises(ValueError):
+        worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], math.nan)
+
+
 def test_knapsack_two_point_example():
     v = worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], 0.25)
     assert v == pytest.approx(0.75, abs=1e-15)

@@ -108,6 +108,8 @@ def test_intercept_never_regularized():
 def test_negative_reg_weight_rejected():
     with pytest.raises(ValueError):
         ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.NORM, -0.5)
+    with pytest.raises(ValueError):  # nan passes a `< 0` guard
+        ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.NORM, float("nan"))
 
 
 def test_row_permutation_invariance():
@@ -156,6 +158,8 @@ def test_imputed_epsilon_table_rows():
     assert imputed_epsilon(0.5, Hyperplane(np.zeros(4), 1.0)) == 0.0
     with pytest.raises(ValueError):
         imputed_epsilon(-1.0, Hyperplane(np.ones(1), 0.0))
+    with pytest.raises(ValueError):
+        imputed_epsilon(float("nan"), Hyperplane(np.ones(1), 0.0))
 
 
 def test_norm_form_stationarity_transfer():

@@ -43,6 +43,8 @@ def test_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    with pytest.raises(ValueError):
+        SolveOptions(grad_tol=float("nan"))
 
 
 def test_line_search_on_scalar_quadratic():
