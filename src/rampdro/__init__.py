@@ -57,7 +57,6 @@ from .objective import (
     to_dro_variables,
 )
 from .solve import (
-    Method,
     MultiStartReport,
     SolveAbort,
     SolveOptions,

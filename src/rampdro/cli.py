@@ -106,16 +106,12 @@ def _build_dataset(args) -> dataset.Dataset:
         if args.n is None or args.d is None:
             raise ValueError("provide --data, or both --n and --d for generated data")
         ds = dataset.generate_separable(args.n, args.d, _child_seed(args.seed, 1))
-    if args.flip_fraction > 0.0:
-        ds = dataset.flip_labels(ds, args.flip_fraction, _child_seed(args.seed, 2))
-    if args.adv_fraction > 0.0:
-        ds = dataset.inject_adversarial(ds, args.adv_fraction, _child_seed(args.seed, 3))
-    return ds
+    ds = dataset.flip_labels(ds, args.flip_fraction, _child_seed(args.seed, 2))
+    return dataset.inject_adversarial(ds, args.adv_fraction, _child_seed(args.seed, 3))
 
 
 def _solve_options(args, seed: int) -> solve.SolveOptions:
     return solve.SolveOptions(
-        method=solve.Method(args.method),
         grad_tol=args.grad_tol,
         max_iters=args.max_iters,
         seed=seed,
@@ -183,7 +179,7 @@ def _cmd_train(args) -> int:
             "sigma": args.sigma,
             "epsilon_bar": args.epsilon_bar,
             "starts": args.starts,
-            "method": args.method,
+            "method": "lbfgs",
             "grad_tol": args.grad_tol,
             "max_iters": args.max_iters,
             "flip_fraction": args.flip_fraction,
@@ -417,7 +413,7 @@ def _cmd_reproduce(args) -> int:
             "starts": args.starts,
             "grad_tol": args.grad_tol,
             "max_iters": args.max_iters,
-            "method": args.method,
+            "method": "lbfgs",
         },
         "csv": str(out),
         "trends": trends,
@@ -490,7 +486,6 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(p: argparse.ArgumentParser, grad_tol: float) -> None:
-    p.add_argument("--method", choices=[m.value for m in solve.Method], default="cg")
     p.add_argument("--grad-tol", type=float, default=grad_tol)
     p.add_argument("--max-iters", type=int, default=10000)
 

@@ -74,7 +74,8 @@ class _DistanceProfile:
     ``cum_p[k]`` and ``cum_pd[k]`` sum p_i and p_i * d_i over the first k
     sorted points; the first ``zeros`` of them are the misclassified points.
     Infinite distances are dropped: no budget reaches them and they add
-    nothing to either dual.
+    nothing to either dual.  The weights sum to 1 only up to rounding, so the
+    dual and the knapsack cap the probability they return at 1.
     """
 
     def __init__(self, dists, weights):
@@ -109,10 +110,10 @@ class _DistanceProfile:
         if epsilon == 0.0:
             # the ball degenerates to the nominal distribution; the infimum is
             # attained only in the limit t -> infinity
-            return WorstCaseResult(float(self.cum_p[self.zeros]), float("inf"))
+            return WorstCaseResult(min(1.0, float(self.cum_p[self.zeros])), float("inf"))
         limit_zero = float(self.cum_p[-1])  # phi(t) -> reachable mass as t -> 0+
         if self.zeros == self.d.size:
-            return WorstCaseResult(limit_zero, 0.0)
+            return WorstCaseResult(min(1.0, limit_zero), 0.0)
 
         d = self.d[self.zeros:]
         lo = self.lower
@@ -123,8 +124,8 @@ class _DistanceProfile:
         # t = 1/d_k is descending, so the smallest minimizing t is the last argmin
         best = phi.size - 1 - int(np.argmin(phi[::-1]))
         if limit_zero < phi[best]:
-            return WorstCaseResult(limit_zero, 0.0)
-        return WorstCaseResult(float(phi[best]), 1.0 / float(d[best]))
+            return WorstCaseResult(min(1.0, limit_zero), 0.0)
+        return WorstCaseResult(min(1.0, float(phi[best])), 1.0 / float(d[best]))
 
     def knapsack(self, epsilon: float) -> float:
         """Fill whole items in increasing-distance order, then a fraction."""
@@ -133,13 +134,13 @@ class _DistanceProfile:
         z = self.zeros
         if epsilon == 0.0:
             # p_i * d_i can round to 0 for subnormal d_i; no such item is free
-            return float(self.cum_p[z])
+            return min(1.0, float(self.cum_p[z]))
         cost = self.cum_pd[z + 1:]  # cumulative cost of the movable items
         k = int(np.searchsorted(cost, epsilon, side="right"))
         value = float(self.cum_p[z + k])
         if k < cost.size:
             value += (epsilon - float(self.cum_pd[z + k])) / self.d[z + k]
-        return value
+        return min(1.0, value)
 
     def cvar(self, rho: float) -> float:
         """Maximize g over the positive breakpoints t = d_k, plus the flat tail."""

@@ -1,9 +1,8 @@
-"""First-order smooth minimization: PR+ conjugate gradient and L-BFGS.
+"""First-order smooth minimization: L-BFGS under a weak-Wolfe line search.
 
-Both methods share a weak-Wolfe line search implemented as bracketing plus
-bisection, which terminates for any C^1 function bounded below.  The
-multistart driver samples starting points uniformly on the unit sphere and
-clusters the minimizers it finds.
+The line search is bracketing plus bisection, which terminates for any C^1
+function bounded below.  The multistart driver samples starting points
+uniformly on the unit sphere and clusters the minimizers it finds.
 
 Everything here is deterministic: identical (objective, start, options)
 produce identical reports, and multistart runs are assembled in start-index
@@ -12,7 +11,6 @@ order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +19,6 @@ import numpy as np
 from .geometry import sin_angle
 
 __all__ = [
-    "Method",
     "SolveOptions",
     "SolveReport",
     "StepRecord",
@@ -50,18 +47,12 @@ WOLFE_C2 = 0.9
 MAX_LINESEARCH = 60
 
 
-class Method(enum.Enum):
-    CG_PR_PLUS = "cg"
-    LBFGS = "lbfgs"
-
-
 class SolveAbort(RuntimeError):
     """Non-finite objective or gradient encountered; carries the location."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    method: Method = Method.CG_PR_PLUS
     grad_tol: float = 1e-8
     max_iters: int = 10000
     seed: int = 0
@@ -177,12 +168,13 @@ def _lbfgs_direction(g, memory):
 
 
 def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) -> SolveReport:
-    """Minimize a smooth function with PR+ CG or L-BFGS under weak Wolfe.
+    """Minimize a smooth function with L-BFGS under weak Wolfe.
 
-    PR+ restarts to steepest descent whenever the Polak-Ribiere coefficient
-    is negative or the candidate direction fails to be a descent direction.
-    Terminates when ||g|| <= grad_tol * max(1, |f|), on the iteration cap,
-    or when the line search cannot satisfy the Wolfe conditions.
+    Falls back to steepest descent whenever the two-loop direction is not a
+    descent direction.  The line search starts from min(1, 1/||g||) on the
+    first iteration and from the unit step afterwards.  Terminates when
+    ||g|| <= grad_tol * max(1, |f|), on the iteration cap, or when the line
+    search cannot satisfy the Wolfe conditions.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -193,9 +185,6 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
     trace = [(0, f, gnorm)]
     steps = [] if record_steps else None
     memory: list = []
-    p = -g
-    alpha_prev = None
-    slope_prev = None
     message = ""
     converged = False
     k = 0
@@ -206,21 +195,13 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
             k -= 1
             break
 
-        if opts.method is Method.LBFGS:
-            p = _lbfgs_direction(g, memory)
+        p = _lbfgs_direction(g, memory)
         slope = float(g @ p)
         if slope >= 0.0:
             p = -g
             slope = float(g @ p)
 
-        if alpha_prev is None:
-            alpha0 = min(1.0, 1.0 / max(1e-12, gnorm))
-        elif opts.method is Method.CG_PR_PLUS:
-            alpha0 = alpha_prev * slope_prev / slope
-            alpha0 = float(np.clip(alpha0, 1e-12, 1e12))
-        else:
-            alpha0 = 1.0
-
+        alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 1 else 1.0
         ls = _wolfe_search(fun, x, f, g, p, alpha0)
         if not ls.ok:
             message = f"line search failed at iteration {k}"
@@ -234,19 +215,14 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
         if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
             raise SolveAbort(f"non-finite objective or gradient at iteration {k}")
 
-        if opts.method is Method.CG_PR_PLUS:
-            beta = float(g_new @ (g_new - g)) / float(g @ g)
-            p = -g_new + max(0.0, beta) * p
-        else:
-            s = x_new - x
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                memory.append((s, y, 1.0 / sy))
-                if len(memory) > LBFGS_MEMORY:
-                    memory.pop(0)
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            memory.append((s, y, 1.0 / sy))
+            if len(memory) > LBFGS_MEMORY:
+                memory.pop(0)
 
-        alpha_prev, slope_prev = ls.step, slope
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
         trace.append((k, f, gnorm))

@@ -151,6 +151,10 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "nan"],
     ["train", "--n", "20", "--d", "2", "--starts", "1", "--grad-tol", "nan"],
     ["train", "--n", "20", "--d", "2", "--starts", "1", "--epsilon-bar", "nan"],
+    ["train", "--n", "20", "--d", "2", "--starts", "1", "--flip-fraction", "nan"],
+    ["train", "--n", "20", "--d", "2", "--starts", "1", "--flip-fraction", "-0.1"],
+    ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "0.1", "--adv-fraction", "nan"],
+    ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "0.1", "--adv-fraction", "-0.1"],
 ])
 def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.json"

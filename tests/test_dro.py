@@ -124,6 +124,14 @@ def test_lp_reference_subnormal_distance_at_zero_budget():
     assert worst_case_knapsack_from_distances(d, p, 0.0) == 0.5
 
 
+def test_oracles_never_exceed_one():
+    # the twenty weights 1/20 sum to 1.0000000000000002; a budget that moves
+    # every point must still give probability 1
+    d, p = np.linspace(0.1, 2.0, 20), np.full(20, 1 / 20)
+    assert worst_case_dual_from_distances(d, p, 100.0).value == 1.0
+    assert worst_case_knapsack_from_distances(d, p, 100.0) == 1.0
+
+
 # ties among positive distances and infinite distances, which
 # random_knapsack_instance never draws, next to arbitrary distances,
 # subnormal ones included.
@@ -158,6 +166,7 @@ def test_oracle_invariants_property(instance, budget_fractions, rho):
         knap = worst_case_knapsack_from_distances(d, p, eps)
         assert abs(dual - knap) <= 1e-10
         assert abs(dual - knapsack_lp_vertices(d, p, eps)) <= 1e-10
+        assert dual <= 1.0 and knap <= 1.0
         duals.append(dual)
         knaps.append(knap)
         if eps > 0.0 and abs(dual - rho) > 1e-9:
