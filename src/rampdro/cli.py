@@ -123,7 +123,10 @@ def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference
     fun = objective.objective_function(spec, ds)
     report = solve.multistart(fun, ds.d + 1, starts, opts, reference)
     if not report.clusters:
-        raise solve.SolveAbort("every start aborted; no minimizer found")
+        raise solve.SolveAbort(
+            f"no start converged: {len(report.failures)} of {starts} aborted, "
+            f"{len(report.unconverged)} stopped unconverged"
+        )
     return report
 
 
@@ -203,6 +206,10 @@ def _cmd_train(args) -> int:
             "n_clusters": len(report.clusters),
             "clusters": _cluster_payload(report),
             "failures": [{"index": f.index, "message": f.message} for f in report.failures],
+            "unconverged": [
+                {"index": u.index, "iterations": u.iterations, "message": u.message}
+                for u in report.unconverged
+            ],
         },
     }
     _write_json(_resolve_out(args.out), payload)

@@ -48,7 +48,7 @@ class Hyperplane:
         w = np.asarray(self.w, dtype=float).ravel()
         if w.size < 1:
             raise ValueError("w must have at least one component")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.b)):
+        if not (np.isfinite(w).all() and np.isfinite(self.b)):
             raise ValueError("hyperplane entries must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)

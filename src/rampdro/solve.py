@@ -2,7 +2,8 @@
 
 The line search is bracketing plus bisection, which terminates for any C^1
 function bounded below.  The multistart driver samples starting points
-uniformly on the unit sphere and clusters the minimizers it finds.
+uniformly on the unit sphere and clusters the minimizers its converged runs
+find; runs that abort or stop unconverged are listed separately.
 
 Everything here is deterministic: identical (objective, start, options)
 produce identical reports, and multistart runs are assembled in start-index
@@ -11,6 +12,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,11 +23,11 @@ from .geometry import sin_angle
 __all__ = [
     "SolveOptions",
     "SolveReport",
-    "StepRecord",
     "LineSearchResult",
     "MultiStartReport",
     "Cluster",
     "FailedStart",
+    "UnconvergedStart",
     "SolveAbort",
     "line_search_weak_wolfe",
     "minimize",
@@ -62,17 +64,6 @@ class SolveOptions:
             raise ValueError("grad_tol and max_iters must be positive")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    # enough context to re-verify the Wolfe conditions after the fact
-    iteration: int
-    x: np.ndarray
-    direction: np.ndarray
-    step: float
-    f: float
-    slope: float
-
-
 @dataclass
 class SolveReport:
     minimizer: np.ndarray
@@ -82,7 +73,6 @@ class SolveReport:
     converged: bool
     trace: list
     message: str = ""
-    steps: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -101,6 +91,13 @@ class FailedStart:
 
 
 @dataclass(frozen=True)
+class UnconvergedStart:
+    index: int
+    iterations: int
+    message: str
+
+
+@dataclass(frozen=True)
 class Cluster:
     representative: np.ndarray
     representative_index: int
@@ -111,8 +108,9 @@ class Cluster:
 @dataclass
 class MultiStartReport:
     runs: list  # Optional[SolveReport] per start index
-    failures: list
-    clusters: list
+    failures: list  # FailedStart: aborted on a non-finite value
+    unconverged: list  # UnconvergedStart: finished without meeting grad_tol
+    clusters: list  # converged runs only
 
 
 def _wolfe_search(fun, x, f0, g0, p, alpha0: float) -> LineSearchResult:
@@ -130,7 +128,7 @@ def _wolfe_search(fun, x, f0, g0, p, alpha0: float) -> LineSearchResult:
 
     for k in range(MAX_LINESEARCH):
         fa, ga = fun(x + alpha * p)
-        finite = np.isfinite(fa) and np.all(np.isfinite(ga))
+        finite = np.isfinite(fa) and np.isfinite(ga).all()
         if finite and fa < best[1]:
             best = (alpha, fa, ga)
         if not finite or fa > f0 + WOLFE_C1 * alpha * slope0:
@@ -167,7 +165,7 @@ def _lbfgs_direction(g, memory):
     return -q
 
 
-def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) -> SolveReport:
+def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
     """Minimize a smooth function with L-BFGS under weak Wolfe.
 
     Falls back to steepest descent whenever the two-loop direction is not a
@@ -178,12 +176,11 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f) and np.isfinite(g).all()):
         raise SolveAbort(f"non-finite objective or gradient at the start point (f={f})")
 
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g @ g))
     trace = [(0, f, gnorm)]
-    steps = [] if record_steps else None
     memory: list = []
     message = ""
     converged = False
@@ -196,10 +193,8 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
             break
 
         p = _lbfgs_direction(g, memory)
-        slope = float(g @ p)
-        if slope >= 0.0:
+        if float(g @ p) >= 0.0:
             p = -g
-            slope = float(g @ p)
 
         alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 1 else 1.0
         ls = _wolfe_search(fun, x, f, g, p, alpha0)
@@ -207,24 +202,22 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
             message = f"line search failed at iteration {k}"
             k -= 1
             break
-        if record_steps:
-            steps.append(StepRecord(k, x.copy(), p.copy(), ls.step, f, slope))
 
         x_new = x + ls.step * p
         f_new, g_new = ls.f, ls.g
-        if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
+        if not (np.isfinite(f_new) and np.isfinite(g_new).all()):
             raise SolveAbort(f"non-finite objective or gradient at iteration {k}")
 
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
             memory.append((s, y, 1.0 / sy))
             if len(memory) > LBFGS_MEMORY:
                 memory.pop(0)
 
         x, f, g = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(float(g @ g))
         trace.append((k, f, gnorm))
     else:
         message = "iteration limit reached"
@@ -239,7 +232,6 @@ def minimize(fun: Callable, x0, opts: SolveOptions, record_steps: bool = False) 
         converged=converged,
         trace=trace,
         message=message,
-        steps=steps,
     )
 
 
@@ -267,8 +259,10 @@ def multistart(
 
     The last coordinate of each iterate is the intercept; ``reference``
     (default: the first coordinate axis) is compared against the remaining
-    coordinates when reporting per-cluster angles.  Runs that abort are
-    reported as failures and excluded from clustering.
+    coordinates when reporting per-cluster angles.  Only converged runs are
+    clustered: runs that abort are reported as failures, and runs that stop
+    on the iteration cap or a failed line search as unconverged.  ``runs``
+    keeps one entry per start either way (None for an aborted one).
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be positive, got {n_starts}")
@@ -280,6 +274,7 @@ def multistart(
     rng = np.random.default_rng(opts.seed)
     runs: list = []
     failures: list = []
+    unconverged: list = []
     for idx in range(n_starts):
         v = rng.standard_normal(dim)
         norm = np.linalg.norm(v)
@@ -287,13 +282,17 @@ def multistart(
             v = rng.standard_normal(dim)
             norm = np.linalg.norm(v)
         try:
-            runs.append(minimize(fun, v / norm, opts))
+            run = minimize(fun, v / norm, opts)
         except SolveAbort as exc:
-            runs.append(None)
+            run = None
             failures.append(FailedStart(idx, str(exc)))
+        else:
+            if not run.converged:
+                unconverged.append(UnconvergedStart(idx, run.iterations, run.message))
+        runs.append(run)
 
     order = sorted(
-        (i for i, r in enumerate(runs) if r is not None),
+        (i for i, r in enumerate(runs) if r is not None and r.converged),
         key=lambda i: (runs[i].value, i),
     )
     reps: list = []
@@ -315,4 +314,6 @@ def multistart(
             sin = sin_angle(w, reference)
         clusters.append(Cluster(runs[rep_idx].minimizer, rep_idx, sorted(mem), sin))
 
-    return MultiStartReport(runs=runs, failures=failures, clusters=clusters)
+    return MultiStartReport(
+        runs=runs, failures=failures, unconverged=unconverged, clusters=clusters
+    )

@@ -97,6 +97,33 @@ def test_train_numerical_abort_exit_code(tmp_path, monkeypatch, capsys):
     assert err["error"]["type"] == "numerical"
 
 
+def test_train_exits_numerical_when_no_start_converges(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = cli.main(["train", "--n", "2000", "--d", "5", "--starts", "4", "--max-iters", "5",
+                   "--out", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "numerical"
+    assert "4 stopped unconverged" in err["error"]["message"]
+    assert not out.exists()
+
+
+def test_train_reports_unconverged_starts_apart_from_clusters(tmp_path):
+    out = tmp_path / "t.json"
+    rc = cli.main(["train", "--n", "300", "--d", "4", "--seed", "3", "--starts", "6",
+                   "--max-iters", "30", "--out", str(out)])
+    assert rc == 0
+    payload = _read_json(out)
+    _validate(payload, "train_report.schema.json")
+    res = payload["result"]
+    unconverged = {u["index"] for u in res["unconverged"]}
+    clustered = {i for c in res["clusters"] for i in c["members"]}
+    assert unconverged and clustered and not res["failures"]
+    assert unconverged | clustered == set(range(6)) and not unconverged & clustered
+    assert all(u["iterations"] == 30 for u in res["unconverged"])
+    assert res["converged"] is True
+
+
 def test_train_with_corruptions_and_reference(tmp_path):
     out = tmp_path / "t.json"
     rc = cli.main([

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampdro.losses import (
+    BAND_SIGMAS,
     LossKind,
     LossSpec,
     ramp,
@@ -140,6 +141,55 @@ def test_smoothed_hinge_deriv_matches_finite_differences(sigma, lo, hi):
 def test_smoothed_hinge_nonnegative():
     r = np.linspace(-5.0, 10.0, 500)
     assert np.all(smoothed_hinge(r, 0.05) >= 0.0)
+
+
+# kind, exact value and slope, band centre and half-width before the sigmas
+BANDED = {
+    "sramp": (LossKind.SMOOTHED_RAMP, smoothed_ramp, smoothed_ramp_deriv, 0.5, 0.5),
+    "shinge": (LossKind.SMOOTHED_HINGE, smoothed_hinge, smoothed_hinge_deriv, 1.0, 0.0),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20),
+    st.floats(0.005, 1.0),
+    st.sampled_from(sorted(BANDED)),
+)
+def test_banded_spec_within_bound_of_exact(r, sigma, name):
+    kind, value, deriv, center, half_width = BANDED[name]
+    spec = LossSpec(kind, sigma)
+    r = np.array(r)
+    band = np.abs(r - center) < half_width + BAND_SIGMAS * sigma
+    v, d = spec.value(r), spec.deriv(r)
+    # inside the band the exact kernels run unchanged
+    assert np.array_equal(v[band], value(r, sigma)[band])
+    assert np.array_equal(d[band], deriv(r, sigma)[band])
+    # below the ramp's band the kernel's (1 - r) - (-r) loses up to ulp(r);
+    # the reflection 1 - L(1 - r) puts the exact value in the far right tail
+    exact = value(r, sigma)
+    if kind is LossKind.SMOOTHED_RAMP:
+        exact = np.where(r < center, 1.0 - value(1.0 - r, sigma), exact)
+    assert np.all(np.abs(v - exact)[~band] <= sigma * math.exp(-36.0))
+    assert np.all(np.abs(d - deriv(r, sigma)) <= math.exp(-36.0))
+    for i, ri in enumerate(r.tolist()):
+        assert spec.value(ri) == v[i] and spec.deriv(ri) == d[i]
+        assert type(spec.value(ri)) is float and type(spec.deriv(ri)) is float
+    if kind is LossKind.SMOOTHED_RAMP:
+        assert np.max(np.abs(v + spec.value(1.0 - r) - 1.0)) < 1e-12
+
+
+def test_banded_spec_tails_are_asymptotes():
+    # the exact slope is still nonzero here (see test_deriv_tends_to_zero_from_below)
+    assert LossSpec(LossKind.SMOOTHED_RAMP, 0.5).deriv(40.0) == 0.0
+    r = np.array([-10.0, np.nan, 10.0])
+    ramp_spec = LossSpec(LossKind.SMOOTHED_RAMP, 0.02)
+    hinge_spec = LossSpec(LossKind.SMOOTHED_HINGE, 0.02)
+    np.testing.assert_array_equal(ramp_spec.value(r), [1.0, np.nan, 0.0])
+    np.testing.assert_array_equal(ramp_spec.deriv(r), [0.0, np.nan, 0.0])
+    np.testing.assert_array_equal(hinge_spec.value(r), [11.0, np.nan, 0.0])
+    np.testing.assert_array_equal(hinge_spec.deriv(r), [-1.0, np.nan, 0.0])
+    assert ramp_spec.value(r.reshape(3, 1)).shape == (3, 1)
 
 
 def test_spec_validation():

@@ -51,6 +51,16 @@ class _ConstantLoss:
         return np.zeros_like(np.asarray(r, dtype=float))
 
 
+@pytest.mark.parametrize("kind", [LossKind.SMOOTHED_RAMP, LossKind.SMOOTHED_HINGE])
+def test_value_identical_with_and_without_gradient(kind):
+    ds = generate_separable(3000, 4, 6)
+    spec = ObjectiveSpec(LossSpec(kind, 0.02), RegKind.SQUARED_NORM, 0.1)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        h = Hyperplane(3.0 * rng.standard_normal(4), 0.1 * rng.standard_normal())
+        assert evaluate(spec, ds, h) == evaluate_with_gradient(spec, ds, h)[0]
+
+
 def test_zero_regularizer_constant_loss_gives_zero_gradient():
     ds = generate_separable(20, 3, 2)
     spec = ObjectiveSpec(_ConstantLoss(), RegKind.SQUARED_NORM, 0.0)

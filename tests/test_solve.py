@@ -115,16 +115,27 @@ def test_determinism():
 
 def test_wolfe_reverified_post_hoc():
     fun, dim = sramp_objective(n=300, sigma=0.02)
-    opts = SolveOptions(grad_tol=1e-6)
-    rep = minimize(fun, np.ones(dim) * 0.5, opts, record_steps=True)
-    assert rep.steps, "expected recorded steps"
-    stride = max(1, len(rep.steps) // 100)  # at least 1% of iterations
-    for rec in rep.steps[::stride]:
-        f0, g0 = fun(rec.x)
-        fa, ga = fun(rec.x + rec.step * rec.direction)
-        slope = float(g0 @ rec.direction)
-        assert fa <= f0 + WOLFE_C1 * rec.step * slope + 1e-15
-        assert float(ga @ rec.direction) >= WOLFE_C2 * slope
+    log = []
+
+    def logged(x):
+        f, g = fun(x)
+        log.append((x.copy(), f, g))
+        return f, g
+
+    rep = minimize(logged, np.ones(dim) * 0.5, SolveOptions(grad_tol=1e-6))
+    assert rep.iterations > 0
+    # each iterate is the first later evaluation matching the trace's (f, ||g||)
+    iterates, it = [], iter(log)
+    for _, f, gnorm in rep.trace:
+        iterates.append(next(e for e in it if e[1] == f and np.linalg.norm(e[2]) == gnorm))
+    assert np.array_equal(iterates[-1][0], rep.minimizer)
+    # the Wolfe inequalities are invariant to splitting the step s into alpha * p
+    for (x0, f0, g0), (x1, f1, g1) in zip(iterates, iterates[1:]):
+        s = x1 - x0
+        slope = float(g0 @ s)
+        assert slope < 0.0
+        assert f1 <= f0 + WOLFE_C1 * slope + 1e-15
+        assert float(g1 @ s) >= WOLFE_C2 * slope
 
 
 def test_convex_minimum_matches_scipy_bfgs():
@@ -191,6 +202,19 @@ def test_multistart_reports_failures_and_excludes_them():
     assert failed.union(clustered) == set(range(12))
     for f in report.failures:
         assert report.runs[f.index] is None
+
+
+def test_multistart_clusters_only_converged_runs():
+    fun, dim = sramp_objective()
+    # the 8 starts need 20-30 iterations at grad_tol 1e-8, so a cap of 25 splits them
+    report = multistart(fun, dim, 8, SolveOptions(grad_tol=1e-8, seed=3, max_iters=25))
+    assert len(report.runs) == 8 and not report.failures
+    converged = {i for i, r in enumerate(report.runs) if r.converged}
+    unconverged = {u.index for u in report.unconverged}
+    assert converged and unconverged and converged | unconverged == set(range(8))
+    assert {i for c in report.clusters for i in c.members} == converged
+    for u in report.unconverged:
+        assert u.iterations == 25 and u.message == "iteration limit reached"
 
 
 def test_multistart_sin_to_reference():
