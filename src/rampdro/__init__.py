@@ -31,7 +31,6 @@ from .geometry import (
     GeneralizedMargin,
     Hyperplane,
     MarginProfile,
-    distance,
     distances,
     generalized_margin,
     margin_profile,
@@ -61,7 +60,6 @@ from .solve import (
     SolveAbort,
     SolveOptions,
     SolveReport,
-    line_search_weak_wolfe,
     minimize,
     multistart,
 )

@@ -74,8 +74,8 @@ class UniformModel:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def _clip(p, q, a, b, c):
@@ -219,8 +219,8 @@ def scan_stationary_points(model: UniformModel, box=(-3.0, 3.0), grid: int = 300
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
     lo, hi = float(box[0]), float(box[1])
-    if not hi > lo:
-        raise ValueError("box must have positive width")
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"box must have positive finite width, got {lo} to {hi}")
     axis = np.linspace(lo, hi, grid)
     cell = (hi - lo) / grid
     threshold = 10.0 * cell

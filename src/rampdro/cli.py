@@ -118,7 +118,7 @@ def _solve_options(args, seed: int) -> solve.SolveOptions:
     )
 
 
-def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference):
+def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference=None):
     spec = objective.ObjectiveSpec(loss, objective.RegKind.SQUARED_NORM, eps_bar)
     fun = objective.objective_function(spec, ds)
     report = solve.multistart(fun, ds.d + 1, starts, opts, reference)
@@ -160,7 +160,8 @@ def _cmd_train(args) -> int:
     best = report.clusters[0]
     z = best.representative
     h = geometry.Hyperplane(z[:-1], float(z[-1]))
-    best_run = report.runs[best.representative_index]
+    runs = report.runs
+    best_run = runs[best.representative_index]
     ramp_spec_sq = objective.ObjectiveSpec(
         LossSpec(LossKind.RAMP), objective.RegKind.SQUARED_NORM, args.epsilon_bar
     )
@@ -207,8 +208,8 @@ def _cmd_train(args) -> int:
             "clusters": _cluster_payload(report),
             "failures": [{"index": f.index, "message": f.message} for f in report.failures],
             "unconverged": [
-                {"index": u.index, "iterations": u.iterations, "message": u.message}
-                for u in report.unconverged
+                {"index": i, "iterations": runs[i].iterations, "message": runs[i].stop}
+                for i in report.unconverged
             ],
         },
     }
@@ -292,8 +293,6 @@ def _run_table(args):
     if not (0.0 < scale <= 1.0):
         raise ValueError(f"--scale must lie in (0, 1], got {scale}")
     d = args.d
-    reference = np.zeros(d)
-    reference[0] = 1.0
     sramp = LossSpec(LossKind.SMOOTHED_RAMP, args.sigma)
     shinge = LossSpec(LossKind.SMOOTHED_HINGE, args.sigma)
     starts = _scaled(args.starts, scale, 1)
@@ -307,7 +306,7 @@ def _run_table(args):
             seed = _child_seed(args.seed, 10, n_nominal)
             ds = dataset.generate_separable(n, d, seed)
             opts = _solve_options(args, _child_seed(seed, 1))
-            rep = _train_once(ds, sramp, args.epsilon_bar, starts, opts, reference)
+            rep = _train_once(ds, sramp, args.epsilon_bar, starts, opts)
             all_sins = [c.sin_to_reference for c in rep.clusters if c.sin_to_reference is not None]
             counts.append(len(rep.clusters))
             sins.append(_best_sin(rep))
@@ -326,7 +325,7 @@ def _run_table(args):
         norms, imputed, sins = [], [], []
         for eps_bar in _T2_EPS_BAR:
             opts = _solve_options(args, _child_seed(seed, int(eps_bar * 1000)))
-            rep = _train_once(ds, sramp, eps_bar, starts, opts, reference)
+            rep = _train_once(ds, sramp, eps_bar, starts, opts)
             z = rep.clusters[0].representative
             h = geometry.Hyperplane(z[:-1], float(z[-1]))
             norms.append(h.norm)
@@ -352,8 +351,8 @@ def _run_table(args):
                 base = dataset.generate_separable(n, d, ds_seed)
                 ds = dataset.flip_labels(base, frac, _child_seed(ds_seed, 1))
                 opts = _solve_options(args, _child_seed(ds_seed, 2))
-                rr = _train_once(ds, sramp, args.epsilon_bar, starts, opts, reference)
-                rh = _train_once(ds, shinge, args.epsilon_bar, starts, opts, reference)
+                rr = _train_once(ds, sramp, args.epsilon_bar, starts, opts)
+                rh = _train_once(ds, shinge, args.epsilon_bar, starts, opts)
                 counts.append(len(rr.clusters))
                 ramp_sins.append(_best_sin(rr))
                 hinge_sins.append(_best_sin(rh))
@@ -382,7 +381,7 @@ def _run_table(args):
             row = [int(frac * 100), seed]
             stats = {}
             for tag, loss in (("ramp", sramp), ("hinge", shinge)):
-                rep = _train_once(ds, loss, args.epsilon_bar, starts, opts, reference)
+                rep = _train_once(ds, loss, args.epsilon_bar, starts, opts)
                 z = rep.clusters[0].representative
                 h = geometry.Hyperplane(z[:-1], float(z[-1]))
                 bad = geometry.margin_profile(h, ds).misclassified

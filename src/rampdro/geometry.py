@@ -23,7 +23,6 @@ __all__ = [
     "Hyperplane",
     "MarginProfile",
     "GeneralizedMargin",
-    "distance",
     "distances",
     "margin_profile",
     "generalized_margin",
@@ -76,15 +75,6 @@ class GeneralizedMargin(NamedTuple):
     rho_star: float
     gamma_star: float
     rho_bar: float
-
-
-def distance(h: Hyperplane, x, y: float) -> float:
-    """Distance to misclassification of a single labelled point."""
-    x = np.asarray(x, dtype=float).ravel()
-    norm = h.norm
-    if norm == 0.0:
-        return float("inf") if y * h.b > 0.0 else 0.0
-    return max(0.0, y * (float(h.w @ x) + h.b)) / norm
 
 
 def distances(h: Hyperplane, ds) -> np.ndarray:

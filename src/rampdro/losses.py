@@ -57,9 +57,9 @@ class LossSpec:
     sigma: float = 0.02
 
     def __post_init__(self):
-        if self.kind is not LossKind.RAMP and not self.sigma > 0.0:
+        if self.kind is not LossKind.RAMP and not 0.0 < self.sigma < np.inf:
             raise ValueError(
-                f"sigma must be positive for {self.kind.value}, got {self.sigma}"
+                f"sigma must be positive and finite for {self.kind.value}, got {self.sigma}"
             )
 
     @property
@@ -135,14 +135,18 @@ def smoothed_ramp(r, sigma):
     Writing sp(z) = sigma * log(1 + exp(z / sigma)), the value is
     sp(1 - r) - sp(-r).  Satisfies the exact reflection identity
     smoothed_ramp(r) + smoothed_ramp(1 - r) = 1 and stays within
-    sigma * log(2) of ramp(r).
+    sigma * log(2) of ramp(r).  The difference is evaluated at
+    max(r, 1 - r) and reflected below r = 1/2: for r << 0 it would cancel
+    to (1 - r) - (-r) and lose up to ulp(r).
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = np.asarray(r, dtype=float)
+    rr = np.maximum(r, 1.0 - r)
+    v = _softmax0(1.0 - rr, sigma) - _softmax0(-rr, sigma)
     # the difference can overshoot the mathematical range by one ulp when
     # the softmax correction terms underflow at different magnitudes
-    return _ret(np.clip(_softmax0(1.0 - r, sigma) - _softmax0(-r, sigma), 0.0, 1.0))
+    return _ret(np.clip(np.where(r < 0.5, 1.0 - v, v), 0.0, 1.0))
 
 
 def smoothed_ramp_deriv(r, sigma):

@@ -1,9 +1,13 @@
 """First-order smooth minimization: L-BFGS under a weak-Wolfe line search.
 
 The line search is bracketing plus bisection, which terminates for any C^1
-function bounded below.  The multistart driver samples starting points
-uniformly on the unit sphere and clusters the minimizers its converged runs
-find; runs that abort or stop unconverged are listed separately.
+function bounded below.  Every run ends with one stop code: ``"converged"``
+(the relative gradient test holds), ``"iteration_limit"`` (``max_iters``
+steps taken without it) or ``"line_search_failed"`` (no weak-Wolfe step
+within ``MAX_LINESEARCH`` trials).  The multistart driver samples starting
+points uniformly on the unit sphere and clusters the minimizers its
+converged runs find; runs that abort or stop unconverged are listed
+separately.
 
 Everything here is deterministic: identical (objective, start, options)
 produce identical reports, and multistart runs are assembled in start-index
@@ -23,13 +27,10 @@ from .geometry import sin_angle
 __all__ = [
     "SolveOptions",
     "SolveReport",
-    "LineSearchResult",
     "MultiStartReport",
     "Cluster",
     "FailedStart",
-    "UnconvergedStart",
     "SolveAbort",
-    "line_search_weak_wolfe",
     "minimize",
     "multistart",
 ]
@@ -60,8 +61,8 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.grad_tol > 0 or self.max_iters < 1:
-            raise ValueError("grad_tol and max_iters must be positive")
+        if not 0 < self.grad_tol < math.inf or self.max_iters < 1:
+            raise ValueError("grad_tol must be positive and finite, max_iters positive")
 
 
 @dataclass
@@ -69,31 +70,18 @@ class SolveReport:
     minimizer: np.ndarray
     value: float
     grad_norm: float
-    iterations: int
-    converged: bool
+    iterations: int  # accepted steps
+    stop: str  # "converged", "iteration_limit" or "line_search_failed"
     trace: list
-    message: str = ""
 
-
-@dataclass(frozen=True)
-class LineSearchResult:
-    step: float
-    ok: bool
-    f: float
-    g: np.ndarray
-    n_evals: int
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 @dataclass(frozen=True)
 class FailedStart:
     index: int
-    message: str
-
-
-@dataclass(frozen=True)
-class UnconvergedStart:
-    index: int
-    iterations: int
     message: str
 
 
@@ -109,44 +97,37 @@ class Cluster:
 class MultiStartReport:
     runs: list  # Optional[SolveReport] per start index
     failures: list  # FailedStart: aborted on a non-finite value
-    unconverged: list  # UnconvergedStart: finished without meeting grad_tol
     clusters: list  # converged runs only
 
+    @property
+    def unconverged(self) -> list:
+        """Indices of the runs that finished without converging."""
+        return [i for i, r in enumerate(self.runs) if r is not None and not r.converged]
 
-def _wolfe_search(fun, x, f0, g0, p, alpha0: float) -> LineSearchResult:
-    """Bracketing/bisection search for the weak Wolfe conditions.
+
+def _wolfe_search(fun, x, f0, g0, p, alpha: float):
+    """Bracketing/bisection search for the weak Wolfe conditions from step alpha.
 
     Expands until the sufficient-decrease test fails or curvature holds,
     then bisects the bracket.  Non-finite trial values shrink the bracket.
+    Returns (step, f, g) at the accepted step, or None after MAX_LINESEARCH
+    trials.
     """
     slope0 = float(g0 @ p)
     if not slope0 < 0.0:
         raise ValueError(f"search direction has nonnegative slope {slope0}")
     lo, hi = 0.0, np.inf
-    alpha = alpha0 if alpha0 > 0.0 else 1.0
-    best = (0.0, f0, g0)
-
-    for k in range(MAX_LINESEARCH):
+    for _ in range(MAX_LINESEARCH):
         fa, ga = fun(x + alpha * p)
         finite = np.isfinite(fa) and np.isfinite(ga).all()
-        if finite and fa < best[1]:
-            best = (alpha, fa, ga)
         if not finite or fa > f0 + WOLFE_C1 * alpha * slope0:
             hi = alpha
         elif float(ga @ p) < WOLFE_C2 * slope0:
             lo = alpha
         else:
-            return LineSearchResult(alpha, True, fa, ga, k + 1)
+            return alpha, fa, ga
         alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
-
-    return LineSearchResult(best[0], False, best[1], best[2], MAX_LINESEARCH)
-
-
-def line_search_weak_wolfe(fun, x, direction, alpha0: float = 1.0) -> LineSearchResult:
-    """Public wrapper that evaluates the anchor point itself."""
-    x = np.asarray(x, dtype=float)
-    f0, g0 = fun(x)
-    return _wolfe_search(fun, x, f0, g0, np.asarray(direction, float), alpha0)
+    return None
 
 
 def _lbfgs_direction(g, memory):
@@ -170,9 +151,11 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
 
     Falls back to steepest descent whenever the two-loop direction is not a
     descent direction.  The line search starts from min(1, 1/||g||) on the
-    first iteration and from the unit step afterwards.  Terminates when
-    ||g|| <= grad_tol * max(1, |f|), on the iteration cap, or when the line
-    search cannot satisfy the Wolfe conditions.
+    first iteration and from the unit step afterwards.  Before each step the
+    run stops with ``"converged"`` when ||g|| <= grad_tol * max(1, |f|), else
+    with ``"iteration_limit"`` once max_iters steps are taken; it stops with
+    ``"line_search_failed"`` when the search finds no Wolfe step.  A run that
+    meets the tolerance on its last allowed step therefore converges.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -182,32 +165,30 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
     gnorm = math.sqrt(float(g @ g))
     trace = [(0, f, gnorm)]
     memory: list = []
-    message = ""
-    converged = False
     k = 0
-
-    for k in range(1, opts.max_iters + 1):
+    while True:
         if gnorm <= opts.grad_tol * max(1.0, abs(f)):
-            converged = True
-            k -= 1
+            stop = "converged"
+            break
+        if k == opts.max_iters:
+            stop = "iteration_limit"
             break
 
         p = _lbfgs_direction(g, memory)
         if float(g @ p) >= 0.0:
             p = -g
 
-        alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 1 else 1.0
-        ls = _wolfe_search(fun, x, f, g, p, alpha0)
-        if not ls.ok:
-            message = f"line search failed at iteration {k}"
-            k -= 1
+        alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 0 else 1.0
+        accepted = _wolfe_search(fun, x, f, g, p, alpha0)
+        if accepted is None:
+            stop = "line_search_failed"
             break
-
-        x_new = x + ls.step * p
-        f_new, g_new = ls.f, ls.g
+        step, f_new, g_new = accepted
+        k += 1
         if not (np.isfinite(f_new) and np.isfinite(g_new).all()):
             raise SolveAbort(f"non-finite objective or gradient at iteration {k}")
 
+        x_new = x + step * p
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -219,19 +200,9 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
         x, f, g = x_new, f_new, g_new
         gnorm = math.sqrt(float(g @ g))
         trace.append((k, f, gnorm))
-    else:
-        message = "iteration limit reached"
 
-    if not converged and gnorm <= opts.grad_tol * max(1.0, abs(f)):
-        converged = True
     return SolveReport(
-        minimizer=x,
-        value=f,
-        grad_norm=gnorm,
-        iterations=k,
-        converged=converged,
-        trace=trace,
-        message=message,
+        minimizer=x, value=f, grad_norm=gnorm, iterations=k, stop=stop, trace=trace
     )
 
 
@@ -260,9 +231,11 @@ def multistart(
     The last coordinate of each iterate is the intercept; ``reference``
     (default: the first coordinate axis) is compared against the remaining
     coordinates when reporting per-cluster angles.  Only converged runs are
-    clustered: runs that abort are reported as failures, and runs that stop
-    on the iteration cap or a failed line search as unconverged.  ``runs``
-    keeps one entry per start either way (None for an aborted one).
+    clustered, greedily in order of value: a run joins the first cluster
+    whose representative it matches, or founds a new one.  Runs that abort
+    are reported as failures; runs that stop on the iteration cap or a
+    failed line search are listed by ``unconverged``, and their ``stop``
+    says which.  ``runs`` keeps one entry per start (None for an aborted one).
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be positive, got {n_starts}")
@@ -274,7 +247,6 @@ def multistart(
     rng = np.random.default_rng(opts.seed)
     runs: list = []
     failures: list = []
-    unconverged: list = []
     for idx in range(n_starts):
         v = rng.standard_normal(dim)
         norm = np.linalg.norm(v)
@@ -282,38 +254,28 @@ def multistart(
             v = rng.standard_normal(dim)
             norm = np.linalg.norm(v)
         try:
-            run = minimize(fun, v / norm, opts)
+            runs.append(minimize(fun, v / norm, opts))
         except SolveAbort as exc:
-            run = None
+            runs.append(None)
             failures.append(FailedStart(idx, str(exc)))
-        else:
-            if not run.converged:
-                unconverged.append(UnconvergedStart(idx, run.iterations, run.message))
-        runs.append(run)
 
     order = sorted(
         (i for i, r in enumerate(runs) if r is not None and r.converged),
         key=lambda i: (runs[i].value, i),
     )
-    reps: list = []
-    members: list = []
+    clusters: list = []
     for i in order:
-        for c, rep_idx in enumerate(reps):
-            if _same_cluster(runs[rep_idx], runs[i]):
-                members[c].append(i)
+        for c in clusters:
+            if _same_cluster(runs[c.representative_index], runs[i]):
+                c.members.append(i)
                 break
         else:
-            reps.append(i)
-            members.append([i])
+            w = runs[i].minimizer[:-1]
+            sin = None
+            if np.linalg.norm(w) > _ZERO_W and np.linalg.norm(reference) > 0:
+                sin = sin_angle(w, reference)
+            clusters.append(Cluster(runs[i].minimizer, i, [i], sin))
+    for c in clusters:
+        c.members.sort()
 
-    clusters = []
-    for rep_idx, mem in zip(reps, members):
-        w = runs[rep_idx].minimizer[:-1]
-        sin = None
-        if np.linalg.norm(w) > _ZERO_W and np.linalg.norm(reference) > 0:
-            sin = sin_angle(w, reference)
-        clusters.append(Cluster(runs[rep_idx].minimizer, rep_idx, sorted(mem), sin))
-
-    return MultiStartReport(
-        runs=runs, failures=failures, unconverged=unconverged, clusters=clusters
-    )
+    return MultiStartReport(runs=runs, failures=failures, clusters=clusters)

@@ -182,6 +182,12 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["train", "--n", "20", "--d", "2", "--starts", "1", "--flip-fraction", "-0.1"],
     ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "0.1", "--adv-fraction", "nan"],
     ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "0.1", "--adv-fraction", "-0.1"],
+    ["train", "--n", "200", "--d", "3", "--starts", "3", "--grad-tol", "inf"],
+    ["train", "--n", "20", "--d", "2", "--starts", "1", "--sigma", "inf"],
+    ["certify-analytic", "--epsilons", "0.1", "--box", "inf"],
+    ["certify-analytic", "--epsilons", "0.1", "--box", "1e308"],
+    ["certify-analytic", "--epsilons", "inf"],
+    ["reproduce", "--table", "T1", "--scale", "0.01", "--d", "0"],
 ])
 def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.json"

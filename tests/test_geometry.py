@@ -10,7 +10,6 @@ from rampdro.dataset import Dataset, generate_separable
 from rampdro.dro import worst_case_prob_knapsack
 from rampdro.geometry import (
     Hyperplane,
-    distance,
     distances,
     generalized_margin,
     margin_profile,
@@ -31,23 +30,27 @@ def candidate_grid(step=1e-3, span=2.0):
     return [Hyperplane(np.array([w]), b) for w in (1.0, -1.0) for b in bs]
 
 
+def one_row(x, y):
+    return Dataset.with_uniform_weights(np.array([x], dtype=float), np.array([y]))
+
+
 def test_distance_hand_example():
     h = Hyperplane(np.array([3.0, 4.0]), 0.0)
-    assert distance(h, np.array([1.0, 0.0]), 1.0) == pytest.approx(0.6, abs=1e-15)
+    assert distances(h, one_row([1.0, 0.0], 1.0))[0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_distance_zero_w_cases():
     h = Hyperplane(np.array([0.0, 0.0]), 1.0)
-    assert distance(h, np.zeros(2), 1.0) == math.inf
-    assert distance(h, np.zeros(2), -1.0) == 0.0
+    assert distances(h, one_row([0.0, 0.0], 1.0))[0] == math.inf
+    assert distances(h, one_row([0.0, 0.0], -1.0))[0] == 0.0
 
 
 def test_distances_vector_matches_scalar():
     ds = generate_separable(20, 3, 4)
     h = Hyperplane(np.array([1.0, -2.0, 0.5]), 0.3)
     vec = distances(h, ds)
-    for i in range(ds.n):
-        assert vec[i] == distance(h, ds.points[i], ds.labels[i])
+    for x, y, d in zip(ds.points, ds.labels, vec):
+        assert d == max(0.0, y * (float(h.w @ x) + h.b)) / h.norm
 
 
 _COORD = st.floats(-3.0, 3.0)
@@ -72,10 +75,11 @@ def test_distance_deterministic_and_scale_invariant(instance, b, c):
     h = Hyperplane(w, b)
     d1 = distances(h, ds)
     assert np.array_equal(d1, distances(h, ds))  # bit-for-bit repeatable
-    x, y = ds.points[0], ds.labels[0]
-    assert distance(h, x, y) == distance(h, x, y)
-    d4 = distance(Hyperplane(4.0 * w, 4.0 * b), x, y)  # exact power of two
-    assert d4 == pytest.approx(distance(h, x, y), rel=1e-13, abs=1e-15)
+    row = one_row(ds.points[0], ds.labels[0])
+    d = distances(h, row)[0]
+    assert d == distances(h, row)[0]
+    d4 = distances(Hyperplane(4.0 * w, 4.0 * b), row)[0]  # exact power of two
+    assert d4 == pytest.approx(d, rel=1e-13, abs=1e-15)
     dc = distances(Hyperplane(c * w, c * b), ds)
     assert np.all(np.abs(dc - d1) <= 1e-12 * (1.0 + np.linalg.norm(ds.points, axis=1)))
 

@@ -53,6 +53,8 @@ def test_smoothed_ramp_extreme_arguments_stable():
         assert np.isfinite(v) and 0.0 <= v <= 1.0
     assert smoothed_ramp(-1e3, 0.02) == 1.0
     assert smoothed_ramp(1e3, 0.02) == 0.0
+    # (1 - r) - (-r) would cancel here and lose ulp(r) below the true 1.0
+    assert smoothed_ramp(-31.899183856507637, 0.02) == 1.0
 
 
 @pytest.mark.parametrize("sigma", SIGMAS)
@@ -165,12 +167,7 @@ def test_banded_spec_within_bound_of_exact(r, sigma, name):
     # inside the band the exact kernels run unchanged
     assert np.array_equal(v[band], value(r, sigma)[band])
     assert np.array_equal(d[band], deriv(r, sigma)[band])
-    # below the ramp's band the kernel's (1 - r) - (-r) loses up to ulp(r);
-    # the reflection 1 - L(1 - r) puts the exact value in the far right tail
-    exact = value(r, sigma)
-    if kind is LossKind.SMOOTHED_RAMP:
-        exact = np.where(r < center, 1.0 - value(1.0 - r, sigma), exact)
-    assert np.all(np.abs(v - exact)[~band] <= sigma * math.exp(-36.0))
+    assert np.all(np.abs(v - value(r, sigma))[~band] <= sigma * math.exp(-36.0))
     assert np.all(np.abs(d - deriv(r, sigma)) <= math.exp(-36.0))
     for i, ri in enumerate(r.tolist()):
         assert spec.value(ri) == v[i] and spec.deriv(ri) == d[i]

@@ -11,7 +11,7 @@ from rampdro.solve import (
     WOLFE_C2,
     SolveAbort,
     SolveOptions,
-    line_search_weak_wolfe,
+    _wolfe_search,
     minimize,
     multistart,
 )
@@ -49,20 +49,22 @@ def test_options_validation():
 
 def test_line_search_on_scalar_quadratic():
     fun = quadratic([1.0], [0.0])
-    res = line_search_weak_wolfe(fun, np.array([1.0]), np.array([-1.0]))
-    assert res.ok
-    # re-verify both weak Wolfe inequalities at the returned step
     f0, g0 = fun(np.array([1.0]))
-    fa, ga = fun(np.array([1.0 - res.step]))
+    res = _wolfe_search(fun, np.array([1.0]), f0, g0, np.array([-1.0]), 1.0)
+    assert res is not None
+    step = res[0]
+    # re-verify both weak Wolfe inequalities at the returned step
+    fa, ga = fun(np.array([1.0 - step]))
     slope = float(g0 @ np.array([-1.0]))
-    assert fa <= f0 + 1e-4 * res.step * slope
+    assert fa <= f0 + 1e-4 * step * slope
     assert float(ga @ np.array([-1.0])) >= 0.9 * slope
 
 
 def test_line_search_rejects_ascent_direction():
     fun = quadratic([1.0], [0.0])
+    f0, g0 = fun(np.array([1.0]))
     with pytest.raises(ValueError):
-        line_search_weak_wolfe(fun, np.array([1.0]), np.array([1.0]))
+        _wolfe_search(fun, np.array([1.0]), f0, g0, np.array([1.0]), 1.0)
 
 
 def test_line_search_on_smoothed_ramp_objective():
@@ -72,11 +74,12 @@ def test_line_search_on_smoothed_ramp_objective():
         x = rng.standard_normal(dim)
         f0, g0 = fun(x)
         p = -g0
-        res = line_search_weak_wolfe(fun, x, p)
-        assert res.ok
-        fa, ga = fun(x + res.step * p)
+        res = _wolfe_search(fun, x, f0, g0, p, 1.0)
+        assert res is not None
+        step = res[0]
+        fa, ga = fun(x + step * p)
         slope = float(g0 @ p)
-        assert fa <= f0 + WOLFE_C1 * res.step * slope + 1e-15
+        assert fa <= f0 + WOLFE_C1 * step * slope + 1e-15
         assert float(ga @ p) >= WOLFE_C2 * slope
 
 
@@ -101,6 +104,27 @@ def test_converged_implies_relative_grad_tol():
     rep = minimize(fun, np.ones(dim), opts)
     assert rep.converged
     assert rep.grad_norm <= opts.grad_tol * max(1.0, abs(rep.value))
+
+
+def test_stop_reasons():
+    fun, dim = sramp_objective()
+    x0 = np.ones(dim)
+    full = minimize(fun, x0, SolveOptions(grad_tol=1e-8))
+    assert full.stop == "converged" and full.iterations > 1
+    # a run that converges on its last allowed step has converged
+    capped = minimize(fun, x0, SolveOptions(grad_tol=1e-8, max_iters=full.iterations))
+    assert capped.stop == "converged" and capped.converged
+    assert capped.iterations == full.iterations
+    short = minimize(fun, x0, SolveOptions(grad_tol=1e-8, max_iters=full.iterations - 1))
+    assert short.stop == "iteration_limit" and not short.converged
+    assert short.iterations == full.iterations - 1
+
+
+def test_stop_on_line_search_failure():
+    # the reported gradient has the wrong sign, so -g is an ascent direction
+    rep = minimize(lambda x: (float(x @ x), -2.0 * x), np.ones(3), SolveOptions())
+    assert rep.stop == "line_search_failed" and not rep.converged
+    assert rep.iterations == 0 and np.array_equal(rep.minimizer, np.ones(3))
 
 
 def test_determinism():
@@ -210,11 +234,11 @@ def test_multistart_clusters_only_converged_runs():
     report = multistart(fun, dim, 8, SolveOptions(grad_tol=1e-8, seed=3, max_iters=25))
     assert len(report.runs) == 8 and not report.failures
     converged = {i for i, r in enumerate(report.runs) if r.converged}
-    unconverged = {u.index for u in report.unconverged}
+    unconverged = set(report.unconverged)
     assert converged and unconverged and converged | unconverged == set(range(8))
     assert {i for c in report.clusters for i in c.members} == converged
-    for u in report.unconverged:
-        assert u.iterations == 25 and u.message == "iteration limit reached"
+    for i in report.unconverged:
+        assert report.runs[i].iterations == 25 and report.runs[i].stop == "iteration_limit"
 
 
 def test_multistart_sin_to_reference():
