@@ -124,7 +124,7 @@ def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference
     report = solve.multistart(fun, ds.d + 1, starts, opts, reference)
     if not report.clusters:
         raise solve.SolveAbort(
-            f"no start converged: {len(report.failures)} of {starts} aborted, "
+            f"no start converged: {len(report.failures)} of {starts} had a non-finite start, "
             f"{len(report.unconverged)} stopped unconverged"
         )
     return report
@@ -133,12 +133,11 @@ def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference
 def _cluster_payload(report: solve.MultiStartReport):
     clusters = []
     for c in report.clusters:
-        z = c.representative
-        run = report.runs[c.representative_index]
+        z = c.run.minimizer
         clusters.append(
             {
                 "representative": {"w": z[:-1], "b": float(z[-1])},
-                "value": run.value,
+                "value": c.run.value,
                 "members": c.members,
                 "sin_to_reference": c.sin_to_reference,
             }
@@ -152,16 +151,16 @@ def _cmd_train(args) -> int:
         raise ValueError("training requires a smoothed loss (sramp or shinge)")
     ds = _build_dataset(args)
     reference = _parse_floats(args.reference) if args.reference else None
-    if reference is not None and reference.size != ds.d:
-        raise ValueError(f"reference has {reference.size} components, dataset has d={ds.d}")
+    if reference is not None and not (reference.size == ds.d and np.isfinite(reference).all()):
+        raise ValueError(f"reference must have d={ds.d} finite components, got {args.reference}")
     opts = _solve_options(args, _child_seed(args.seed, 4))
     report = _train_once(ds, loss, args.epsilon_bar, args.starts, opts, reference)
 
     best = report.clusters[0]
-    z = best.representative
+    best_run = best.run
+    z = best_run.minimizer
     h = geometry.Hyperplane(z[:-1], float(z[-1]))
     runs = report.runs
-    best_run = runs[best.representative_index]
     ramp_spec_sq = objective.ObjectiveSpec(
         LossSpec(LossKind.RAMP), objective.RegKind.SQUARED_NORM, args.epsilon_bar
     )
@@ -206,7 +205,7 @@ def _cmd_train(args) -> int:
             "ramp_objective_norm": objective.evaluate(ramp_spec_norm, ds, h),
             "n_clusters": len(report.clusters),
             "clusters": _cluster_payload(report),
-            "failures": [{"index": f.index, "message": f.message} for f in report.failures],
+            "failures": [{"index": i, "message": runs[i].stop} for i in report.failures],
             "unconverged": [
                 {"index": i, "iterations": runs[i].iterations, "message": runs[i].stop}
                 for i in report.unconverged
@@ -326,7 +325,7 @@ def _run_table(args):
         for eps_bar in _T2_EPS_BAR:
             opts = _solve_options(args, _child_seed(seed, int(eps_bar * 1000)))
             rep = _train_once(ds, sramp, eps_bar, starts, opts)
-            z = rep.clusters[0].representative
+            z = rep.clusters[0].run.minimizer
             h = geometry.Hyperplane(z[:-1], float(z[-1]))
             norms.append(h.norm)
             imputed.append(objective.imputed_epsilon(eps_bar, h))
@@ -382,7 +381,7 @@ def _run_table(args):
             stats = {}
             for tag, loss in (("ramp", sramp), ("hinge", shinge)):
                 rep = _train_once(ds, loss, args.epsilon_bar, starts, opts)
-                z = rep.clusters[0].representative
+                z = rep.clusters[0].run.minimizer
                 h = geometry.Hyperplane(z[:-1], float(z[-1]))
                 bad = geometry.margin_profile(h, ds).misclassified
                 nonadv = sum(1 for i in bad.tolist() if i not in injected)

@@ -139,8 +139,8 @@ def smoothed_ramp(r, sigma):
     max(r, 1 - r) and reflected below r = 1/2: for r << 0 it would cancel
     to (1 - r) - (-r) and lose up to ulp(r).
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = np.asarray(r, dtype=float)
     rr = np.maximum(r, 1.0 - r)
     v = _softmax0(1.0 - rr, sigma) - _softmax0(-rr, sigma)
@@ -156,8 +156,8 @@ def smoothed_ramp_deriv(r, sigma):
     is symmetric about r = 1/2, so it is evaluated at min(r, 1 - r) where the
     difference of logistics underflows gradually instead of cancelling.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = np.asarray(r, dtype=float)
     rr = np.minimum(r, 1.0 - r)
     return _ret(_logistic((rr - 1.0) / sigma) - _logistic(rr / sigma))
@@ -165,15 +165,15 @@ def smoothed_ramp_deriv(r, sigma):
 
 def smoothed_hinge(r, sigma):
     """Softmax-smoothed hinge loss: sigma * log(1 + exp((1 - r) / sigma))."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = np.asarray(r, dtype=float)
     return _ret(_softmax0(1.0 - r, sigma))
 
 
 def smoothed_hinge_deriv(r, sigma):
     """Derivative of the smoothed hinge: -logistic((1 - r) / sigma)."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = np.asarray(r, dtype=float)
     return _ret(-_logistic((1.0 - r) / sigma))

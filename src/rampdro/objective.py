@@ -45,8 +45,8 @@ class ObjectiveSpec:
     reg_weight: float = 0.0
 
     def __post_init__(self):
-        if not self.reg_weight >= 0.0:
-            raise ValueError(f"reg_weight must be nonnegative, got {self.reg_weight}")
+        if not 0.0 <= self.reg_weight < np.inf:
+            raise ValueError(f"reg_weight must be nonnegative and finite, got {self.reg_weight}")
 
 
 class DroVariables(NamedTuple):
@@ -116,6 +116,6 @@ def to_dro_variables(h: Hyperplane) -> DroVariables:
 
 def imputed_epsilon(reg_weight_bar: float, h: Hyperplane) -> float:
     """Wasserstein radius implied by a squared-norm solution: eps_bar * ||w||."""
-    if not reg_weight_bar >= 0.0:
-        raise ValueError(f"reg_weight_bar must be nonnegative, got {reg_weight_bar}")
+    if not 0.0 <= reg_weight_bar < np.inf:
+        raise ValueError(f"reg_weight_bar must be nonnegative and finite, got {reg_weight_bar}")
     return reg_weight_bar * h.norm

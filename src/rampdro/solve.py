@@ -1,13 +1,11 @@
 """First-order smooth minimization: L-BFGS under a weak-Wolfe line search.
 
 The line search is bracketing plus bisection, which terminates for any C^1
-function bounded below.  Every run ends with one stop code: ``"converged"``
-(the relative gradient test holds), ``"iteration_limit"`` (``max_iters``
-steps taken without it) or ``"line_search_failed"`` (no weak-Wolfe step
-within ``MAX_LINESEARCH`` trials).  The multistart driver samples starting
-points uniformly on the unit sphere and clusters the minimizers its
-converged runs find; runs that abort or stop unconverged are listed
-separately.
+function bounded below.  Every run ends in a ``SolveReport`` whose stop code
+is ``"converged"``, ``"iteration_limit"``, ``"line_search_failed"`` or
+``"non_finite"`` (the start point has a non-finite value or gradient).  The
+multistart driver keeps one report per start, sampled uniformly on the unit
+sphere, and clusters the minimizers of the converged runs.
 
 Everything here is deterministic: identical (objective, start, options)
 produce identical reports, and multistart runs are assembled in start-index
@@ -29,7 +27,6 @@ __all__ = [
     "SolveReport",
     "MultiStartReport",
     "Cluster",
-    "FailedStart",
     "SolveAbort",
     "minimize",
     "multistart",
@@ -51,7 +48,7 @@ MAX_LINESEARCH = 60
 
 
 class SolveAbort(RuntimeError):
-    """Non-finite objective or gradient encountered; carries the location."""
+    """No start of a training solve converged; raised by ``cli._train_once`` only."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,7 @@ class SolveReport:
     value: float
     grad_norm: float
     iterations: int  # accepted steps
-    stop: str  # "converged", "iteration_limit" or "line_search_failed"
+    stop: str  # "converged", "iteration_limit", "line_search_failed" or "non_finite"
     trace: list
 
     @property
@@ -80,29 +77,26 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class FailedStart:
-    index: int
-    message: str
-
-
-@dataclass(frozen=True)
 class Cluster:
-    representative: np.ndarray
-    representative_index: int
+    run: SolveReport  # the member with the least value
     members: list
     sin_to_reference: Optional[float]
 
 
 @dataclass
 class MultiStartReport:
-    runs: list  # Optional[SolveReport] per start index
-    failures: list  # FailedStart: aborted on a non-finite value
+    runs: list  # one SolveReport per start index
     clusters: list  # converged runs only
 
     @property
+    def failures(self) -> list:
+        """Indices of the runs whose start point is not finite."""
+        return [i for i, r in enumerate(self.runs) if r.stop == "non_finite"]
+
+    @property
     def unconverged(self) -> list:
-        """Indices of the runs that finished without converging."""
-        return [i for i, r in enumerate(self.runs) if r is not None and not r.converged]
+        """Indices of the runs that stopped on the iteration cap or a failed search."""
+        return [i for i, r in enumerate(self.runs) if r.stop not in ("converged", "non_finite")]
 
 
 def _wolfe_search(fun, x, f0, g0, p, alpha: float):
@@ -152,21 +146,23 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
     Falls back to steepest descent whenever the two-loop direction is not a
     descent direction.  The line search starts from min(1, 1/||g||) on the
     first iteration and from the unit step afterwards.  Before each step the
-    run stops with ``"converged"`` when ||g|| <= grad_tol * max(1, |f|), else
-    with ``"iteration_limit"`` once max_iters steps are taken; it stops with
+    run stops with ``"non_finite"`` when f or g is not finite, with
+    ``"converged"`` when ||g|| <= grad_tol * max(1, |f|), else with
+    ``"iteration_limit"`` once max_iters steps are taken; it stops with
     ``"line_search_failed"`` when the search finds no Wolfe step.  A run that
     meets the tolerance on its last allowed step therefore converges.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    if not (np.isfinite(f) and np.isfinite(g).all()):
-        raise SolveAbort(f"non-finite objective or gradient at the start point (f={f})")
-
     gnorm = math.sqrt(float(g @ g))
     trace = [(0, f, gnorm)]
     memory: list = []
     k = 0
     while True:
+        # only the start can fail this: _wolfe_search never accepts a non-finite trial
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            stop = "non_finite"
+            break
         if gnorm <= opts.grad_tol * max(1.0, abs(f)):
             stop = "converged"
             break
@@ -185,9 +181,6 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
             break
         step, f_new, g_new = accepted
         k += 1
-        if not (np.isfinite(f_new) and np.isfinite(g_new).all()):
-            raise SolveAbort(f"non-finite objective or gradient at iteration {k}")
-
         x_new = x + step * p
         s = x_new - x
         y = g_new - g
@@ -232,10 +225,10 @@ def multistart(
     (default: the first coordinate axis) is compared against the remaining
     coordinates when reporting per-cluster angles.  Only converged runs are
     clustered, greedily in order of value: a run joins the first cluster
-    whose representative it matches, or founds a new one.  Runs that abort
-    are reported as failures; runs that stop on the iteration cap or a
-    failed line search are listed by ``unconverged``, and their ``stop``
-    says which.  ``runs`` keeps one entry per start (None for an aborted one).
+    whose least-value run it matches, or founds a new one.  ``runs`` holds
+    one report per start; ``failures`` lists the runs with a non-finite
+    start and ``unconverged`` those that stopped on the iteration cap or a
+    failed line search.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be positive, got {n_starts}")
@@ -246,27 +239,21 @@ def multistart(
 
     rng = np.random.default_rng(opts.seed)
     runs: list = []
-    failures: list = []
-    for idx in range(n_starts):
+    for _ in range(n_starts):
         v = rng.standard_normal(dim)
         norm = np.linalg.norm(v)
         while norm < 1e-12:
             v = rng.standard_normal(dim)
             norm = np.linalg.norm(v)
-        try:
-            runs.append(minimize(fun, v / norm, opts))
-        except SolveAbort as exc:
-            runs.append(None)
-            failures.append(FailedStart(idx, str(exc)))
+        runs.append(minimize(fun, v / norm, opts))
 
     order = sorted(
-        (i for i, r in enumerate(runs) if r is not None and r.converged),
-        key=lambda i: (runs[i].value, i),
+        (i for i, r in enumerate(runs) if r.converged), key=lambda i: (runs[i].value, i)
     )
     clusters: list = []
     for i in order:
         for c in clusters:
-            if _same_cluster(runs[c.representative_index], runs[i]):
+            if _same_cluster(c.run, runs[i]):
                 c.members.append(i)
                 break
         else:
@@ -274,8 +261,8 @@ def multistart(
             sin = None
             if np.linalg.norm(w) > _ZERO_W and np.linalg.norm(reference) > 0:
                 sin = sin_angle(w, reference)
-            clusters.append(Cluster(runs[i].minimizer, i, [i], sin))
+            clusters.append(Cluster(runs[i], [i], sin))
     for c in clusters:
         c.members.sort()
 
-    return MultiStartReport(runs=runs, failures=failures, clusters=clusters)
+    return MultiStartReport(runs=runs, clusters=clusters)

@@ -51,7 +51,7 @@ def _train_best(ds, kind, eps_bar, starts, seed, sigma=0.02, grad_tol=1e-6):
         SolveOptions(grad_tol=grad_tol, seed=seed), reference,
     )
     best = report.clusters[0]
-    z = best.representative
+    z = best.run.minimizer
     return report, Hyperplane(z[:-1], float(z[-1])), best.sin_to_reference
 
 

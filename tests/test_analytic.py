@@ -161,6 +161,11 @@ def test_closed_form_minimizer_branches_meet_at_half():
         closed_form_minimizer(0.0)
 
 
+def test_closed_form_minimizer_rejects_infinite_epsilon():
+    with pytest.raises(ValueError):
+        closed_form_minimizer(math.inf)
+
+
 def test_label_flip_balance_separable():
     h = Hyperplane(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
     # frozen draw: dominance by more than 5x (Monte-Carlo margin varies by

@@ -188,6 +188,10 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["certify-analytic", "--epsilons", "0.1", "--box", "1e308"],
     ["certify-analytic", "--epsilons", "inf"],
     ["reproduce", "--table", "T1", "--scale", "0.01", "--d", "0"],
+    ["train", "--n", "200", "--d", "3", "--starts", "3", "--epsilon-bar", "inf"],
+    ["reproduce", "--table", "T1", "--scale", "0.005", "--epsilon-bar", "inf"],
+    ["train", "--n", "200", "--d", "3", "--starts", "3", "--reference", "inf,0,0"],
+    ["train", "--n", "200", "--d", "3", "--starts", "3", "--reference", "nan,0,0"],
 ])
 def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.json"

@@ -201,6 +201,14 @@ def test_spec_validation():
         smoothed_ramp(0.5, -1.0)
 
 
+@pytest.mark.parametrize(
+    "kernel", [smoothed_ramp, smoothed_ramp_deriv, smoothed_hinge, smoothed_hinge_deriv]
+)
+def test_free_kernels_reject_infinite_sigma(kernel):
+    with pytest.raises(ValueError):
+        kernel(0.3, math.inf)
+
+
 def test_spec_dispatch():
     spec = LossSpec(LossKind.SMOOTHED_RAMP, 0.05)
     assert spec.smooth

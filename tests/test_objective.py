@@ -122,6 +122,13 @@ def test_negative_reg_weight_rejected():
         ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.NORM, float("nan"))
 
 
+def test_infinite_reg_weight_rejected():
+    with pytest.raises(ValueError):
+        ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.SQUARED_NORM, float("inf"))
+    with pytest.raises(ValueError):
+        imputed_epsilon(float("inf"), Hyperplane(np.array([1.0, 0.0]), 0.0))
+
+
 def test_row_permutation_invariance():
     rng = np.random.default_rng(9)
     pts = rng.uniform(-2, 2, (40, 3))

@@ -9,7 +9,6 @@ from rampdro.objective import ObjectiveSpec, RegKind, objective_function
 from rampdro.solve import (
     WOLFE_C1,
     WOLFE_C2,
-    SolveAbort,
     SolveOptions,
     _wolfe_search,
     minimize,
@@ -177,8 +176,29 @@ def test_abort_on_non_finite_start():
     def bad(x):
         return np.nan, np.zeros_like(x)
 
-    with pytest.raises(SolveAbort):
-        minimize(bad, np.zeros(2), SolveOptions())
+    rep = minimize(bad, np.zeros(2), SolveOptions())
+    assert rep.stop == "non_finite" and not rep.converged
+    assert rep.iterations == 0 and np.array_equal(rep.minimizer, np.zeros(2))
+
+
+def test_line_search_never_accepts_non_finite_trial():
+    # a flat quadratic on a large ball whose edge passes just beside the
+    # start: the first search doubles its step 1, 2, 4, 8, leaves the ball at
+    # 8 and bisects back inside
+    A = np.array([1.0, 0.01])
+    centre, radius = np.array([-100.0, 0.9]), 100.006
+    outside = []
+
+    def fun(x):
+        if (x - centre) @ (x - centre) > radius**2:
+            outside.append(x.copy())
+            return np.nan, np.full_like(x, np.nan)
+        return 0.5 * float(x @ (A * x)), A * x
+
+    rep = minimize(fun, np.array([-0.001, 1.0]), SolveOptions())
+    assert outside and np.allclose(outside[0], [0.007, 0.92])
+    assert rep.stop == "converged"
+    assert np.isfinite(np.array(rep.trace)).all()
 
 
 def test_multistart_convex_single_cluster_value_agreement():
@@ -219,13 +239,13 @@ def test_multistart_reports_failures_and_excludes_them():
         return 0.5 * float(r @ r), r
 
     report = multistart(flaky, 3, 12, SolveOptions(seed=2))
-    assert report.failures
-    failed = {f.index for f in report.failures}
+    assert report.failures and len(report.runs) == 12
+    failed = set(report.failures)
     clustered = {i for c in report.clusters for i in c.members}
-    assert failed.isdisjoint(clustered)
+    assert failed.isdisjoint(clustered) and failed.isdisjoint(report.unconverged)
     assert failed.union(clustered) == set(range(12))
-    for f in report.failures:
-        assert report.runs[f.index] is None
+    for i in report.failures:
+        assert report.runs[i].stop == "non_finite" and report.runs[i].iterations == 0
 
 
 def test_multistart_clusters_only_converged_runs():
@@ -245,7 +265,7 @@ def test_multistart_sin_to_reference():
     fun, dim = sramp_objective(n=800, d=4, sigma=0.02)
     report = multistart(fun, dim, 6, SolveOptions(grad_tol=1e-6, seed=4))
     best = report.clusters[0]
-    w = best.representative[:-1]
+    w = best.run.minimizer[:-1]
     e1 = np.zeros(4)
     e1[0] = 1.0
     assert best.sin_to_reference == pytest.approx(sin_angle(w, e1), abs=1e-15)
