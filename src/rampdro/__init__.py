@@ -57,7 +57,6 @@ from .objective import (
 )
 from .solve import (
     MultiStartReport,
-    SolveAbort,
     SolveOptions,
     SolveReport,
     minimize,

@@ -10,9 +10,10 @@ Every command is a deterministic function of its arguments and seeds; reports
 are identical across reruns except for the ``timestamp`` field.  JSON report
 layouts are pinned by the schemas shipped under ``rampdro/schemas``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
-The environment variable ``RAMPDRO_OUT_DIR`` supplies the base directory for
-relative ``--out`` paths.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (``SolveAbort``,
+raised and caught here when no start of a training solve converges), 4 I/O
+error.  The environment variable ``RAMPDRO_OUT_DIR`` supplies the base
+directory for relative ``--out`` paths.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+class SolveAbort(RuntimeError):
+    """No start of a training solve converged (exit 3)."""
+
 
 OUT_DIR_ENV = "RAMPDRO_OUT_DIR"
 
@@ -110,39 +116,32 @@ def _build_dataset(args) -> dataset.Dataset:
     return dataset.inject_adversarial(ds, args.adv_fraction, _child_seed(args.seed, 3))
 
 
-def _solve_options(args, seed: int) -> solve.SolveOptions:
-    return solve.SolveOptions(
-        grad_tol=args.grad_tol,
-        max_iters=args.max_iters,
-        seed=seed,
-    )
-
-
-def _train_once(ds, loss: LossSpec, eps_bar: float, starts: int, opts, reference=None):
+def _train(args, ds, loss: LossSpec, eps_bar: float, starts: int, seed: int, reference=None):
+    """Multistart ``loss`` + eps_bar/2 ||w||^2; return (report, best cluster, its hyperplane)."""
+    opts = solve.SolveOptions(args.grad_tol, args.max_iters, seed)
     spec = objective.ObjectiveSpec(loss, objective.RegKind.SQUARED_NORM, eps_bar)
     fun = objective.objective_function(spec, ds)
     report = solve.multistart(fun, ds.d + 1, starts, opts, reference)
     if not report.clusters:
-        raise solve.SolveAbort(
+        raise SolveAbort(
             f"no start converged: {len(report.failures)} of {starts} had a non-finite start, "
             f"{len(report.unconverged)} stopped unconverged"
         )
-    return report
+    best = report.clusters[0]
+    z = best.run.minimizer
+    return report, best, geometry.Hyperplane(z[:-1], float(z[-1]))
 
 
 def _cluster_payload(report: solve.MultiStartReport):
-    clusters = []
-    for c in report.clusters:
-        z = c.run.minimizer
-        clusters.append(
-            {
-                "representative": {"w": z[:-1], "b": float(z[-1])},
-                "value": c.run.value,
-                "members": c.members,
-                "sin_to_reference": c.sin_to_reference,
-            }
-        )
-    return clusters
+    return [
+        {
+            "representative": {"w": c.run.minimizer[:-1], "b": float(c.run.minimizer[-1])},
+            "value": c.run.value,
+            "members": c.members,
+            "sin_to_reference": c.sin_to_reference,
+        }
+        for c in report.clusters
+    ]
 
 
 def _cmd_train(args) -> int:
@@ -151,15 +150,13 @@ def _cmd_train(args) -> int:
         raise ValueError("training requires a smoothed loss (sramp or shinge)")
     ds = _build_dataset(args)
     reference = _parse_floats(args.reference) if args.reference else None
-    if reference is not None and not (reference.size == ds.d and np.isfinite(reference).all()):
-        raise ValueError(f"reference must have d={ds.d} finite components, got {args.reference}")
-    opts = _solve_options(args, _child_seed(args.seed, 4))
-    report = _train_once(ds, loss, args.epsilon_bar, args.starts, opts, reference)
-
-    best = report.clusters[0]
+    if reference is not None and not (
+        reference.size == ds.d and np.isfinite(reference).all() and np.linalg.norm(reference) > 0
+    ):
+        raise ValueError(f"reference must be a nonzero finite {ds.d}-vector, got {args.reference}")
+    solve_seed = _child_seed(args.seed, 4)
+    report, best, h = _train(args, ds, loss, args.epsilon_bar, args.starts, solve_seed, reference)
     best_run = best.run
-    z = best_run.minimizer
-    h = geometry.Hyperplane(z[:-1], float(z[-1]))
     runs = report.runs
     ramp_spec_sq = objective.ObjectiveSpec(
         LossSpec(LossKind.RAMP), objective.RegKind.SQUARED_NORM, args.epsilon_bar
@@ -222,9 +219,6 @@ def _cmd_oracle(args) -> int:
     if w.size != ds.d:
         raise ValueError(f"--w has {w.size} components, dataset has d={ds.d}")
     h = geometry.Hyperplane(w, args.b)
-    if not args.epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {args.epsilon}")
-
     profile = geometry.margin_profile(h, ds)
     dual = dro.worst_case_prob_dual(ds, h, args.epsilon)
     knap = dro.worst_case_prob_knapsack(ds, h, args.epsilon)
@@ -282,15 +276,16 @@ def _scaled(value: int, scale: float, floor: int) -> int:
     return max(floor, int(round(value * scale)))
 
 
-def _best_sin(report: solve.MultiStartReport) -> float:
-    sin = report.clusters[0].sin_to_reference
-    return float("nan") if sin is None else sin
+def _sin(cluster: solve.Cluster) -> float:
+    return float("nan") if cluster.sin_to_reference is None else cluster.sin_to_reference
 
 
 def _run_table(args):
     scale = args.scale
     if not (0.0 < scale <= 1.0):
         raise ValueError(f"--scale must lie in (0, 1], got {scale}")
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
     d = args.d
     sramp = LossSpec(LossKind.SMOOTHED_RAMP, args.sigma)
     shinge = LossSpec(LossKind.SMOOTHED_HINGE, args.sigma)
@@ -304,11 +299,10 @@ def _run_table(args):
             n = _scaled(n_nominal, scale, 4)
             seed = _child_seed(args.seed, 10, n_nominal)
             ds = dataset.generate_separable(n, d, seed)
-            opts = _solve_options(args, _child_seed(seed, 1))
-            rep = _train_once(ds, sramp, args.epsilon_bar, starts, opts)
+            rep, best, _ = _train(args, ds, sramp, args.epsilon_bar, starts, _child_seed(seed, 1))
             all_sins = [c.sin_to_reference for c in rep.clusters if c.sin_to_reference is not None]
             counts.append(len(rep.clusters))
-            sins.append(_best_sin(rep))
+            sins.append(_sin(best))
             rows.append([n, seed, len(rep.clusters), f"{sins[-1]:.6g}",
                          ";".join(f"{s:.6g}" for s in all_sins)])
         trends = {
@@ -323,13 +317,11 @@ def _run_table(args):
         ds = dataset.generate_separable(n, d, seed)
         norms, imputed, sins = [], [], []
         for eps_bar in _T2_EPS_BAR:
-            opts = _solve_options(args, _child_seed(seed, int(eps_bar * 1000)))
-            rep = _train_once(ds, sramp, eps_bar, starts, opts)
-            z = rep.clusters[0].run.minimizer
-            h = geometry.Hyperplane(z[:-1], float(z[-1]))
+            solve_seed = _child_seed(seed, int(eps_bar * 1000))
+            rep, best, h = _train(args, ds, sramp, eps_bar, starts, solve_seed)
             norms.append(h.norm)
             imputed.append(objective.imputed_epsilon(eps_bar, h))
-            sins.append(_best_sin(rep))
+            sins.append(_sin(best))
             rows.append([f"{eps_bar:g}", seed, len(rep.clusters), f"{norms[-1]:.6g}",
                          f"{imputed[-1]:.6g}", f"{sins[-1]:.6g}"])
         trends = {
@@ -349,12 +341,12 @@ def _run_table(args):
                 ds_seed = _child_seed(seed, rep_i)
                 base = dataset.generate_separable(n, d, ds_seed)
                 ds = dataset.flip_labels(base, frac, _child_seed(ds_seed, 1))
-                opts = _solve_options(args, _child_seed(ds_seed, 2))
-                rr = _train_once(ds, sramp, args.epsilon_bar, starts, opts)
-                rh = _train_once(ds, shinge, args.epsilon_bar, starts, opts)
+                solve_seed = _child_seed(ds_seed, 2)  # both losses run from the same starts
+                rr, ramp_best, _ = _train(args, ds, sramp, args.epsilon_bar, starts, solve_seed)
+                _, hinge_best, _ = _train(args, ds, shinge, args.epsilon_bar, starts, solve_seed)
                 counts.append(len(rr.clusters))
-                ramp_sins.append(_best_sin(rr))
-                hinge_sins.append(_best_sin(rh))
+                ramp_sins.append(_sin(ramp_best))
+                hinge_sins.append(_sin(hinge_best))
             avg_r = float(np.mean(ramp_sins))
             avg_h = float(np.mean(hinge_sins))
             ramp_below.append(avg_r < avg_h)
@@ -376,16 +368,13 @@ def _run_table(args):
             adv_seed = _child_seed(seed, 1)
             ds = dataset.inject_adversarial(base, frac, adv_seed)
             injected = set(dataset.select_corruption_indices(n, frac, adv_seed).tolist())
-            opts = _solve_options(args, _child_seed(seed, 2))
             row = [int(frac * 100), seed]
             stats = {}
             for tag, loss in (("ramp", sramp), ("hinge", shinge)):
-                rep = _train_once(ds, loss, args.epsilon_bar, starts, opts)
-                z = rep.clusters[0].run.minimizer
-                h = geometry.Hyperplane(z[:-1], float(z[-1]))
+                _, best, h = _train(args, ds, loss, args.epsilon_bar, starts, _child_seed(seed, 2))
                 bad = geometry.margin_profile(h, ds).misclassified
                 nonadv = sum(1 for i in bad.tolist() if i not in injected)
-                row.extend([f"{_best_sin(rep):.6g}", f"{h.b:.6g}", int(bad.size), nonadv])
+                row.extend([f"{_sin(best):.6g}", f"{h.b:.6g}", int(bad.size), nonadv])
                 stats[tag] = {"b": abs(h.b), "nonadv": nonadv}
             summary.append(stats)
             rows.append(row)
@@ -556,7 +545,7 @@ def main(argv=None) -> int:
     except (dataset.CsvFormatError, ValueError) as exc:
         print(_error_payload("validation", exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except solve.SolveAbort as exc:
+    except SolveAbort as exc:
         print(_error_payload("numerical", exc), file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

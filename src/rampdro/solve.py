@@ -27,7 +27,6 @@ __all__ = [
     "SolveReport",
     "MultiStartReport",
     "Cluster",
-    "SolveAbort",
     "minimize",
     "multistart",
 ]
@@ -45,10 +44,6 @@ LBFGS_MEMORY = 10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 MAX_LINESEARCH = 60
-
-
-class SolveAbort(RuntimeError):
-    """No start of a training solve converged; raised by ``cli._train_once`` only."""
 
 
 @dataclass(frozen=True)

@@ -83,18 +83,47 @@ def test_train_missing_data_file_is_io_error(tmp_path):
     assert rc == 4
 
 
-def test_train_numerical_abort_exit_code(tmp_path, monkeypatch, capsys):
-    from rampdro.solve import SolveAbort
+def _non_finite_starts(monkeypatch, bad):
+    # multistart looks minimize up at call time; the starts listed in `bad` run
+    # the real minimize on an objective that is NaN everywhere
+    real = cli.solve.minimize
+    calls = []
 
-    def boom(*args, **kwargs):
-        raise SolveAbort("non-finite objective at iteration 3")
+    def fake(fun, x0, opts):
+        calls.append(None)
+        if len(calls) - 1 in bad:
+            return real(lambda z: (float("nan"), np.full_like(z, np.nan)), x0, opts)
+        return real(fun, x0, opts)
 
-    monkeypatch.setattr(cli.solve, "multistart", boom)
-    rc = cli.main(["train", "--n", "10", "--d", "2", "--starts", "1",
-                   "--out", str(tmp_path / "x.json")])
+    monkeypatch.setattr(cli.solve, "minimize", fake)
+
+
+def test_train_reports_non_finite_starts_as_failures(tmp_path, monkeypatch):
+    _non_finite_starts(monkeypatch, {1, 3})
+    out = tmp_path / "t.json"
+    rc = cli.main(["train", "--n", "300", "--d", "3", "--seed", "3", "--starts", "4",
+                   "--out", str(out)])
+    assert rc == 0
+    payload = _read_json(out)
+    _validate(payload, "train_report.schema.json")
+    res = payload["result"]
+    assert res["failures"] == [{"index": 1, "message": "non_finite"},
+                               {"index": 3, "message": "non_finite"}]
+    assert {i for c in res["clusters"] for i in c["members"]} == {0, 2}
+
+
+def test_train_exits_numerical_when_every_start_is_non_finite(tmp_path, monkeypatch, capsys):
+    _non_finite_starts(monkeypatch, {0, 1, 2})
+    out = tmp_path / "t.json"
+    rc = cli.main(["train", "--n", "300", "--d", "3", "--seed", "3", "--starts", "3",
+                   "--out", str(out)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"]["type"] == "numerical"
+    assert err["error"] == {
+        "type": "numerical",
+        "message": "no start converged: 3 of 3 had a non-finite start, 0 stopped unconverged",
+    }
+    assert not out.exists()
 
 
 def test_train_exits_numerical_when_no_start_converges(tmp_path, capsys):
@@ -192,6 +221,9 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["reproduce", "--table", "T1", "--scale", "0.005", "--epsilon-bar", "inf"],
     ["train", "--n", "200", "--d", "3", "--starts", "3", "--reference", "inf,0,0"],
     ["train", "--n", "200", "--d", "3", "--starts", "3", "--reference", "nan,0,0"],
+    ["train", "--n", "200", "--d", "3", "--starts", "3", "--reference", "0,0,0"],
+    ["reproduce", "--table", "T1", "--scale", "0.005", "--starts", "0"],
+    ["reproduce", "--table", "T1", "--scale", "0.005", "--starts", "-3"],
 ])
 def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.json"
