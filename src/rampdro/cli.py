@@ -151,7 +151,7 @@ def _cmd_train(args) -> int:
     ds = _build_dataset(args)
     reference = _parse_floats(args.reference) if args.reference else None
     if reference is not None and not (
-        reference.size == ds.d and np.isfinite(reference).all() and np.linalg.norm(reference) > 0
+        reference.size == ds.d and np.isfinite(reference).all() and np.any(reference != 0)
     ):
         raise ValueError(f"reference must be a nonzero finite {ds.d}-vector, got {args.reference}")
     solve_seed = _child_seed(args.seed, 4)

@@ -15,9 +15,10 @@ makes the tight dual-equals-primal equality tests possible.
 
 The dual, the knapsack and the CVaR of the distance all read one sorted
 distance profile: the finite distances in ascending order with prefix sums
-of p and p*d, built once per query (once for both sides of
-``check_chance_cvar``).  The dual and the knapsack share that sort but not a
-formula, so their agreement remains an independent check.
+of p and p*d.  It is built once per distinct (distances, weights) and kept
+in a single slot, so an epsilon sweep on one hyperplane, or both sides of
+``check_chance_cvar``, sort once.  The dual and the knapsack share that sort
+but not a formula, so their agreement remains an independent check.
 
 Points at infinite distance (w = 0 with y*b > 0) contribute nothing to the
 dual sum and are untouchable by the knapsack; the CVaR enumeration likewise
@@ -28,7 +29,6 @@ limit handled analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,32 +76,53 @@ class _DistanceProfile:
     Infinite distances are dropped: no budget reaches them and they add
     nothing to either dual.  The weights sum to 1 only up to rounding, so the
     dual and the knapsack cap the probability they return at 1.
+
+    ``lower[k]`` is the first index tied with the positive distance
+    ``d[zeros + k]``: prefix sums there cover d_i < d_k only, and ties at d_k
+    add exactly zero to phi(1/d_k) and to g(d_k).
+
+    Points are ordered as a stable sort orders them: by distance, ties in
+    input order.  That fixes the summation order of every prefix sum.
     """
 
-    def __init__(self, dists, weights):
-        d = np.asarray(dists, dtype=float).ravel()
-        p = np.asarray(weights, dtype=float).ravel()
-        if d.shape != p.shape:
-            raise ValueError("distances and weights must have matching shapes")
-        if np.any(d < 0.0) or np.any(np.isnan(d)):
-            raise ValueError("distances must be nonnegative")
+    def __init__(self, d: np.ndarray, p: np.ndarray):
+        # d and p are validated 1-D float arrays of one shape
         finite = np.isfinite(d)
-        d, p = d[finite], p[finite]
-        order = np.argsort(d, kind="stable")
+        if not finite.all():
+            d, p = d[finite], p[finite]
+        n = d.size
+        # the default argsort is SIMD and several times faster than a stable
+        # one, but orders ties arbitrarily; each run of ties is put back in
+        # input order below, sorting only the tied points by (run, index)
+        order = np.argsort(d)
         self.d = d[order]
-        p = p[order]
-        self.cum_p = np.concatenate([[0.0], np.cumsum(p)])
-        self.cum_pd = np.concatenate([[0.0], np.cumsum(p * self.d)])
+        starts = np.ones(n + 1, dtype=bool)  # run starts, plus an end sentinel
+        np.not_equal(self.d[1:], self.d[:-1], out=starts[1:-1])
+        tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+        if tied.size:
+            key = np.cumsum(starts[tied], dtype=np.int64)
+            key *= n
+            key += order[tied]
+            key.sort()
+            key %= n
+            order[tied] = key
+            self.d[tied] = d[key]  # 0.0 and -0.0 tie, so re-read the bits
+            del key
+        del tied
         self.zeros = int(np.searchsorted(self.d, 0.0, side="right"))
+        # each positive point's run start, carried forward over its ties
+        self.lower = np.arange(self.zeros, n)
+        self.lower *= starts[self.zeros:n]
+        np.maximum.accumulate(self.lower, out=self.lower)
+        del starts
 
-    @cached_property
-    def lower(self) -> np.ndarray:
-        """First index tied with each positive distance d_k.
-
-        Prefix sums there cover d_i < d_k only; ties at d_k add exactly zero
-        to phi(1/d_k) and to g(d_k).  Only the dual and the CVaR need it.
-        """
-        return np.searchsorted(self.d, self.d[self.zeros:], side="left")
+        p = p[order]
+        del order
+        self.cum_p = np.zeros(n + 1)
+        np.cumsum(p, out=self.cum_p[1:])
+        p *= self.d
+        self.cum_pd = np.zeros(n + 1)
+        np.cumsum(p, out=self.cum_pd[1:])
 
     def dual(self, epsilon: float) -> WorstCaseResult:
         """Minimize phi over the positive breakpoints t = 1/d_k and t -> 0+."""
@@ -164,16 +185,54 @@ class _DistanceProfile:
         return best
 
 
+class _Memo(NamedTuple):
+    dists: np.ndarray  # private copies of the inputs the profile was built from
+    weights: np.ndarray
+    profile: _DistanceProfile
+
+
+_last: _Memo | None = None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _profile(dists, weights) -> _DistanceProfile:
+    """The profile of (dists, weights), rebuilt only when either one changes.
+
+    One slot keeps the last profile beside copies of its inputs, so a sweep
+    over epsilon on one hyperplane sorts once.  Inputs match when their bits
+    do: a caller may mutate its array in place between calls, so the key is
+    never object identity.  A match was validated when it was stored.
+    """
+    global _last
+    d = np.asarray(dists, dtype=float).ravel()
+    p = np.asarray(weights, dtype=float).ravel()
+    if d.shape != p.shape:
+        raise ValueError("distances and weights must have matching shapes")
+    last = _last
+    if last is not None and _same_bits(last.dists, d) and _same_bits(last.weights, p):
+        return last.profile
+    # free the old profile first, so that two are never alive at once
+    _last = last = None
+    if np.any(d < 0.0) or np.any(np.isnan(d)):
+        raise ValueError("distances must be nonnegative")
+    profile = _DistanceProfile(d, p)
+    _last = _Memo(d.copy(), p.copy(), profile)
+    return profile
+
+
 def worst_case_dual_from_distances(dists, weights, epsilon: float) -> WorstCaseResult:
-    return _DistanceProfile(dists, weights).dual(epsilon)
+    return _profile(dists, weights).dual(epsilon)
 
 
 def worst_case_knapsack_from_distances(dists, weights, epsilon: float) -> float:
-    return _DistanceProfile(dists, weights).knapsack(epsilon)
+    return _profile(dists, weights).knapsack(epsilon)
 
 
 def cvar_from_distances(dists, weights, rho: float) -> float:
-    return _DistanceProfile(dists, weights).cvar(rho)
+    return _profile(dists, weights).cvar(rho)
 
 
 def worst_case_prob_dual(ds, h: Hyperplane, epsilon: float) -> WorstCaseResult:
@@ -200,7 +259,7 @@ def check_chance_cvar(ds, h: Hyperplane, epsilon: float, rho: float):
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    profile = _DistanceProfile(distances(h, ds), ds.weights)
+    profile = _profile(distances(h, ds), ds.weights)
     chance_holds = profile.dual(epsilon).value <= rho
     cvar_holds = rho * profile.cvar(rho) >= epsilon
     return chance_holds, cvar_holds

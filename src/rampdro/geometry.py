@@ -80,10 +80,14 @@ class GeneralizedMargin(NamedTuple):
 def distances(h: Hyperplane, ds) -> np.ndarray:
     """Vector of distances to misclassification for every dataset point."""
     norm = h.norm
-    scores = ds.labels * (ds.points @ h.w + h.b)
+    scores = ds.points @ h.w
+    scores += h.b
+    scores *= ds.labels
     if norm == 0.0:
         return np.where(scores > 0.0, np.inf, 0.0)
-    return np.maximum(0.0, scores) / norm
+    np.maximum(0.0, scores, out=scores)
+    scores /= norm
+    return scores
 
 
 def margin_profile(h: Hyperplane, ds) -> MarginProfile:
@@ -151,13 +155,21 @@ def generalized_margin(ds, candidates: Sequence[Hyperplane]) -> GeneralizedMargi
     return GeneralizedMargin(rho_star, gamma_star, rho_bar)
 
 
+def _pow2_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest |entry| into [1/2, 1).
+
+    The scaling is exact, so angles keep their bits while norms and dot
+    products can no longer overflow or underflow.
+    """
+    peak = np.max(np.abs(x), initial=0.0)
+    if peak == 0.0:
+        raise ValueError("sin_angle is undefined for zero vectors")
+    return np.ldexp(x, -np.frexp(peak)[1])
+
+
 def sin_angle(u, v) -> float:
     """Sine of the angle between two nonzero vectors, in [0, 1]."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("sin_angle is undefined for zero vectors")
-    c = float(u @ v) / (nu * nv)
+    u = _pow2_scaled(np.asarray(u, dtype=float).ravel())
+    v = _pow2_scaled(np.asarray(v, dtype=float).ravel())
+    c = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
     return float(np.sqrt(max(0.0, 1.0 - c * c)))

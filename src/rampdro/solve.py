@@ -254,7 +254,7 @@ def multistart(
         else:
             w = runs[i].minimizer[:-1]
             sin = None
-            if np.linalg.norm(w) > _ZERO_W and np.linalg.norm(reference) > 0:
+            if np.linalg.norm(w) > _ZERO_W and np.any(reference != 0):
                 sin = sin_angle(w, reference)
             clusters.append(Cluster(runs[i], [i], sin))
     for c in clusters:

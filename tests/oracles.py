@@ -72,3 +72,47 @@ def random_knapsack_instance(rng, max_n=12, allow_zero=True, allow_inf=False):
     w = rng.random(n) + 0.05
     w /= w.sum()
     return d, w
+
+
+def stable_distance_profile(dists, weights):
+    """The sorted distance profile the oracles read, built with a stable sort.
+
+    Finite distances ascending with ties in input order, prefix sums of p and
+    p*d, the count of zero distances, and for each positive distance the
+    first index tied with it (by binary search).
+    """
+    d = np.asarray(dists, dtype=float).ravel()
+    p = np.asarray(weights, dtype=float).ravel()
+    keep = np.isfinite(d)
+    d, p = d[keep], p[keep]
+    order = np.argsort(d, kind="stable")
+    d, p = d[order], p[order]
+    zeros = int(np.searchsorted(d, 0.0, side="right"))
+    return {
+        "d": d,
+        "cum_p": np.concatenate([[0.0], np.cumsum(p)]),
+        "cum_pd": np.concatenate([[0.0], np.cumsum(p * d)]),
+        "lower": np.searchsorted(d, d[zeros:], side="left"),
+        "zeros": zeros,
+    }
+
+
+def epsilon_star(dists, weights, rho):
+    """Smallest radius at which the worst-case misclassification probability reaches rho.
+
+    The knapsack fills finite points in increasing distance, so buying mass
+    rho costs cum_pd[j] + (rho - cum_p[j]) * d[j], where item j is the one
+    filled fractionally (cum_p[j] < rho <= cum_p[j + 1]).  Returns inf when
+    the finite mass is below rho.
+    """
+    d = np.asarray(dists, dtype=float).ravel()
+    p = np.asarray(weights, dtype=float).ravel()
+    keep = np.isfinite(d)
+    order = np.argsort(d[keep])
+    d, p = d[keep][order], p[keep][order]
+    cum_p = np.concatenate([[0.0], np.cumsum(p)])
+    cum_pd = np.concatenate([[0.0], np.cumsum(p * d)])
+    j = int(np.searchsorted(cum_p, rho, side="left")) - 1
+    if j >= d.size:
+        return float("inf")
+    return float(cum_pd[j] + (rho - cum_p[j]) * d[j])

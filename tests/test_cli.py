@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rampdro import cli
+from oracles import stable_distance_profile
+from rampdro import cli, dro
 
 
 def _load_schema(name):
@@ -164,6 +165,48 @@ def test_train_with_corruptions_and_reference(tmp_path):
     payload = _read_json(out)
     assert payload["config"]["flip_fraction"] == 0.1
     assert payload["config"]["reference"] == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_train_reference_at_extreme_scales(tmp_path, scale):
+    # the angle to the reference ignores its length; 1e200 overflowed the
+    # norm, and 1e-200 underflowed it to a rejected "zero" vector
+    payloads = []
+    for reference in (f"{scale},0,0", "1,0,0"):
+        out = tmp_path / f"t{len(payloads)}.json"
+        rc = cli.main([
+            "train", "--n", "200", "--d", "3", "--seed", "1", "--starts", "2",
+            "--flip-fraction", "0.1", "--reference", reference, "--out", str(out),
+        ])
+        assert rc == 0
+        payloads.append(_read_json(out))
+    assert payloads[0]["config"]["reference"] == [float(scale), 0.0, 0.0]
+    sins = [p["result"]["sin_angle_to_reference"] for p in payloads]
+    assert 0.0 < sins[0] < 1.0
+    assert sins[0] == pytest.approx(sins[1], abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_report_equals_fresh_stable_profiles(tmp_path, monkeypatch, seed):
+    # every oracle call building its own profile with a stable sort is the
+    # plain reading; the shared, SIMD-sorted profile must give the same bits
+    argv = [
+        "oracle", "--n", "3000", "--d", "3", "--seed", str(seed), "--w", "1,0.3,-0.2",
+        "--b", "0.1", "--epsilon", "0.05", "--rho", "0.3", "--flip-fraction", "0.1",
+    ]
+    shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+    assert cli.main([*argv, "--out", str(shared)]) == 0
+
+    def stable_profile(dists, weights):
+        profile = object.__new__(dro._DistanceProfile)
+        vars(profile).update(stable_distance_profile(dists, weights))
+        return profile
+
+    monkeypatch.setattr(dro, "_profile", stable_profile)
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    got, want = _read_json(shared), _read_json(fresh)
+    del got["timestamp"], want["timestamp"]
+    assert got == want
 
 
 def test_oracle_two_point_instance(tmp_path):

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import knapsack_lp_vertices, random_knapsack_instance
+from oracles import (
+    epsilon_star,
+    knapsack_lp_vertices,
+    random_knapsack_instance,
+    stable_distance_profile,
+)
+from rampdro import dro
 from rampdro.dataset import Dataset
 from rampdro.dro import (
     check_chance_cvar,
@@ -172,9 +179,120 @@ def test_oracle_invariants_property(instance, budget_fractions, rho):
         if eps > 0.0 and abs(dual - rho) > 1e-9:
             cvar_holds = rho * cvar_from_distances(d, p, rho) >= eps
             assert (dual <= rho) == cvar_holds
+    # inverse route to the CVaR theorem: the radius at which the worst case
+    # reaches rho is rho * CVaR_rho
+    ref = stable_distance_profile(d, p)
+    if ref["cum_p"][ref["zeros"]] < rho <= ref["cum_p"][-1]:
+        assert abs(epsilon_star(d, p, rho) - rho * cvar_from_distances(d, p, rho)) <= 1e-10
     # a dozen rounded terms of size <= 1 stay far inside 1e-12
     assert np.all(np.diff(duals) >= -1e-12)
     assert np.all(np.diff(knaps) >= -1e-12)
+
+
+# many exact zeros (both signs), repeated positive values, inf, subnormals
+_PROFILE_DISTANCE = st.one_of(
+    st.just(0.0),
+    st.sampled_from([-0.0, 0.5, 1.0, 2.0, math.inf, 5e-324, 1e-310]),
+    st.floats(0.0, 5.0),
+)
+
+
+@st.composite
+def _profile_input(draw):
+    n = draw(st.integers(0, 200))
+    d = draw(arrays(np.float64, n, elements=_PROFILE_DISTANCE))
+    p = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return d, p, perm
+
+
+def _assert_profile_is_stable_sort(d, p):
+    profile = dro._profile(d, p)
+    ref = stable_distance_profile(d, p)
+    for name in ("d", "cum_p", "cum_pd", "lower"):
+        got, want = getattr(profile, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert profile.zeros == ref["zeros"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_profile_input())
+def test_profile_matches_stable_sort_bitwise(instance):
+    # the SIMD argsort orders ties arbitrarily; the profile must not
+    d, p, perm = instance
+    _assert_profile_is_stable_sort(d, p)
+    _assert_profile_is_stable_sort(d[perm], p[perm])
+
+
+def test_profile_memo_hits_on_equal_bits_only():
+    rng = np.random.default_rng(11)
+    d = np.round(rng.exponential(1.0, 500), 1)
+    p = rng.random(500)
+    first = dro._profile(d, p)
+    assert dro._profile(d.copy(), p.copy()) is first
+    assert dro._profile(d.reshape(20, 25), p) is first
+    d2 = d.copy()
+    assert (d2 == 0.0).any()
+    d2[d2 == 0.0] = -0.0
+    assert dro._profile(d2, p) is not first
+
+
+def _fresh(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(dro, "_last", None)
+        return fn(*args)
+
+
+def test_profile_memo_answers_follow_the_inputs(monkeypatch):
+    rng = np.random.default_rng(12)
+    d = np.round(rng.exponential(1.0, 400), 1)
+    p = rng.random(400)
+    p /= p.sum()
+    queries = [
+        (worst_case_dual_from_distances, 0.2),
+        (worst_case_knapsack_from_distances, 0.2),
+        (cvar_from_distances, 0.4),
+    ]
+    # a repeat on bitwise-equal inputs returns the identical result
+    for fn, arg in queries:
+        assert fn(d, p, arg) == fn(d.copy(), p.copy(), arg) == _fresh(monkeypatch, fn, d, p, arg)
+
+    # one distance or one weight changes: a new profile, and the answer a
+    # fresh build gives
+    d_one = d.copy()
+    d_one[np.argmax(d_one > 0.0)] *= 0.5
+    p_one = p.copy()
+    p_one[np.argmax(d > 0.0)] *= 3.0
+    for dd, pp in ((d_one, p), (d, p_one)):
+        for fn, arg in queries:
+            first = dro._profile(d, p)
+            assert fn(dd, pp, arg) == _fresh(monkeypatch, fn, dd, pp, arg)
+            assert dro._profile(dd, pp) is not first
+
+    # the caller mutates its own array in place after a call
+    mutable = d.copy()
+    value = worst_case_dual_from_distances(mutable, p, 0.2).value
+    mutable *= 2.0
+    doubled = worst_case_dual_from_distances(mutable, p, 0.2)
+    assert doubled == _fresh(monkeypatch, worst_case_dual_from_distances, mutable, p, 0.2)
+    assert doubled.value < value
+
+
+def test_profile_memo_rejects_nan_every_time():
+    d, p = np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5])
+    expected = worst_case_dual_from_distances(d, p, 0.1)
+    nan_d = d.copy()
+    nan_d[1] = math.nan
+    # each rejected input twice in a row: it must not be served from the slot
+    for bad in (nan_d, nan_d, -d, -d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            worst_case_dual_from_distances(bad, p, 0.1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matching shapes"):
+            cvar_from_distances(d, p[:2], 0.5)
+    assert worst_case_dual_from_distances(d, p, 0.1) == expected
+    assert worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], 0.25) == 0.75
 
 
 def test_worst_case_monotone_in_epsilon():

@@ -204,6 +204,16 @@ def test_sin_angle_rejects_zero():
         sin_angle(np.zeros(2), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+def test_sin_angle_at_extreme_scales(scale):
+    # the vector's norm overflows or underflows, its angle does not; scaling
+    # by a power of two keeps every bit
+    u, v = np.array([1.0, 0.1, 0.0]), np.array([scale, 0.0, 0.0])
+    assert sin_angle(v, u) == sin_angle(u, v)
+    assert sin_angle(v, u) == pytest.approx(0.1 / math.sqrt(1.01), abs=1e-14)
+    assert sin_angle(u * 2.0**600, u * 2.0**-600) == sin_angle(u, u)
+
+
 def test_sin_angle_range():
     rng = np.random.default_rng(3)
     for _ in range(100):
