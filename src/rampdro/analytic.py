@@ -17,6 +17,11 @@ segment and adds one closing segment, the rectangle's 4 segments become 5
 and then 6, and w = 0 needs no special case.  Midpoint quadrature remains
 only as an independent cross-check.
 
+The band moments do not depend on eps: the residual is eps*w - m(w)/2.  So
+the stationary-point scan computes the moments once per grid row for every
+eps it certifies, and refines all seeds of all eps in lockstep, one moment
+evaluation per round, each seed on its own compass trajectory.
+
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
 1/(2 eps) (for eps > 1/2) with w2 = 0, the minimum value 3*(eps/32)^(1/3) or
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .losses import LossKind, LossSpec
 from .objective import ObjectiveSpec, evaluate_with_gradient
@@ -60,10 +64,12 @@ _ACCEPT_RESIDUAL = 1e-8
 _ACCEPT_MIN_NORM = 1e-4
 _MERGE_RADIUS = 1e-5
 
-# compass directions of the refinement, in tie-breaking order
+# compass directions of the refinement, in tie-breaking order, and its
+# round cap
 _COMPASS = np.array(
     [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
 )
+_MAX_ROUNDS = 500
 
 # difference steps of the one-sided derivatives at the origin
 _ORIGIN_STEPS = (1e-3, 1e-4, 1e-5)
@@ -115,14 +121,15 @@ def _band_moments(w1, w2):
     return _moments(*upper)[0], area_band, m[..., 0], m[..., 1]
 
 
-def _residual(model, w1, w2):
-    # gradient components of F away from the origin
+def _residual(epsilon, w1, w2):
+    # gradient components of F away from the origin; epsilon broadcasts
+    # against the moments, which do not depend on it
     _, _, mu, mv = _band_moments(w1, w2)
-    return model.epsilon * w1 - 0.5 * mu, model.epsilon * w2 - 0.5 * mv
+    return epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv
 
 
-def _residual_norm(model, w1, w2):
-    r1, r2 = _residual(model, w1, w2)
+def _residual_norm(epsilon, w1, w2):
+    r1, r2 = _residual(epsilon, w1, w2)
     return np.maximum(np.abs(r1), np.abs(r2))
 
 
@@ -157,7 +164,7 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
     w1, w2 = float(w[0]), float(w[1])
     if math.hypot(w1, w2) < _DEGENERATE_NORM:
         raise ValueError("stationarity residual is undefined at w = 0")
-    return np.array(_residual(model, w1, w2), dtype=float)
+    return np.array(_residual(model.epsilon, w1, w2), dtype=float)
 
 
 def origin_directional_derivative(model: UniformModel, direction) -> float:
@@ -181,74 +188,109 @@ def origin_directional_derivatives(model: UniformModel):
     )
 
 
-def refine_candidate(model: UniformModel, w0, half_width: float):
-    """Compass-shrink minimization of the residual norm from a seed cell.
+def refine_candidate(epsilons, seeds, half_width: float):
+    """Compass-shrink minimization of the residual norm from seed cells.
 
-    Each round evaluates the eight compass points at distance h and moves to
-    the best one that improves, or halves h when none does.  Returns the
-    refined point and its residual norm.  Genuine roots collapse to
-    residuals near machine precision; spurious sub-threshold cells either
-    stall at a positive residual or slide into the excluded origin, and both
-    outcomes fail the acceptance test in the scan.
+    ``epsilons`` holds one ε per seed, shape (k,), and ``seeds`` the seed
+    points, shape (k, 2).  All seeds advance in lockstep, with one band-moment
+    evaluation per round, but each keeps its own trajectory: a round
+    evaluates the eight compass points at its distance h and moves to the
+    best one (ties in ``_COMPASS`` order) that improves, or halves h when
+    none does, until h <= 1e-13 or 500 rounds.  The result for a seed does
+    not depend on the others.  Returns the refined points, shape (k, 2), and
+    their residual norms, shape (k,).  Genuine roots collapse to residuals
+    near machine precision; spurious sub-threshold cells either stall at a
+    positive residual or slide into the excluded origin, and both outcomes
+    fail the acceptance test in the scan.
     """
-    best = np.array([float(w0[0]), float(w0[1])])
-    best_res = float(_residual_norm(model, best[0], best[1]))
-    h = half_width
-    rounds = 0
-    while h > 1e-13 and rounds < 500:
-        rounds += 1
-        cand = best + h * _COMPASS
-        res = _residual_norm(model, cand[:, 0], cand[:, 1])
-        res[np.hypot(cand[:, 0], cand[:, 1]) < _DEGENERATE_NORM] = np.inf
-        k = int(np.argmin(res))
-        if res[k] < best_res:
-            best, best_res = cand[k], float(res[k])
-        else:
-            h *= 0.5
+    eps = np.asarray(epsilons, dtype=float).reshape(-1)
+    best = np.array(seeds, dtype=float).reshape(-1, 2)
+    if eps.shape[0] != best.shape[0]:
+        raise ValueError(f"need one epsilon per seed, got {eps.shape[0]} and {best.shape[0]}")
+    best_res = _residual_norm(eps, best[:, 0], best[:, 1])
+    h = np.full(eps.shape, float(half_width))
+    live = np.arange(eps.size)
+    for _ in range(_MAX_ROUNDS):
+        live = live[h[live] > 1e-13]
+        if live.size == 0:
+            break
+        cand = best[live, None, :] + h[live, None, None] * _COMPASS
+        res = _residual_norm(eps[live, None], cand[..., 0], cand[..., 1])
+        res[np.hypot(cand[..., 0], cand[..., 1]) < _DEGENERATE_NORM] = np.inf
+        rows, k = np.arange(live.size), np.argmin(res, axis=1)
+        step = res[rows, k]
+        moved = step < best_res[live]
+        best[live[moved]] = cand[rows, k][moved]
+        best_res[live[moved]] = step[moved]
+        h[live[~moved]] *= 0.5
     return best, best_res
 
 
-def scan_stationary_points(model: UniformModel, box=(-3.0, 3.0), grid: int = 300) -> np.ndarray:
-    """Locate stationary points of F inside ``box`` x ``box``.
+def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.ndarray]:
+    """Locate stationary points of F inside ``box`` x ``box`` for each model.
 
-    Scans the residual infinity-norm on a grid, refines every sub-threshold
-    local minimum by compass shrinkage, and keeps the refined points whose
-    residual drops below 1e-8 away from the origin.  Duplicates within
-    1e-5 are merged.  Returns an array of shape (k, 2) sorted by w1.
+    Takes a sequence of ``UniformModel`` and returns one array of shape
+    (k, 2), sorted by w1, per model and in the same order.  The band moments
+    behind the residual do not depend on ε, so the grid is walked once, row
+    by row, and each row's moments give every model's residual
+    infinity-norms, εw - m/2.  Cells whose norm is at most 10 cell widths
+    and a minimum of their 3 x 3 neighbourhood (the origin and the box's
+    outside count as inf) seed a refinement; only a rolling window of three
+    rows per model is held.  All seeds of all models refine together in one
+    lockstep ``refine_candidate`` call.  Refined points whose residual drops
+    below 1e-8 away from the origin are kept, and duplicates within 1e-5
+    are merged in seed order.
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
     lo, hi = float(box[0]), float(box[1])
     if not 0.0 < hi - lo < math.inf:
         raise ValueError(f"box must have positive finite width, got {lo} to {hi}")
+    eps = np.array([model.epsilon for model in models], dtype=float)
     axis = np.linspace(lo, hi, grid)
     cell = (hi - lo) / grid
     threshold = 10.0 * cell
 
-    # residual norms, padded by a ring of inf so every cell has 3x3 neighbours
-    norms = np.full((grid + 2, grid + 2), np.inf)
-    inner = norms[1:-1, 1:-1]
-    for i, w1 in enumerate(axis):
-        row = _residual_norm(model, w1, axis)
-        row[np.hypot(w1, axis) < _DEGENERATE_NORM] = np.inf
-        inner[i] = row
+    edge = np.full((eps.size, grid + 2), np.inf)
+
+    def padded_rows():
+        # each grid row's residual norms for every model, in a ring of inf
+        for w1 in axis:
+            row = edge.copy()
+            inner = row[:, 1:-1]
+            inner[...] = _residual_norm(eps[:, None], w1, axis)
+            inner[:, np.hypot(w1, axis) < _DEGENERATE_NORM] = np.inf
+            yield row
+        yield edge
 
     # seed refinement at sub-threshold cells that are grid-local minima
-    local_min = sliding_window_view(norms, (3, 3)).min(axis=(2, 3))
-    seeds = np.argwhere((inner <= threshold) & (inner <= local_min))
+    seeds = [[] for _ in eps]
+    rows = padded_rows()
+    above, here = edge, next(rows)
+    for w1, below in zip(axis, rows):
+        column = np.minimum(np.minimum(above, here), below)
+        local_min = np.minimum(np.minimum(column[:, :-2], column[:, 1:-1]), column[:, 2:])
+        inner = here[:, 1:-1]
+        for m, j in zip(*np.nonzero((inner <= threshold) & (inner <= local_min))):
+            seeds[m].append((w1, axis[j]))
+        above, here = here, below
 
-    accepted = []
-    for i, j in seeds:
-        point, res = refine_candidate(model, (axis[i], axis[j]), cell)
-        if res <= _ACCEPT_RESIDUAL and np.linalg.norm(point) >= _ACCEPT_MIN_NORM:
-            for other in accepted:
-                if np.linalg.norm(other - point) <= _MERGE_RADIUS:
-                    break
-            else:
-                accepted.append(point)
+    owner = np.repeat(np.arange(eps.size), [len(s) for s in seeds])
+    points, residuals = refine_candidate(eps[owner], [p for s in seeds for p in s], cell)
 
-    accepted.sort(key=lambda p: (p[0], p[1]))
-    return np.array(accepted) if accepted else np.empty((0, 2))
+    found = []
+    for m in range(eps.size):
+        accepted = []
+        for point, res in zip(points[owner == m], residuals[owner == m]):
+            if res <= _ACCEPT_RESIDUAL and np.linalg.norm(point) >= _ACCEPT_MIN_NORM:
+                for other in accepted:
+                    if np.linalg.norm(other - point) <= _MERGE_RADIUS:
+                        break
+                else:
+                    accepted.append(point)
+        accepted.sort(key=lambda p: (p[0], p[1]))
+        found.append(np.array(accepted) if accepted else np.empty((0, 2)))
+    return found
 
 
 def closed_form_minimizer(epsilon: float):

@@ -421,25 +421,25 @@ def _cmd_certify(args) -> int:
     if epsilons.size == 0 or np.any(epsilons <= 0.0):
         raise ValueError("--epsilons must be a non-empty list of positive values")
 
-    model0 = analytic.UniformModel(float(epsilons[0]))
-    d_plus, d_minus = analytic.origin_directional_derivatives(model0)
+    models = [analytic.UniformModel(float(eps)) for eps in epsilons]
+    d_plus, d_minus = analytic.origin_directional_derivatives(models[0])
     origin = {
         "along_plus_e1": {"value": d_plus, "error": abs(d_plus + 0.5), "pass": abs(d_plus + 0.5) <= 1e-4},
         "along_minus_e1": {"value": d_minus, "error": abs(d_minus), "pass": abs(d_minus) <= 1e-6},
     }
 
+    scans = analytic.scan_stationary_points(models, (-args.box, args.box), args.grid)
     per_eps = []
-    for eps in epsilons:
-        model = analytic.UniformModel(float(eps))
-        points = analytic.scan_stationary_points(model, (-args.box, args.box), args.grid)
-        w1_star, f_star = analytic.closed_form_minimizer(float(eps))
+    for model, points in zip(models, scans):
+        eps = model.epsilon
+        w1_star, f_star = analytic.closed_form_minimizer(eps)
         residual = analytic.stationarity_residual(model, (w1_star, 0.0))
         checks = {
             "single_point": points.shape[0] == 1,
             "closed_form_residual": bool(np.max(np.abs(residual)) <= 1e-8),
         }
         entry = {
-            "epsilon": float(eps),
+            "epsilon": eps,
             "points": points,
             "n_points": int(points.shape[0]),
             "closed_form": {"w1": w1_star, "value": f_star},

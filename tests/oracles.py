@@ -2,10 +2,14 @@
 
 These deliberately avoid the code paths they check: the knapsack LP is
 solved by enumerating polytope vertices, gradients come from central finite
-differences, and expectations from dense midpoint quadrature.
+differences, and expectations from dense midpoint quadrature.  The
+stationary-point scan is checked against its one-model, one-seed form.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from rampdro.analytic import _band_moments
 
 
 def knapsack_lp_vertices(dists, weights, epsilon):
@@ -116,3 +120,76 @@ def epsilon_star(dists, weights, rho):
     if j >= d.size:
         return float("inf")
     return float(cum_pd[j] + (rho - cum_p[j]) * d[j])
+
+
+_COMPASS = np.array(
+    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
+)
+
+
+def _residual_norm(epsilon, w1, w2):
+    _, _, mu, mv = _band_moments(w1, w2)
+    return np.maximum(np.abs(epsilon * w1 - 0.5 * mu), np.abs(epsilon * w2 - 0.5 * mv))
+
+
+def refine_one_seed(epsilon, seed, half_width):
+    """Compass-shrink refinement of one seed, one round per loop pass.
+
+    Moves to the best of the eight compass points at distance h (first in
+    compass order on ties) when it improves, else halves h, until
+    h <= 1e-13 or 500 rounds; points within 1e-10 of the origin count as inf.
+    """
+    best = np.array([float(seed[0]), float(seed[1])])
+    best_res = float(_residual_norm(epsilon, best[0], best[1]))
+    h = half_width
+    rounds = 0
+    while h > 1e-13 and rounds < 500:
+        rounds += 1
+        cand = best + h * _COMPASS
+        res = _residual_norm(epsilon, cand[:, 0], cand[:, 1])
+        res[np.hypot(cand[:, 0], cand[:, 1]) < 1e-10] = np.inf
+        k = int(np.argmin(res))
+        if res[k] < best_res:
+            best, best_res = cand[k], float(res[k])
+        else:
+            h *= 0.5
+    return best, best_res
+
+
+def grid_seeds(epsilon, box, grid):
+    """Seed cells of the stationary-point scan at one epsilon, from the full grid.
+
+    Holds the whole inf-padded residual-norm grid and returns, in row-major
+    order, the cells at most 10 cell widths that are minima of their 3 x 3
+    neighbourhood, as an (s, 2) array of points, and the cell width.
+    """
+    lo, hi = float(box[0]), float(box[1])
+    axis = np.linspace(lo, hi, grid)
+    cell = (hi - lo) / grid
+    norms = np.full((grid + 2, grid + 2), np.inf)
+    inner = norms[1:-1, 1:-1]
+    for i, w1 in enumerate(axis):
+        row = _residual_norm(epsilon, w1, axis)
+        row[np.hypot(w1, axis) < 1e-10] = np.inf
+        inner[i] = row
+    local_min = sliding_window_view(norms, (3, 3)).min(axis=(2, 3))
+    cells = np.argwhere((inner <= 10.0 * cell) & (inner <= local_min))
+    return np.column_stack([axis[cells[:, 0]], axis[cells[:, 1]]]), cell
+
+
+def scan_one_model(epsilon, box, grid):
+    """Stationary points of the uniform model at one epsilon.
+
+    Refines each of ``grid_seeds`` with ``refine_one_seed``, keeps residuals
+    <= 1e-8 at norm >= 1e-4, merges within 1e-5 in seed order and sorts by
+    (w1, w2).
+    """
+    seeds, cell = grid_seeds(epsilon, box, grid)
+    accepted = []
+    for seed in seeds:
+        point, res = refine_one_seed(epsilon, seed, cell)
+        if res <= 1e-8 and np.linalg.norm(point) >= 1e-4:
+            if all(np.linalg.norm(other - point) > 1e-5 for other in accepted):
+                accepted.append(point)
+    accepted.sort(key=lambda p: (p[0], p[1]))
+    return np.array(accepted) if accepted else np.empty((0, 2))

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, grid_seeds, refine_one_seed, scan_one_model
+from rampdro import analytic
 from rampdro.analytic import (
     UniformModel,
     closed_form_minimizer,
@@ -122,9 +124,13 @@ def test_origin_derivative_along_e2():
     assert d == pytest.approx(-0.25, abs=1e-4)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("eps,expected_w1", [(0.1, (0.2) ** (-1.0 / 3.0)), (2.0, 0.25)])
 def test_scan_finds_single_root(eps, expected_w1):
-    pts = scan_stationary_points(UniformModel(eps), (-3.0, 3.0), 150)
+    (pts,) = scan_stationary_points([UniformModel(eps)], (-3.0, 3.0), 150)
     assert pts.shape == (1, 2)
     assert abs(pts[0, 0] - expected_w1) <= 1e-3
     assert abs(pts[0, 1]) <= 1e-3
@@ -132,24 +138,96 @@ def test_scan_finds_single_root(eps, expected_w1):
 
 def test_scan_rejects_coarse_grid():
     with pytest.raises(ValueError):
-        scan_stationary_points(UniformModel(0.1), (-3.0, 3.0), 50)
+        scan_stationary_points([UniformModel(0.1)], (-3.0, 3.0), 50)
 
 
 def test_scan_minimum_matches_closed_form_values():
-    for eps in (0.3, 1.0):
-        model = UniformModel(eps)
-        pts = scan_stationary_points(model, (-3.0, 3.0), 150)
+    models = [UniformModel(0.3), UniformModel(1.0)]
+    for model, pts in zip(models, scan_stationary_points(models, (-3.0, 3.0), 150)):
         assert pts.shape[0] == 1
-        _, f_star = closed_form_minimizer(eps)
+        _, f_star = closed_form_minimizer(model.epsilon)
         assert f_epsilon(model, pts[0]) == pytest.approx(f_star, abs=1e-6)
+
+
+def test_scan_equals_full_grid_reference(monkeypatch):
+    # the rolling window and lockstep refinement against the whole-grid,
+    # one-seed-at-a-time scan: the same seeds, in the same order, and the
+    # same points
+    calls = []
+
+    def recording_refine(epsilons, seeds, half_width):
+        calls.append((np.asarray(epsilons), np.asarray(seeds, dtype=float).reshape(-1, 2)))
+        return refine_candidate(epsilons, seeds, half_width)
+
+    monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
+    epsilons = (0.05, 0.5, 3.0)
+    found = scan_stationary_points([UniformModel(e) for e in epsilons], (-2.5, 3.0), 101)
+    assert len(calls) == 1
+    seed_eps, seeds = calls[0]
+    for eps, pts in zip(epsilons, found):
+        assert _same_bits(seeds[seed_eps == eps], grid_seeds(eps, (-2.5, 3.0), 101)[0])
+        assert _same_bits(pts, scan_one_model(eps, (-2.5, 3.0), 101))
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+    st.integers(100, 140),
+    st.randoms(use_true_random=False),
+)
+def test_batched_scan_equals_per_model_scans(epsilons, grid, rnd):
+    models = [UniformModel(e) for e in epsilons]
+    found = scan_stationary_points(models, (-3.0, 3.0), grid)
+    assert len(found) == len(models)
+    for model, pts in zip(models, found):
+        assert _same_bits(pts, scan_stationary_points([model], (-3.0, 3.0), grid)[0])
+    order = list(range(len(models)))
+    rnd.shuffle(order)
+    permuted = scan_stationary_points([models[i] for i in order], (-3.0, 3.0), grid)
+    for i, pts in zip(order, permuted):
+        assert _same_bits(pts, found[i])
+
+
+def test_scan_without_seeds_returns_one_empty_array_per_model():
+    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-3.0, -2.0), 100)
+    assert len(found) == 2
+    assert all(pts.shape == (0, 2) for pts in found)
+
+
+def test_refine_without_seeds_returns_empty_arrays():
+    points, residuals = refine_candidate(np.empty(0), np.empty((0, 2)), 0.02)
+    assert points.shape == (0, 2)
+    assert residuals.shape == (0,)
+
+
+def test_refine_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        refine_candidate([0.1, 0.2], [(1.0, 0.0)], 0.02)
+
+
+def test_lockstep_refinement_equals_one_seed_calls():
+    # mixed eps: roots, an off-axis stall, seeds that slide into the
+    # excluded origin, and the last two, grid cells of the default scan, run
+    # into the 500-round cap; each keeps its own trajectory
+    axis = np.linspace(-3.0, 3.0, 300)
+    epsilons = np.array([0.1, 0.1, 2.0, 0.37, 0.5, 1.0, 0.05, 0.1, 2.0])
+    seeds = np.array([(1.7, 0.02), (0.8, 1.2), (0.3, -0.01), (0.02, 0.02), (-1.5, 0.9),
+                      (0.0, 0.04), (2.2, -0.8), (axis[143], axis[148]), (axis[148], axis[149])])
+    points, residuals = refine_candidate(epsilons, seeds, 0.02)
+    assert points.shape == (9, 2) and residuals.shape == (9,)
+    for eps, seed, point, res in zip(epsilons, seeds, points, residuals):
+        one_point, one_res = refine_candidate([eps], [seed], 0.02)
+        assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
+        ref_point, ref_res = refine_one_seed(eps, seed, 0.02)
+        assert _same_bits(point, ref_point) and res == ref_res
 
 
 def test_offaxis_candidates_fail_refinement():
     # no stationary points exist with w2 != 0: refinement from off-axis
     # seeds must either return to the axis or stall at a real residual
-    model = UniformModel(0.1)
-    for seed in ((1.7, 0.5), (0.8, 1.2), (2.2, -0.8), (1.2, 0.06)):
-        point, res = refine_candidate(model, seed, 0.02)
+    seeds = [(1.7, 0.5), (0.8, 1.2), (2.2, -0.8), (1.2, 0.06)]
+    points, residuals = refine_candidate(np.full(4, 0.1), seeds, 0.02)
+    for point, res in zip(points, residuals):
         assert abs(point[1]) <= 0.05 or res > 1e-8
 
 
