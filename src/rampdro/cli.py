@@ -434,12 +434,15 @@ def _cmd_certify(args) -> int:
         eps = model.epsilon
         w1_star, f_star = analytic.closed_form_minimizer(eps)
         residual = analytic.stationarity_residual(model, (w1_star, 0.0))
+        radius = analytic.outer_radius(eps)
         checks = {
-            "single_point": points.shape[0] == 1,
+            # the scan certifies the box only, so it must reach R(eps)
+            "single_point": points.shape[0] == 1 and radius <= args.box,
             "closed_form_residual": bool(np.max(np.abs(residual)) <= 1e-8),
         }
         entry = {
             "epsilon": eps,
+            "outer_radius": radius,
             "points": points,
             "n_points": int(points.shape[0]),
             "closed_form": {"w1": w1_star, "value": f_star},
@@ -525,8 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-analytic", help="certify the uniform-model closed forms")
     p.add_argument("--epsilons", default="0.1,0.3,0.5,1,2", help="comma-separated positive values")
-    p.add_argument("--grid", type=int, default=300)
-    p.add_argument("--box", type=float, default=3.0)
+    p.add_argument("--grid", type=int, default=300,
+                   help="cells per side of the root tiling of the box (at least 100)")
+    p.add_argument("--box", type=float, default=3.0,
+                   help="half-width of the square searched; a single point is certified "
+                        "only when the box reaches the outer radius R(eps)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_certify)
 

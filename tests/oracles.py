@@ -2,14 +2,14 @@
 
 These deliberately avoid the code paths they check: the knapsack LP is
 solved by enumerating polytope vertices, gradients come from central finite
-differences, and expectations from dense midpoint quadrature.  The
-stationary-point scan is checked against its one-model, one-seed form.
+differences, and expectations from dense midpoint quadrature.  The lockstep
+refinement is checked against its one-seed form, and the closed-form origin
+derivatives against Richardson-extrapolated difference quotients.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from rampdro.analytic import _band_moments
+from rampdro.analytic import UniformModel, _band_moments, f_epsilon
 
 
 def knapsack_lp_vertices(dists, weights, epsilon):
@@ -156,40 +156,18 @@ def refine_one_seed(epsilon, seed, half_width):
     return best, best_res
 
 
-def grid_seeds(epsilon, box, grid):
-    """Seed cells of the stationary-point scan at one epsilon, from the full grid.
+def origin_derivative_richardson(epsilon, direction, steps=(1e-3, 1e-4, 1e-5)):
+    """One-sided derivative of F at the origin from difference quotients.
 
-    Holds the whole inf-padded residual-norm grid and returns, in row-major
-    order, the cells at most 10 cell widths that are minima of their 3 x 3
-    neighbourhood, as an (s, 2) array of points, and the cell width.
+    The quotients (F(a u) - F(0))/a at steps decreasing by a fixed factor
+    are extrapolated twice (Richardson), which removes their O(a) and O(a^2)
+    error terms.
     """
-    lo, hi = float(box[0]), float(box[1])
-    axis = np.linspace(lo, hi, grid)
-    cell = (hi - lo) / grid
-    norms = np.full((grid + 2, grid + 2), np.inf)
-    inner = norms[1:-1, 1:-1]
-    for i, w1 in enumerate(axis):
-        row = _residual_norm(epsilon, w1, axis)
-        row[np.hypot(w1, axis) < 1e-10] = np.inf
-        inner[i] = row
-    local_min = sliding_window_view(norms, (3, 3)).min(axis=(2, 3))
-    cells = np.argwhere((inner <= 10.0 * cell) & (inner <= local_min))
-    return np.column_stack([axis[cells[:, 0]], axis[cells[:, 1]]]), cell
-
-
-def scan_one_model(epsilon, box, grid):
-    """Stationary points of the uniform model at one epsilon.
-
-    Refines each of ``grid_seeds`` with ``refine_one_seed``, keeps residuals
-    <= 1e-8 at norm >= 1e-4, merges within 1e-5 in seed order and sorts by
-    (w1, w2).
-    """
-    seeds, cell = grid_seeds(epsilon, box, grid)
-    accepted = []
-    for seed in seeds:
-        point, res = refine_one_seed(epsilon, seed, cell)
-        if res <= 1e-8 and np.linalg.norm(point) >= 1e-4:
-            if all(np.linalg.norm(other - point) > 1e-5 for other in accepted):
-                accepted.append(point)
-    accepted.sort(key=lambda p: (p[0], p[1]))
-    return np.array(accepted) if accepted else np.empty((0, 2))
+    model = UniformModel(epsilon)
+    u = np.asarray(direction, dtype=float)
+    f0 = f_epsilon(model, np.zeros(2))
+    d = [(f_epsilon(model, a * u) - f0) / a for a in steps]
+    ratio = steps[0] / steps[1]
+    e1 = (ratio * d[1] - d[0]) / (ratio - 1.0)
+    e2 = (ratio * d[2] - d[1]) / (ratio - 1.0)
+    return (ratio**2 * e2 - e1) / (ratio**2 - 1.0)

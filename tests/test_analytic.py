@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import central_difference_gradient, grid_seeds, refine_one_seed, scan_one_model
+from oracles import central_difference_gradient, origin_derivative_richardson, refine_one_seed
 from rampdro import analytic
 from rampdro.analytic import (
     UniformModel,
@@ -14,6 +14,7 @@ from rampdro.analytic import (
     label_flip_balance,
     origin_directional_derivative,
     origin_directional_derivatives,
+    outer_radius,
     refine_candidate,
     scan_stationary_points,
     stationarity_residual,
@@ -124,6 +125,85 @@ def test_origin_derivative_along_e2():
     assert d == pytest.approx(-0.25, abs=1e-4)
 
 
+def test_origin_derivatives_are_exact():
+    # +e1 reads the whole rectangle's moment (1, 0), -e1 an empty half-plane
+    d_plus, d_minus = origin_directional_derivatives(UniformModel(0.1))
+    assert d_plus == -0.5
+    assert d_minus == 0.0 and math.copysign(1.0, d_minus) == 1.0
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_origin_derivative_matches_richardson(k):
+    angle = k * math.pi / 4.0
+    direction = (0.5 + 0.25 * k) * np.array([math.cos(angle), math.sin(angle)])
+    for eps in (0.1, 2.0):
+        closed = origin_directional_derivative(UniformModel(eps), direction)
+        assert abs(closed - origin_derivative_richardson(eps, direction)) <= 1e-6
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)])
+def test_origin_derivative_rejects_degenerate_direction(direction):
+    with pytest.raises(ValueError):
+        origin_directional_derivative(UniformModel(0.1), direction)
+
+
+def _moment(w1, w2):
+    # the band moment m(w), read from the eps = 0 residual -m/2
+    r1, r2 = analytic._residual(0.0, w1, w2)
+    return -2.0 * np.array([r1, r2], dtype=float)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.floats(0.01, 10.0),
+    st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+    st.floats(0.0, 2.0 * math.pi), st.floats(1e-7, 0.5),
+)
+def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
+    # ||res(b) - res(a)|| <= (eps + 2 sqrt(5)/r_min) ||b - a||, r_min the
+    # segment's distance to the origin
+    a = np.array([w1, w2])
+    d = length * np.array([math.cos(angle), math.sin(angle)])
+    nearest = a + np.clip(-(a @ d) / (d @ d), 0.0, 1.0) * d
+    r_min = float(np.hypot(*nearest))
+    assume(r_min > 1e-3)
+    res_a = np.array(analytic._residual(eps, *a), dtype=float)
+    res_b = np.array(analytic._residual(eps, *(a + d)), dtype=float)
+    assert np.hypot(*(res_b - res_a)) <= (eps + 2.0 * math.sqrt(5.0) / r_min) * length
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi / 2, math.pi / 2))
+def test_angle_bounds_hold(a, b):
+    # g = e_perp.m and e.m are 2 sqrt(2)-Lipschitz in theta, m itself
+    # 2 sqrt(2)/3-Lipschitz; slack 1e-14 for rounding at tiny steps
+    def parts(theta):
+        e = np.array([math.cos(theta), math.sin(theta)])
+        m = _moment(*(0.5 * e))
+        return m, m @ np.array([-e[1], e[0]]), m @ e
+
+    (m_a, g_a, em_a), (m_b, g_b, em_b) = parts(a), parts(b)
+    step = abs(a - b)
+    assert abs(g_a - g_b) <= 2.0 * math.sqrt(2.0) * step + 1e-14
+    assert abs(em_a - em_b) <= 2.0 * math.sqrt(2.0) * step + 1e-14
+    assert np.hypot(*(m_a - m_b)) <= 2.0 * math.sqrt(2.0) / 3.0 * step + 1e-14
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(0.01, 10.0), st.floats(-math.pi, math.pi), st.floats(1e-3, 1.0), st.floats(1.0, 3.0))
+def test_exclusion_facts(eps, angle, scale, beyond):
+    e = np.array([math.cos(angle), math.sin(angle)])
+    # inner disk: the band is the half-plane, so m depends on the angle only
+    inner = scale * math.sqrt(0.5) * e
+    assert np.max(np.abs(_moment(*inner) - _moment(*(0.5 * e)))) <= 1e-14
+    # half-plane: no root with w1 <= 0
+    if e[0] <= 0.0:
+        assert analytic._residual(eps, *(scale * e))[0] < 0.0
+    # outer radius: the radial residual is positive beyond R(eps)
+    w = beyond * 1.0000001 * outer_radius(eps) * e
+    assert np.dot(w, analytic._residual(eps, *w)) > 0.0
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -149,26 +229,6 @@ def test_scan_minimum_matches_closed_form_values():
         assert f_epsilon(model, pts[0]) == pytest.approx(f_star, abs=1e-6)
 
 
-def test_scan_equals_full_grid_reference(monkeypatch):
-    # the rolling window and lockstep refinement against the whole-grid,
-    # one-seed-at-a-time scan: the same seeds, in the same order, and the
-    # same points
-    calls = []
-
-    def recording_refine(epsilons, seeds, half_width):
-        calls.append((np.asarray(epsilons), np.asarray(seeds, dtype=float).reshape(-1, 2)))
-        return refine_candidate(epsilons, seeds, half_width)
-
-    monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
-    epsilons = (0.05, 0.5, 3.0)
-    found = scan_stationary_points([UniformModel(e) for e in epsilons], (-2.5, 3.0), 101)
-    assert len(calls) == 1
-    seed_eps, seeds = calls[0]
-    for eps, pts in zip(epsilons, found):
-        assert _same_bits(seeds[seed_eps == eps], grid_seeds(eps, (-2.5, 3.0), 101)[0])
-        assert _same_bits(pts, scan_one_model(eps, (-2.5, 3.0), 101))
-
-
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(
     st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
@@ -192,6 +252,86 @@ def test_scan_without_seeds_returns_one_empty_array_per_model():
     found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-3.0, -2.0), 100)
     assert len(found) == 2
     assert all(pts.shape == (0, 2) for pts in found)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.floats(0.05, 5.0))
+def test_scan_finds_the_closed_form_point(eps):
+    # a box covering R(eps) holds every stationary point, and there is one
+    half = 1.1 * outer_radius(eps)
+    (pts,) = scan_stationary_points([UniformModel(eps)], (-half, half), 100)
+    assert pts.shape == (1, 2)
+    assert np.max(np.abs(pts[0] - [closed_form_minimizer(eps)[0], 0.0])) <= 1e-12
+
+
+def test_scan_finds_small_disk_roots():
+    # eps = 1e3, 1e5: the minimizer sits in the inner disk next to the
+    # origin, far inside one root cell, and comes from the angle analysis
+    found = scan_stationary_points([UniformModel(1e3), UniformModel(1e5)], (-3.0, 3.0), 120)
+    for eps, pts in zip((1e3, 1e5), found):
+        assert pts.shape == (1, 2)
+        assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-15
+
+
+def test_disk_root_merges_with_annulus_cluster(monkeypatch):
+    # at eps = 1/sqrt(2) the minimizer lies on the inner disk's edge: leaf
+    # cells survive around it and the angle root's point region touches
+    # them, so the two make one cluster, one seed and one point
+    leaves, seeds = [], []
+    quadtree, refine = analytic._quadtree_leaves, analytic.refine_candidate
+
+    def recording_quadtree(*args):
+        leaves.append(quadtree(*args))
+        return leaves[-1]
+
+    def recording_refine(epsilons, points, half_width):
+        seeds.append(np.asarray(points))
+        return refine(epsilons, points, half_width)
+
+    monkeypatch.setattr(analytic, "_quadtree_leaves", recording_quadtree)
+    monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
+    eps = math.sqrt(0.5)
+    (pts,) = scan_stationary_points([UniformModel(eps)], (-3.0, 3.0), 300)
+    assert leaves[0][2].sum() > 0
+    assert len(seeds) == 1 and seeds[0].shape == (1, 2)
+    assert pts.shape == (1, 2)
+    assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
+
+
+def test_scan_reports_only_points_in_the_box():
+    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-2.0, 1.0), 100)
+    assert found[0].shape == (0, 2)
+    assert found[1].shape == (1, 2)
+
+
+def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
+    # a root found outside the cluster's cells is not the cluster's root, so
+    # the certificate does not close; eps = 2 has its cluster in the disk
+    refine = analytic.refine_candidate
+
+    def stray_refine(epsilons, seeds, half_width):
+        points, residuals = refine(epsilons, seeds, half_width)
+        return points + np.where(np.asarray(epsilons)[:, None] < 1.0, 1e-3, 0.0), residuals
+
+    monkeypatch.setattr(analytic, "refine_candidate", stray_refine)
+    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-3.0, 3.0), 100)
+    assert found[0].shape == (0, 2)
+    assert found[1].shape == (1, 2)
+
+
+def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
+    # eps = 0.1 keeps about 200 leaf cells, eps = 2 none
+    monkeypatch.setattr(analytic, "_MAX_LIVE_CELLS", 100)
+    models = [UniformModel(0.1), UniformModel(2.0)]
+    found = scan_stationary_points(models, (-3.0, 3.0), 100)
+    assert found[0].shape == (0, 2)
+    assert found[1].shape == (1, 2)
+    assert _same_bits(found[1], scan_stationary_points(models[1:], (-3.0, 3.0), 100)[0])
+
+
+def test_scan_rejects_box_too_wide_for_leaf_lattice():
+    with pytest.raises(ValueError):
+        scan_stationary_points([UniformModel(0.1)], (-1e9, 1e9), 100)
 
 
 def test_refine_without_seeds_returns_empty_arrays():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -258,6 +259,7 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["train", "--n", "20", "--d", "2", "--starts", "1", "--sigma", "inf"],
     ["certify-analytic", "--epsilons", "0.1", "--box", "inf"],
     ["certify-analytic", "--epsilons", "0.1", "--box", "1e308"],
+    ["certify-analytic", "--epsilons", "0.1", "--box", "1e300"],
     ["certify-analytic", "--epsilons", "inf"],
     ["reproduce", "--table", "T1", "--scale", "0.01", "--d", "0"],
     ["train", "--n", "200", "--d", "3", "--starts", "3", "--epsilon-bar", "inf"],
@@ -343,6 +345,44 @@ def test_certify_analytic_small(tmp_path):
         "location": True,
         "value": True,
     }
+
+
+def _certify(tmp_path, *argv):
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify-analytic", *argv, "--out", str(out)]) == 0
+    payload = _read_json(out)
+    _validate(payload, "certify_report.schema.json")
+    return payload["result"]
+
+
+def test_certify_large_epsilons_find_points_beside_the_origin(tmp_path):
+    # w1 = 1/(2 eps) lies inside the root cell next to the origin
+    result = _certify(tmp_path, "--epsilons", "1000,100000", "--grid", "120")
+    assert result["all_pass"] is True
+    for entry in result["per_epsilon"]:
+        assert entry["n_points"] == 1
+        assert entry["points"][0] == pytest.approx([0.5 / entry["epsilon"], 0.0], abs=1e-15)
+        assert all(entry["checks"].values())
+
+
+def test_certify_on_the_inner_disk_edge(tmp_path):
+    # eps = 1/sqrt(2): annulus survivors and the angle root meet
+    result = _certify(tmp_path, "--epsilons", repr(math.sqrt(0.5)))
+    assert result["all_pass"] is True
+    assert result["per_epsilon"][0]["n_points"] == 1
+
+
+def test_certify_requires_the_box_to_reach_the_outer_radius(tmp_path):
+    # R(0.001) = 10.4: box 3 certifies nothing about the minimizer at 7.94
+    small = _certify(tmp_path, "--epsilons", "0.001", "--box", "3")["per_epsilon"][0]
+    assert small["outer_radius"] == pytest.approx(10.38, abs=0.01)
+    assert small["checks"]["single_point"] is False
+    # R(0.1) = 2.24: box 2 holds the minimizer at 1.71 but not all of R
+    inside = _certify(tmp_path, "--epsilons", "0.1", "--box", "2")["per_epsilon"][0]
+    assert inside["n_points"] == 1 and inside["checks"]["single_point"] is False
+    large = _certify(tmp_path, "--epsilons", "0.001", "--box", "11")
+    assert large["all_pass"] is True
+    assert large["per_epsilon"][0]["points"][0][0] == pytest.approx(0.002 ** (-1.0 / 3.0), abs=1e-12)
 
 
 def test_certify_rejects_nonpositive_epsilon(tmp_path):

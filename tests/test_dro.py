@@ -25,6 +25,8 @@ from rampdro.dro import (
     worst_case_prob_knapsack,
 )
 from rampdro.geometry import Hyperplane
+from rampdro.losses import LossKind, LossSpec
+from rampdro.objective import ObjectiveSpec, RegKind, evaluate
 
 
 def dataset_with_distances(dists):
@@ -436,3 +438,42 @@ def test_wrapper_paths_match_distance_core():
     assert cvar_distance(ds, h, 0.6) == pytest.approx(
         cvar_from_distances(d, ds.weights, 0.6), abs=1e-15
     )
+
+
+@st.composite
+def _unit_hyperplane_instance(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    points = draw(arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    w = draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+    norm = float(np.linalg.norm(w))
+    if norm < 1e-3:
+        w, norm = np.eye(d)[0], 1.0
+    b = draw(st.floats(-2.0, 2.0))
+    ds = Dataset(points, labels, weights / weights.sum())
+    return ds, Hyperplane(w / norm, b / norm)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    _unit_hyperplane_instance(),
+    st.floats(1e-3, 2.0),
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5),
+)
+def test_dual_value_is_ramp_objective_at_dual_minimizer(instance, eps, ts):
+    # the paper's reformulation: on a unit hyperplane, the worst-case
+    # probability is the norm-regularized ramp objective at t* h, and no t h
+    # does better; a third route that shares no code with the knapsack
+    ds, h = instance
+    result = worst_case_prob_dual(ds, h, eps)
+    spec = ObjectiveSpec(LossSpec(LossKind.RAMP), RegKind.NORM, eps)
+
+    def objective_at(t):
+        return evaluate(spec, ds, Hyperplane(t * h.w, t * h.b))
+
+    if 0.0 < result.t_star < math.inf:
+        assert abs(objective_at(result.t_star) - result.value) <= 1e-12
+    for t in ts:
+        assert objective_at(t) >= result.value - 1e-12
