@@ -67,8 +67,6 @@ __all__ = [
     "closed_form_minimizer",
 ]
 
-_DEGENERATE_NORM = 1e-10
-
 # the rectangle [0,1] x [-1,1] as its CCW boundary segments p -> q
 _RECT_P = np.array([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)])
 _RECT_Q = np.roll(_RECT_P, -1, axis=0)
@@ -108,8 +106,13 @@ class UniformModel:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # the stationary points sit at |w| ~ 1/(2 eps), so 2 eps must be finite;
+        # doubled as a Python float, a numpy scalar overflows without a warning
+        eps = float(self.epsilon)
+        if not 0.0 < 2.0 * eps < math.inf:
+            raise ValueError(
+                f"epsilon must be positive with 2 * epsilon finite, got {self.epsilon}"
+            )
 
 
 def _clip(p, q, a, b, c):
@@ -197,7 +200,7 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
     not differentiable there.
     """
     w1, w2 = float(w[0]), float(w[1])
-    if math.hypot(w1, w2) < _DEGENERATE_NORM:
+    if w1 == 0.0 and w2 == 0.0:
         raise ValueError("stationarity residual is undefined at w = 0")
     return np.array(_residual(model.epsilon, w1, w2), dtype=float)
 
@@ -266,7 +269,7 @@ def refine_candidate(epsilons, seeds, half_width: float):
             break
         cand = best[live, None, :] + h[live, None, None] * _COMPASS
         res = _residual_norm(eps[live, None], cand[..., 0], cand[..., 1])
-        res[np.hypot(cand[..., 0], cand[..., 1]) < _DEGENERATE_NORM] = np.inf
+        res[(cand[..., 0] == 0.0) & (cand[..., 1] == 0.0)] = np.inf
         rows, k = np.arange(live.size), np.argmin(res, axis=1)
         step = res[rows, k]
         moved = step < best_res[live]
@@ -514,7 +517,9 @@ def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.
 
     # a cluster is its leaf cells (n, 2) and its disk regions [(centre, radius)]
     clusters, owner = [], []
-    for k, e in enumerate(eps):
+    # plain floats: beyond eps ~ 6e307 the ball radius's 3 * eps overflows,
+    # which leaves the radius 0 instead of warning
+    for k, e in enumerate(eps.tolist()):
         if failed[k]:
             continue
         sel = leaf_mask[:, k]

@@ -10,14 +10,20 @@ The smoothed variants replace each max-term with a softmax at temperature
 within ``sigma * log(2)`` of the corresponding max.  All functions accept
 scalars or numpy arrays and are stateless (thread-safe).
 
-``LossSpec.value`` and ``LossSpec.deriv``, which the training objective
-calls, are banded: they run the transcendentals only for margins within
-``BAND_SIGMAS * sigma`` of a kink (|r - 1/2| < 1/2 + 36 sigma for the smoothed
-ramp, |r - 1| < 36 sigma for the smoothed hinge) and return the asymptotes
-elsewhere.  Beyond the band each smoothed loss equals its asymptote to within
-sigma * exp(-36) ~ 4.6e-18 * sigma in value and exp(-36) ~ 2.3e-16 in slope,
-so the banded values stay within those bounds of the exact ones.  The free
-functions ``smoothed_ramp*`` and ``smoothed_hinge*`` stay exact everywhere.
+``LossSpec.value`` and ``LossSpec.value_and_slope``, which the training
+objective calls, are banded: they run the transcendentals only for margins
+within ``BAND_SIGMAS * sigma`` of a kink (|r - 1/2| < 1/2 + 36 sigma for the
+smoothed ramp, |r - 1| < 36 sigma for the smoothed hinge) and return the
+asymptotes elsewhere.  Beyond the band each smoothed loss equals its
+asymptote to within sigma * exp(-36) ~ 4.6e-18 * sigma in value and
+exp(-36) ~ 2.3e-16 in slope, so the banded values stay within those bounds
+of the exact ones.  One band pass serves both value and slope: the band is
+selected once (one mask, one index, one gather) and the value and slope
+kernels run on the same in-band margins, so a gradient evaluation costs one
+selection, not two.  The free functions ``smoothed_ramp*`` and
+``smoothed_hinge*`` stay exact everywhere; the two smoothed-ramp kernels
+evaluate their two softmax (or logistic) terms in one stacked, in-place
+pass.
 """
 
 from __future__ import annotations
@@ -70,17 +76,48 @@ class LossSpec:
         """Loss at margins r, banded for the smoothed kinds (module docstring)."""
         if self.kind is LossKind.RAMP:
             return ramp(r)
-        if self.kind is LossKind.SMOOTHED_RAMP:
-            return _banded(smoothed_ramp, r, self.sigma, 0.5, 0.5, 1.0, 0.0)
-        return _banded(smoothed_hinge, r, self.sigma, 1.0, 0.0, 1.0, -1.0)
+        return self._banded(r, slope=False)
 
-    def deriv(self, r):
-        """Slope at margins r, banded like ``value``."""
+    def value_and_slope(self, r):
+        """(loss, slope) at margins r from one band selection (module docstring)."""
         if self.kind is LossKind.RAMP:
             raise ValueError("ramp loss has no derivative; use a smoothed variant")
+        return self._banded(r, slope=True)
+
+    def _banded(self, r, slope: bool):
+        """The smoothed loss (and its slope) within the band, asymptotes beyond.
+
+        The band is |r - c| < half_width + BAND_SIGMAS * sigma about the
+        kink centre c.  It is selected once, and the value and slope
+        kernels run on the same gathered margins.  Off the band each loss
+        equals its unsmoothed form: the ramp is 1 below the band and 0 above
+        it, with slope 0; the hinge is max(0, 1 - r), with slope -1 below
+        and 0 above.  NaN margins count as in band and stay NaN.
+        """
+        r = np.asarray(r, dtype=float)
+        flat = r.reshape(-1)
         if self.kind is LossKind.SMOOTHED_RAMP:
-            return _banded(smoothed_ramp_deriv, r, self.sigma, 0.5, 0.5, 0.0, 0.0)
-        return _banded(smoothed_hinge_deriv, r, self.sigma, 1.0, 0.0, -1.0, 0.0)
+            center, half_width = 0.5, 0.5
+            value_kernel, slope_kernel = smoothed_ramp, smoothed_ramp_deriv
+            value = (flat < center).astype(float)
+        else:
+            center, half_width = 1.0, 0.0
+            value_kernel, slope_kernel = smoothed_hinge, smoothed_hinge_deriv
+            value = np.maximum(1.0 - flat, 0.0)
+        idx = (~(np.abs(flat - center) >= half_width + BAND_SIGMAS * self.sigma)).nonzero()[0]
+        in_band = flat[idx]
+        if idx.size:
+            value[idx] = value_kernel(in_band, self.sigma)
+        if not slope:
+            return _ret(value.reshape(r.shape))
+        if self.kind is LossKind.SMOOTHED_RAMP:
+            deriv = np.zeros(flat.size)
+        else:
+            # -1 below the kink, +0.0 above (negating a mask would give -0.0)
+            deriv = np.subtract(flat >= center, 1.0)
+        if idx.size:
+            deriv[idx] = slope_kernel(in_band, self.sigma)
+        return _ret(value.reshape(r.shape)), _ret(deriv.reshape(r.shape))
 
 
 def _ret(out):
@@ -88,39 +125,40 @@ def _ret(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _banded(kernel, r, sigma, center, half_width, below, below_slope):
-    """kernel(r, sigma) within the band |r - center| < half_width + BAND_SIGMAS * sigma.
-
-    Outside the band the asymptote is returned: ``below + below_slope * r``
-    under it, 0 over it.  NaN margins count as in band and stay NaN.
-    """
-    r = np.asarray(r, dtype=float)
-    flat = r.reshape(-1)
-    tail = below if below_slope == 0.0 else below + below_slope * flat
-    out = np.where(flat < center, tail, 0.0)
-    idx = (~(np.abs(flat - center) >= half_width + BAND_SIGMAS * sigma)).nonzero()[0]
-    if idx.size:
-        out[idx] = kernel(flat[idx], sigma)
-    return _ret(out.reshape(r.shape))
-
-
 def _softmax0(z, sigma):
-    """sigma * log(1 + exp(z / sigma)), the softmax of {0, z}.
+    """sigma * log(1 + exp(z / sigma)), the softmax of {0, z}, in place on z.
 
-    Shifted so that exp never sees a positive argument; exact for
-    |z| / sigma far beyond 1e4.
+    z must be a float array of at least one dimension that the caller owns;
+    it is overwritten and returned.  Shifted so that exp never sees a
+    positive argument; exact for |z| / sigma far beyond 1e4.
     """
-    z = np.asarray(z, dtype=float)
-    return np.maximum(z, 0.0) + sigma * np.log1p(np.exp(-np.abs(z) / sigma))
+    t = np.abs(z)
+    t /= -sigma
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t *= sigma
+    np.maximum(z, 0.0, out=z)
+    z += t
+    return z
 
 
 def _logistic(z):
+    """1 / (1 + exp(-z)), in place on z, under ``_softmax0``'s contract."""
     # exp-based rather than tanh-based: keeps gradual underflow in the tails
     # instead of saturating to exactly 0/1 around |z| ~ 38
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    # 1 / d where z >= 0, e / d elsewhere (NaN stays NaN)
+    np.copyto(e, 1.0, where=z >= 0)
+    np.divide(e, d, out=z)
+    return z
+
+
+def _check_sigma(sigma):
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def ramp(r):
@@ -137,16 +175,27 @@ def smoothed_ramp(r, sigma):
     smoothed_ramp(r) + smoothed_ramp(1 - r) = 1 and stays within
     sigma * log(2) of ramp(r).  The difference is evaluated at
     max(r, 1 - r) and reflected below r = 1/2: for r << 0 it would cancel
-    to (1 - r) - (-r) and lose up to ulp(r).
+    to (1 - r) - (-r) and lose up to ulp(r).  Both softmax terms run in one
+    stacked pass.
     """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    rr = np.maximum(r, 1.0 - r)
-    v = _softmax0(1.0 - rr, sigma) - _softmax0(-rr, sigma)
+    flat = r.reshape(-1)
+    sp = np.empty((2, flat.size))
+    rr = np.subtract(1.0, flat, out=sp[1])
+    np.maximum(flat, rr, out=rr)  # rr = max(r, 1 - r)
+    np.subtract(1.0, rr, out=sp[0])
+    np.negative(rr, out=rr)
+    _softmax0(sp, sigma)
+    v = sp[0]
+    v -= sp[1]
+    np.subtract(1.0, v, out=v, where=flat < 0.5)
     # the difference can overshoot the mathematical range by one ulp when
-    # the softmax correction terms underflow at different magnitudes
-    return _ret(np.clip(np.where(r < 0.5, 1.0 - v, v), 0.0, 1.0))
+    # the softmax correction terms underflow at different magnitudes; the
+    # clip to [0, 1] is spelled out because np.clip costs a Python-level call
+    np.maximum(v, 0.0, out=v)
+    np.minimum(v, 1.0, out=v)
+    return _ret(v.reshape(r.shape))
 
 
 def smoothed_ramp_deriv(r, sigma):
@@ -155,25 +204,34 @@ def smoothed_ramp_deriv(r, sigma):
     Equal to logistic((r - 1) / sigma) - logistic(r / sigma).  The derivative
     is symmetric about r = 1/2, so it is evaluated at min(r, 1 - r) where the
     difference of logistics underflows gradually instead of cancelling.
+    Both logistic terms run in one stacked pass.
     """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    rr = np.minimum(r, 1.0 - r)
-    return _ret(_logistic((rr - 1.0) / sigma) - _logistic(rr / sigma))
+    flat = r.reshape(-1)
+    z = np.empty((2, flat.size))
+    rr = np.subtract(1.0, flat, out=z[1])
+    np.minimum(flat, rr, out=rr)  # rr = min(r, 1 - r)
+    np.subtract(rr, 1.0, out=z[0])
+    z /= sigma
+    lg = _logistic(z)
+    d = lg[0]
+    d -= lg[1]
+    return _ret(d.reshape(r.shape))
 
 
 def smoothed_hinge(r, sigma):
     """Softmax-smoothed hinge loss: sigma * log(1 + exp((1 - r) / sigma))."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    return _ret(_softmax0(1.0 - r, sigma))
+    z = 1.0 - r.reshape(-1)  # a fresh 1-D array for the in-place softmax
+    return _ret(_softmax0(z, sigma).reshape(r.shape))
 
 
 def smoothed_hinge_deriv(r, sigma):
     """Derivative of the smoothed hinge: -logistic((1 - r) / sigma)."""
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    return _ret(-_logistic((1.0 - r) / sigma))
+    z = 1.0 - r.reshape(-1)
+    z /= sigma
+    return _ret(np.negative(_logistic(z), out=z).reshape(r.shape))

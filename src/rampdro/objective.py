@@ -7,7 +7,10 @@ regularized.  The empirical risk uses the dataset weights p_i, which reduce
 to 1/n for uniformly weighted data.
 
 The weighted sum is evaluated in a single vectorized pass (one chunk), so
-repeated evaluations at the same point are bit-identical.
+repeated evaluations at the same point are bit-identical.  A gradient
+evaluation forms the margins in place, takes the loss and its slope from one
+band pass of the loss (``LossSpec.value_and_slope``) and writes the gradient
+into one (d + 1,) buffer; its value is bit-identical to ``evaluate``'s.
 """
 
 from __future__ import annotations
@@ -56,18 +59,22 @@ class DroVariables(NamedTuple):
 
 
 def _margins(ds, w: np.ndarray, b: float) -> np.ndarray:
-    return ds.labels * (ds.points @ w + b)
+    # y * (X w + b), formed in place in the one array the product allocates
+    r = ds.points @ w
+    r += b
+    r *= ds.labels
+    return r
 
 
 def _reg_value(spec: ObjectiveSpec, w: np.ndarray) -> float:
     if spec.reg_kind is RegKind.SQUARED_NORM:
-        return 0.5 * spec.reg_weight * float(w @ w)
+        return 0.5 * spec.reg_weight * float(w.dot(w))
     return spec.reg_weight * float(np.linalg.norm(w))
 
 
 def evaluate(spec: ObjectiveSpec, ds, h: Hyperplane) -> float:
     """Objective value; works for every loss, including the exact ramp."""
-    risk = float(ds.weights @ spec.loss.value(_margins(ds, h.w, h.b)))
+    risk = float(ds.weights.dot(spec.loss.value(_margins(ds, h.w, h.b))))
     return _reg_value(spec, h.w) + risk
 
 
@@ -79,21 +86,23 @@ def evaluate_with_gradient(spec: ObjectiveSpec, ds, h: Hyperplane):
     """
     if not spec.loss.smooth:
         raise ValueError("gradient requested for the non-smooth ramp loss")
-    w, b = h.w, h.b
-    r = _margins(ds, w, b)
-    value = _reg_value(spec, w) + float(ds.weights @ spec.loss.value(r))
+    w = h.w
+    loss, slope = spec.loss.value_and_slope(_margins(ds, w, h.b))
+    value = _reg_value(spec, w) + float(ds.weights.dot(loss))
 
-    coeff = ds.weights * spec.loss.deriv(r) * ds.labels
-    grad_w = ds.points.T @ coeff
-    grad_b = float(coeff.sum())
+    slope *= ds.weights
+    slope *= ds.labels
+    grad = np.empty(w.size + 1)  # filled in place: d/dw, then d/db
+    grad_w = np.matmul(ds.points.T, slope, out=grad[:-1])
+    grad[-1] = slope.sum()
     if spec.reg_kind is RegKind.SQUARED_NORM:
-        grad_w = grad_w + spec.reg_weight * w
+        grad_w += spec.reg_weight * w
     else:
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             raise ValueError("norm regularizer is not differentiable at w = 0")
-        grad_w = grad_w + spec.reg_weight * w / norm
-    return value, np.concatenate([grad_w, [grad_b]])
+        grad_w += spec.reg_weight * w / norm
+    return value, grad
 
 
 def objective_function(spec: ObjectiveSpec, ds):

@@ -10,11 +10,18 @@ sphere, and clusters the minimizers of the converged runs.
 Everything here is deterministic: identical (objective, start, options)
 produce identical reports, and multistart runs are assembled in start-index
 order.
+
+The iterates are short (d + 1) vectors, so an iteration costs interpreter
+round-trips more than arithmetic.  The iteration keeps them few: inner
+products are ``ndarray.dot`` calls, scalar finiteness is ``math.isfinite``,
+the history is a bounded deque, and the line search hands back the accepted
+trial point instead of it being recomputed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,23 +106,24 @@ def _wolfe_search(fun, x, f0, g0, p, alpha: float):
 
     Expands until the sufficient-decrease test fails or curvature holds,
     then bisects the bracket.  Non-finite trial values shrink the bracket.
-    Returns (step, f, g) at the accepted step, or None after MAX_LINESEARCH
-    trials.
+    Returns (step, x + step * p, f, g) at the accepted step, the trial point
+    itself rather than a recomputation, or None after MAX_LINESEARCH trials.
     """
-    slope0 = float(g0 @ p)
+    slope0 = g0.dot(p)
     if not slope0 < 0.0:
-        raise ValueError(f"search direction has nonnegative slope {slope0}")
-    lo, hi = 0.0, np.inf
+        raise ValueError(f"search direction has nonnegative slope {float(slope0)}")
+    lo, hi = 0.0, math.inf
     for _ in range(MAX_LINESEARCH):
-        fa, ga = fun(x + alpha * p)
-        finite = np.isfinite(fa) and np.isfinite(ga).all()
+        xa = x + alpha * p
+        fa, ga = fun(xa)
+        finite = math.isfinite(fa) and np.isfinite(ga).all()
         if not finite or fa > f0 + WOLFE_C1 * alpha * slope0:
             hi = alpha
-        elif float(ga @ p) < WOLFE_C2 * slope0:
+        elif ga.dot(p) < WOLFE_C2 * slope0:
             lo = alpha
         else:
-            return alpha, fa, ga
-        alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
+            return alpha, xa, fa, ga
+        alpha = 2.0 * alpha if hi == math.inf else 0.5 * (lo + hi)
     return None
 
 
@@ -123,14 +131,14 @@ def _lbfgs_direction(g, memory):
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(memory):
-        a = rho * float(s @ q)
+        a = rho * s.dot(q)
         alphas.append(a)
         q -= a * y
     if memory:
         s, y, _ = memory[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= s.dot(y) / y.dot(y)
     for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * y.dot(q)
         q += (a - b) * s
     return -q
 
@@ -149,13 +157,13 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
-    gnorm = math.sqrt(float(g @ g))
+    gnorm = math.sqrt(g.dot(g))
     trace = [(0, f, gnorm)]
-    memory: list = []
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
     k = 0
     while True:
         # only the start can fail this: _wolfe_search never accepts a non-finite trial
-        if not (np.isfinite(f) and np.isfinite(g).all()):
+        if k == 0 and not (math.isfinite(f) and np.isfinite(g).all()):
             stop = "non_finite"
             break
         if gnorm <= opts.grad_tol * max(1.0, abs(f)):
@@ -166,7 +174,7 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
             break
 
         p = _lbfgs_direction(g, memory)
-        if float(g @ p) >= 0.0:
+        if g.dot(p) >= 0.0:
             p = -g
 
         alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 0 else 1.0
@@ -174,19 +182,16 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
         if accepted is None:
             stop = "line_search_failed"
             break
-        step, f_new, g_new = accepted
+        _, x_new, f_new, g_new = accepted
         k += 1
-        x_new = x + step * p
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+        sy = s.dot(y)
+        if sy > 1e-10 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             memory.append((s, y, 1.0 / sy))
-            if len(memory) > LBFGS_MEMORY:
-                memory.pop(0)
 
         x, f, g = x_new, f_new, g_new
-        gnorm = math.sqrt(float(g @ g))
+        gnorm = math.sqrt(g.dot(g))
         trace.append((k, f, gnorm))
 
     return SolveReport(

@@ -4,12 +4,20 @@ These deliberately avoid the code paths they check: the knapsack LP is
 solved by enumerating polytope vertices, gradients come from central finite
 differences, and expectations from dense midpoint quadrature.  The lockstep
 refinement is checked against its one-seed form, and the closed-form origin
-derivatives against Richardson-extrapolated difference quotients.
+derivatives against Richardson-extrapolated difference quotients.  The
+training inner loop is checked bit for bit against its earlier, plainer
+form: a two-pass objective evaluation and an L-BFGS iteration written with
+``float(a @ b)`` dots and a recomputed accepted point.
 """
+
+import math
 
 import numpy as np
 
 from rampdro.analytic import UniformModel, _band_moments, f_epsilon
+from rampdro.losses import BAND_SIGMAS, LossKind
+from rampdro.objective import RegKind
+from rampdro.solve import LBFGS_MEMORY, MAX_LINESEARCH, WOLFE_C1, WOLFE_C2, SolveReport
 
 
 def knapsack_lp_vertices(dists, weights, epsilon):
@@ -137,7 +145,7 @@ def refine_one_seed(epsilon, seed, half_width):
 
     Moves to the best of the eight compass points at distance h (first in
     compass order on ties) when it improves, else halves h, until
-    h <= 1e-13 or 500 rounds; points within 1e-10 of the origin count as inf.
+    h <= 1e-13 or 500 rounds; the origin itself counts as inf.
     """
     best = np.array([float(seed[0]), float(seed[1])])
     best_res = float(_residual_norm(epsilon, best[0], best[1]))
@@ -147,7 +155,7 @@ def refine_one_seed(epsilon, seed, half_width):
         rounds += 1
         cand = best + h * _COMPASS
         res = _residual_norm(epsilon, cand[:, 0], cand[:, 1])
-        res[np.hypot(cand[:, 0], cand[:, 1]) < 1e-10] = np.inf
+        res[(cand[:, 0] == 0.0) & (cand[:, 1] == 0.0)] = np.inf
         k = int(np.argmin(res))
         if res[k] < best_res:
             best, best_res = cand[k], float(res[k])
@@ -171,3 +179,158 @@ def origin_derivative_richardson(epsilon, direction, steps=(1e-3, 1e-4, 1e-5)):
     e1 = (ratio * d[1] - d[0]) / (ratio - 1.0)
     e2 = (ratio * d[2] - d[1]) / (ratio - 1.0)
     return (ratio**2 * e2 - e1) / (ratio**2 - 1.0)
+
+
+# -- the training inner loop, two-pass form --------------------------------
+#
+# Each smoothed kernel evaluates its softmax (or logistic) terms one at a
+# time, and the loss is banded twice per gradient evaluation: once for the
+# value and once for the slope.
+
+
+def _softmax0_ref(z, sigma):
+    return np.maximum(z, 0.0) + sigma * np.log1p(np.exp(-np.abs(z) / sigma))
+
+
+def _logistic_ref(z):
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _sramp_ref(r, sigma):
+    rr = np.maximum(r, 1.0 - r)
+    v = _softmax0_ref(1.0 - rr, sigma) - _softmax0_ref(-rr, sigma)
+    return np.clip(np.where(r < 0.5, 1.0 - v, v), 0.0, 1.0)
+
+
+def _sramp_deriv_ref(r, sigma):
+    rr = np.minimum(r, 1.0 - r)
+    return _logistic_ref((rr - 1.0) / sigma) - _logistic_ref(rr / sigma)
+
+
+def _shinge_ref(r, sigma):
+    return _softmax0_ref(1.0 - r, sigma)
+
+
+def _shinge_deriv_ref(r, sigma):
+    return -_logistic_ref((1.0 - r) / sigma)
+
+
+def _banded_ref(kernel, r, sigma, center, half_width, below, below_slope):
+    flat = np.asarray(r, dtype=float).reshape(-1)
+    tail = below if below_slope == 0.0 else below + below_slope * flat
+    out = np.where(flat < center, tail, 0.0)
+    idx = (~(np.abs(flat - center) >= half_width + BAND_SIGMAS * sigma)).nonzero()[0]
+    if idx.size:
+        out[idx] = kernel(flat[idx], sigma)
+    return out
+
+
+def loss_value_reference(loss, r):
+    """Banded smoothed loss at margins r (1-D), one band selection."""
+    if loss.kind is LossKind.SMOOTHED_RAMP:
+        return _banded_ref(_sramp_ref, r, loss.sigma, 0.5, 0.5, 1.0, 0.0)
+    return _banded_ref(_shinge_ref, r, loss.sigma, 1.0, 0.0, 1.0, -1.0)
+
+
+def loss_slope_reference(loss, r):
+    """Banded smoothed slope at margins r (1-D), a second band selection."""
+    if loss.kind is LossKind.SMOOTHED_RAMP:
+        return _banded_ref(_sramp_deriv_ref, r, loss.sigma, 0.5, 0.5, 0.0, 0.0)
+    return _banded_ref(_shinge_deriv_ref, r, loss.sigma, 1.0, 0.0, -1.0, 0.0)
+
+
+def two_pass_value_and_gradient(spec, ds, w, b):
+    """Objective value and (d + 1,) gradient: loss value, then slope."""
+    w = np.asarray(w, dtype=float)
+    r = ds.labels * (ds.points @ w + b)
+    if spec.reg_kind is RegKind.SQUARED_NORM:
+        reg = 0.5 * spec.reg_weight * float(w @ w)
+    else:
+        reg = spec.reg_weight * float(np.linalg.norm(w))
+    value = reg + float(ds.weights @ loss_value_reference(spec.loss, r))
+    coeff = ds.weights * loss_slope_reference(spec.loss, r) * ds.labels
+    grad_w = ds.points.T @ coeff
+    grad_b = float(coeff.sum())
+    if spec.reg_kind is RegKind.SQUARED_NORM:
+        grad_w = grad_w + spec.reg_weight * w
+    else:
+        grad_w = grad_w + spec.reg_weight * w / float(np.linalg.norm(w))
+    return value, np.concatenate([grad_w, [grad_b]])
+
+
+def _wolfe_search_reference(fun, x, f0, g0, p, alpha):
+    slope0 = float(g0 @ p)
+    if not slope0 < 0.0:
+        raise ValueError(f"search direction has nonnegative slope {slope0}")
+    lo, hi = 0.0, np.inf
+    for _ in range(MAX_LINESEARCH):
+        fa, ga = fun(x + alpha * p)
+        finite = np.isfinite(fa) and np.isfinite(ga).all()
+        if not finite or fa > f0 + WOLFE_C1 * alpha * slope0:
+            hi = alpha
+        elif float(ga @ p) < WOLFE_C2 * slope0:
+            lo = alpha
+        else:
+            return alpha, fa, ga
+        alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
+    return None
+
+
+def _lbfgs_direction_reference(g, memory):
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    if memory:
+        s, y, _ = memory[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return -q
+
+
+def minimize_reference(fun, x0, opts):
+    """L-BFGS under weak Wolfe with the stop rules of ``solve.minimize``."""
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    gnorm = math.sqrt(float(g @ g))
+    trace = [(0, f, gnorm)]
+    memory = []
+    k = 0
+    while True:
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            stop = "non_finite"
+            break
+        if gnorm <= opts.grad_tol * max(1.0, abs(f)):
+            stop = "converged"
+            break
+        if k == opts.max_iters:
+            stop = "iteration_limit"
+            break
+        p = _lbfgs_direction_reference(g, memory)
+        if float(g @ p) >= 0.0:
+            p = -g
+        alpha0 = min(1.0, 1.0 / max(1e-12, gnorm)) if k == 0 else 1.0
+        accepted = _wolfe_search_reference(fun, x, f, g, p, alpha0)
+        if accepted is None:
+            stop = "line_search_failed"
+            break
+        step, f_new, g_new = accepted
+        k += 1
+        x_new = x + step * p
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(float(y @ y)):
+            memory.append((s, y, 1.0 / sy))
+            if len(memory) > LBFGS_MEMORY:
+                memory.pop(0)
+        x, f, g = x_new, f_new, g_new
+        gnorm = math.sqrt(float(g @ g))
+        trace.append((k, f, gnorm))
+    return SolveReport(minimizer=x, value=f, grad_norm=gnorm, iterations=k, stop=stop, trace=trace)

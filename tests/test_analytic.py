@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ from rampdro.geometry import Hyperplane
 def test_model_validation():
     with pytest.raises(ValueError):
         UniformModel(0.0)
+
+
+@pytest.mark.parametrize("eps", [1e308, np.float64(1e308), np.inf, np.float64(np.nan)])
+def test_model_rejects_epsilon_whose_double_overflows(eps):
+    # a numpy scalar must fail validation, not overflow while being checked
+    with pytest.raises(ValueError, match="2 \\* epsilon finite"):
+        UniformModel(eps)
+
+
+@pytest.mark.parametrize(
+    "eps", [sys.float_info.max / 2.0, np.float64(sys.float_info.max / 2.0), np.float32(3e38)]
+)
+def test_model_accepts_epsilon_whose_double_is_finite(eps):
+    assert UniformModel(eps).epsilon == eps
 
 
 def test_objective_at_unit_e1():

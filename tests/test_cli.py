@@ -365,6 +365,25 @@ def test_certify_large_epsilons_find_points_beside_the_origin(tmp_path):
         assert all(entry["checks"].values())
 
 
+@pytest.mark.parametrize("eps", ["1e10", "1e100", "1e300"])
+def test_certify_huge_epsilons_beside_the_origin(tmp_path, eps):
+    # w = (1/(2 eps), 0) is far below 1e-10 but is not the origin
+    result = _certify(tmp_path, "--epsilons", eps, "--grid", "120")
+    assert result["all_pass"] is True
+    entry = result["per_epsilon"][0]
+    assert entry["n_points"] == 1
+    assert entry["points"][0] == [0.5 / float(eps), 0.0]
+
+
+def test_certify_rejects_epsilon_whose_double_overflows(tmp_path, capsys):
+    rc = cli.main(["certify-analytic", "--epsilons", "1e308", "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["type"] == "validation"
+    assert err["message"] == "epsilon must be positive with 2 * epsilon finite, got 1e+308"
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_certify_on_the_inner_disk_edge(tmp_path):
     # eps = 1/sqrt(2): annulus survivors and the angle root meet
     result = _certify(tmp_path, "--epsilons", repr(math.sqrt(0.5)))

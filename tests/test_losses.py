@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loss_slope_reference, loss_value_reference
 from rampdro.losses import (
     BAND_SIGMAS,
     LossKind,
@@ -163,29 +164,72 @@ def test_banded_spec_within_bound_of_exact(r, sigma, name):
     spec = LossSpec(kind, sigma)
     r = np.array(r)
     band = np.abs(r - center) < half_width + BAND_SIGMAS * sigma
-    v, d = spec.value(r), spec.deriv(r)
+    v, d = spec.value_and_slope(r)
+    assert np.array_equal(spec.value(r), v)
     # inside the band the exact kernels run unchanged
     assert np.array_equal(v[band], value(r, sigma)[band])
     assert np.array_equal(d[band], deriv(r, sigma)[band])
     assert np.all(np.abs(v - value(r, sigma))[~band] <= sigma * math.exp(-36.0))
     assert np.all(np.abs(d - deriv(r, sigma)) <= math.exp(-36.0))
     for i, ri in enumerate(r.tolist()):
-        assert spec.value(ri) == v[i] and spec.deriv(ri) == d[i]
-        assert type(spec.value(ri)) is float and type(spec.deriv(ri)) is float
+        vi, di = spec.value_and_slope(ri)
+        assert spec.value(ri) == v[i] and vi == v[i] and di == d[i]
+        assert type(spec.value(ri)) is float and type(vi) is float and type(di) is float
     if kind is LossKind.SMOOTHED_RAMP:
         assert np.max(np.abs(v + spec.value(1.0 - r) - 1.0)) < 1e-12
 
 
+def _same(a, b):
+    # bitwise equality; NaN matches NaN (its sign bit is not part of the result)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+MARGINS = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 1e300, -1e300]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(MARGINS, max_size=30), st.floats(0.005, 1.0), st.sampled_from(sorted(BANDED)))
+def test_value_and_slope_is_one_band_pass(r, sigma, name):
+    kind, value, deriv, center, half_width = BANDED[name]
+    spec = LossSpec(kind, sigma)
+    r = np.array(r, dtype=float)
+    v, d = spec.value_and_slope(r)
+    assert _same(v, spec.value(r))
+    # the parent's value pass and slope pass, bit for bit
+    assert _same(v, loss_value_reference(spec, r)) and _same(d, loss_slope_reference(spec, r))
+    band = ~(np.abs(r - center) >= half_width + BAND_SIGMAS * sigma)  # NaN is in band
+    assert _same(v[band], value(r[band], sigma)) and _same(d[band], deriv(r[band], sigma))
+    below = ~band & (r < center)
+    above = ~band & (r >= center)
+    tail = np.ones_like(r) if kind is LossKind.SMOOTHED_RAMP else 1.0 - r
+    assert _same(v[below], tail[below]) and _same(v[above], np.zeros(above.sum()))
+    tail_slope = 0.0 if kind is LossKind.SMOOTHED_RAMP else -1.0
+    assert _same(d[below], np.full(below.sum(), tail_slope)) and _same(d[above], np.zeros(above.sum()))
+    for i, ri in enumerate(r.tolist()):
+        vi, di = spec.value_and_slope(ri)
+        assert type(vi) is float and type(di) is float
+        assert _same(vi, v[i]) and _same(di, d[i])
+    v2, d2 = spec.value_and_slope(r.reshape(-1, 1))
+    assert v2.shape == d2.shape == (r.size, 1)
+    assert _same(v2.ravel(), v) and _same(d2.ravel(), d)
+
+
 def test_banded_spec_tails_are_asymptotes():
     # the exact slope is still nonzero here (see test_deriv_tends_to_zero_from_below)
-    assert LossSpec(LossKind.SMOOTHED_RAMP, 0.5).deriv(40.0) == 0.0
+    assert LossSpec(LossKind.SMOOTHED_RAMP, 0.5).value_and_slope(40.0)[1] == 0.0
     r = np.array([-10.0, np.nan, 10.0])
     ramp_spec = LossSpec(LossKind.SMOOTHED_RAMP, 0.02)
     hinge_spec = LossSpec(LossKind.SMOOTHED_HINGE, 0.02)
     np.testing.assert_array_equal(ramp_spec.value(r), [1.0, np.nan, 0.0])
-    np.testing.assert_array_equal(ramp_spec.deriv(r), [0.0, np.nan, 0.0])
+    np.testing.assert_array_equal(ramp_spec.value_and_slope(r)[1], [0.0, np.nan, 0.0])
     np.testing.assert_array_equal(hinge_spec.value(r), [11.0, np.nan, 0.0])
-    np.testing.assert_array_equal(hinge_spec.deriv(r), [-1.0, np.nan, 0.0])
+    np.testing.assert_array_equal(hinge_spec.value_and_slope(r)[1], [-1.0, np.nan, 0.0])
     assert ramp_spec.value(r.reshape(3, 1)).shape == (3, 1)
 
 
@@ -196,7 +240,7 @@ def test_spec_validation():
         LossSpec(LossKind.SMOOTHED_HINGE, -0.1)
     LossSpec(LossKind.RAMP, 0.0)  # sigma unused for plain ramp
     with pytest.raises(ValueError):
-        LossSpec(LossKind.RAMP).deriv(0.5)
+        LossSpec(LossKind.RAMP).value_and_slope(0.5)
     with pytest.raises(ValueError):
         smoothed_ramp(0.5, -1.0)
 
@@ -213,7 +257,7 @@ def test_spec_dispatch():
     spec = LossSpec(LossKind.SMOOTHED_RAMP, 0.05)
     assert spec.smooth
     assert spec.value(0.3) == smoothed_ramp(0.3, 0.05)
-    assert spec.deriv(0.3) == smoothed_ramp_deriv(0.3, 0.05)
+    assert spec.value_and_slope(0.3) == (smoothed_ramp(0.3, 0.05), smoothed_ramp_deriv(0.3, 0.05))
     hinge = LossSpec(LossKind.SMOOTHED_HINGE, 0.05)
     assert hinge.value(0.3) == smoothed_hinge(0.3, 0.05)
     assert not LossSpec(LossKind.RAMP).smooth

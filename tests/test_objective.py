@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, loss_slope_reference, two_pass_value_and_gradient
 from rampdro.dataset import Dataset, generate_separable
 from rampdro.geometry import Hyperplane
 from rampdro.losses import LossKind, LossSpec, smoothed_ramp, smoothed_ramp_deriv
@@ -47,8 +49,8 @@ class _ConstantLoss:
     def value(self, r):
         return np.full_like(np.asarray(r, dtype=float), 0.25)
 
-    def deriv(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+    def value_and_slope(self, r):
+        return self.value(r), np.zeros_like(np.asarray(r, dtype=float))
 
 
 @pytest.mark.parametrize("kind", [LossKind.SMOOTHED_RAMP, LossKind.SMOOTHED_HINGE])
@@ -87,6 +89,58 @@ def test_gradient_matches_central_differences(kind, reg):
         fd = central_difference_gradient(lambda x: fun(x)[0], z)
         err = np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad)))
         assert err <= 1e-5
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# margins about the kinks (mixed), all within the band (all_in: w ~ 0 and
+# sigma = 1, so every |r - c| < 36 sigma), or none within it (none_in: margins
+# of order 1e9, far beyond 1/2 + 36 sigma)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    d=st.integers(1, 4),
+    kind=st.sampled_from([LossKind.SMOOTHED_RAMP, LossKind.SMOOTHED_HINGE]),
+    sigma=st.floats(0.005, 1.0),
+    reg=st.sampled_from([RegKind.SQUARED_NORM, RegKind.NORM]),
+    reg_weight=st.floats(0.0, 2.0),
+    regime=st.sampled_from(["mixed", "all_in", "none_in"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_band_pass_matches_two_pass_reference_bitwise(
+    n, d, kind, sigma, reg, reg_weight, regime, seed
+):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, (n, d))
+    weights = rng.random(n) + 0.05
+    ds = Dataset(pts, rng.choice([-1.0, 1.0], n), weights / weights.sum())
+    w = rng.standard_normal(d) * float(rng.choice([0.1, 1.0, 10.0]))
+    b = float(rng.standard_normal())
+    if regime == "all_in":
+        w, b, sigma = 1e-9 * w, 0.0, 1.0
+    elif regime == "none_in":
+        w, b = 1e9 * (w + np.sign(w)), 0.0
+    spec = ObjectiveSpec(LossSpec(kind, sigma), reg, reg_weight)
+    h = Hyperplane(w, b)
+
+    r = ds.labels * (ds.points @ h.w + b)
+    center, half_width = (0.5, 0.5) if kind is LossKind.SMOOTHED_RAMP else (1.0, 0.0)
+    band = np.abs(r - center) < half_width + 36.0 * sigma
+    if regime == "all_in":
+        assert band.all()
+    elif regime == "none_in":
+        assert not band.any()
+
+    value, grad = evaluate_with_gradient(spec, ds, h)
+    ref_value, ref_grad = two_pass_value_and_gradient(spec, ds, h.w, h.b)
+    assert _bits(value) == _bits(ref_value) and type(value) is float
+    assert grad.shape == (d + 1,) and np.array_equal(_bits(grad), _bits(ref_grad))
+    # perfbench's train check re-evaluates the minimizer with `evaluate`
+    assert _bits(evaluate(spec, ds, h)) == _bits(value)
+    assert np.array_equal(_bits(spec.loss.value_and_slope(r)[1]),
+                          _bits(loss_slope_reference(spec.loss, r)))
 
 
 def test_gradient_rejects_plain_ramp():

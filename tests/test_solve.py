@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rampdro.dataset import generate_separable
+from oracles import minimize_reference
+from rampdro.dataset import flip_labels, generate_separable
 from rampdro.geometry import sin_angle
 from rampdro.losses import LossKind, LossSpec
 from rampdro.objective import ObjectiveSpec, RegKind, objective_function
@@ -275,3 +278,40 @@ def test_multistart_validates_n_starts():
     fun, dim = sramp_objective()
     with pytest.raises(ValueError):
         multistart(fun, dim, 0, SolveOptions())
+
+
+def _report_bits(rep):
+    # every field of a SolveReport as comparable bits (NaN matches its own bits)
+    trace = np.array(rep.trace, dtype=float).view(np.uint64)
+    scalars = np.array([rep.value, rep.grad_norm], dtype=float).view(np.uint64)
+    return (rep.minimizer.view(np.uint64).tolist(), scalars.tolist(), rep.iterations,
+            rep.stop, trace.tolist(), [type(v) for t in rep.trace for v in t])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    kind=st.sampled_from([LossKind.SMOOTHED_RAMP, LossKind.SMOOTHED_HINGE]),
+    flip=st.sampled_from([0.0, 0.1, 0.3]),
+    reg_weight=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+    start=st.sampled_from(["sphere", "sphere", "sphere", "huge"]),
+    max_iters=st.sampled_from([3, 10000]),
+    seed=st.integers(0, 2**16),
+)
+def test_minimize_matches_reference_bitwise(n, d, kind, flip, reg_weight, start, max_iters, seed):
+    ds = flip_labels(generate_separable(n, d, seed), flip, seed + 1)
+    spec = ObjectiveSpec(LossSpec(kind, 0.02), RegKind.SQUARED_NORM, reg_weight)
+    fun = objective_function(spec, ds)
+    x0 = np.random.default_rng(seed).standard_normal(d + 1)
+    x0 /= np.linalg.norm(x0)
+    opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
+    if start == "huge":
+        # ||w||^2 overflows, so the start value is not finite
+        x0 = np.full(d + 1, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours, ref = minimize(fun, x0, opts), minimize_reference(fun, x0, opts)
+        assert ours.stop == "non_finite"
+    else:
+        ours, ref = minimize(fun, x0, opts), minimize_reference(fun, x0, opts)
+    assert _report_bits(ours) == _report_bits(ref)
