@@ -28,14 +28,14 @@ survivor clusters it reports.  Four facts, derived in
 ``scan_stationary_points``, carry the proof: no stationary point has
 w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) stationarity is a condition on the angle of w alone,
-settled by 1-D exclusion; and elsewhere a quadtree drops every cell on which
-a proved bound shows the residual cannot vanish.  Each cluster is then
-refined to a point.  What is not proved: the bounds are applied to
-residuals computed in floating point (about 1e-15 absolute error) without
-interval arithmetic, and that a cluster holds only one stationary point,
-since no Jacobian argument rules out a second root among its cells, which
-are about 2e-7 wide.  Outside the box nothing is certified, which is why
-the CLI also requires R(eps) <= box.
+settled by 1-D exclusion; and elsewhere a quadtree, whose root cell is the
+box itself, drops every cell on which a proved bound shows the residual
+cannot vanish.  Each cluster is then refined to a point.  What is not
+proved: the bounds are applied to residuals computed in floating point
+(about 1e-15 absolute error) without interval arithmetic, and that a
+cluster holds only one stationary point, since no Jacobian argument rules
+out a second root among its cells, which are about 2e-7 wide.  Outside the
+box nothing is certified, which is why the CLI also requires R(eps) <= box.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -85,9 +85,8 @@ _MAX_LIVE_CELLS = 1_000_000
 _CHILD_I = np.array([0.0, 1.0, 0.0, 1.0])
 _CHILD_J = np.array([0.0, 0.0, 1.0, 1.0])
 
-# angle analysis of the inner disk: root intervals on [-pi/2, pi/2], and the
-# Lipschitz constant of g(theta) and of e.m(theta) (see scan_stationary_points)
-_THETA_ROOT_INTERVALS = 64
+# angle analysis of the inner disk: the Lipschitz constant of g(theta) and of
+# e.m(theta) (see scan_stationary_points)
 _THETA_LIPSCHITZ = 2.0 * math.sqrt(2.0)
 
 # a refined cluster counts as a point when its residual essentially vanishes
@@ -279,16 +278,16 @@ def refine_candidate(epsilons, seeds, half_width: float):
     return best, best_res
 
 
-def _quadtree_leaves(eps, lo, width, grid, levels):
+def _quadtree_leaves(eps, lo, width, levels):
     """Leaf cells of the annulus exclusion tree (see ``scan_stationary_points``).
 
-    A cell at level l is an integer pair (i, j) with centre
-    lo + (i + 1/2, j + 1/2) * width / 2^l.  i and j are held as float64,
-    exact below 2^52, so that no step casts integers to floats (each cast
-    takes a 64 KB buffer, which shows in peak memory).  Returns the leaf
-    cells' i and j, a (n, k) mask of the eps each may still hold a
-    stationary point for, and a (k,) mask of the eps given up at the
-    live-cell cap.
+    The root cell, level 0, is the box itself.  A cell at level l is an
+    integer pair (i, j) with centre lo + (i + 1/2, j + 1/2) * width / 2^l.
+    i and j are held as float64, exact below 2^52, so that no step casts
+    integers to floats (each cast takes a 64 KB buffer, which shows in peak
+    memory).  Returns the leaf cells' i and j, a (n, k) mask of the eps each
+    may still hold a stationary point for, and a (k,) mask of the eps given
+    up at the live-cell cap.
     """
     radius = np.array([outer_radius(e) for e in eps])
     active = np.ones(eps.size, dtype=bool)
@@ -311,29 +310,18 @@ def _quadtree_leaves(eps, lo, width, grid, levels):
             return empty
         i, j, c1, c2, r_min, mask = i[rows], j[rows], c1[rows], c2[rows], r_min[rows], mask[rows]
         _, _, mu, mv = _band_moments(c1, c2)
-        res = np.hypot(eps * c1[:, None] - 0.5 * mu[:, None], eps * c2[:, None] - 0.5 * mv[:, None])
-        with np.errstate(divide="ignore"):  # a cell touching the origin is never excluded
+        # a cell touching the origin is never excluded; an overflowed residual
+        # truly exceeds any finite bound, and an overflowed bound excludes nothing
+        with np.errstate(divide="ignore", over="ignore"):
+            res = np.hypot(eps * c1[:, None] - 0.5 * mu[:, None], eps * c2[:, None] - 0.5 * mv[:, None])
             bound = (eps + 2.0 * _RECT_DIAMETER / r_min[:, None]) * (h * math.sqrt(2.0))
         mask &= ~(res > bound)
         rows = mask.any(axis=1)
-        live[:] += [np.count_nonzero(column) for column in mask.T]
+        live[:] += np.count_nonzero(mask, axis=0)
         active[live > _MAX_LIVE_CELLS] = False
         return i[rows], j[rows], mask[rows]
 
-    def gather(parts):
-        i, j, mask = (np.concatenate(a) for a in zip(*parts))
-        mask &= active
-        rows = mask.any(axis=1)
-        return i[rows], j[rows], mask[rows]
-
-    parts = [empty]
-    for row in range(grid):
-        if lo + (row + 0.5) * width + 0.5 * width <= 0.0:
-            continue  # the whole row lies in w1 <= 0
-        for start in range(0, grid, _CHUNK_CELLS):
-            j = np.arange(start, min(start + _CHUNK_CELLS, grid), dtype=float)
-            parts.append(evaluate(np.full_like(j, row), j, np.ones((j.size, eps.size), dtype=bool), 0))
-    i, j, mask = gather(parts)
+    i, j, mask = evaluate(np.zeros(1), np.zeros(1), np.ones((1, eps.size), dtype=bool), 0)
     step = _CHUNK_CELLS // 4
     for level in range(1, levels + 1):
         live[:] = 0
@@ -346,7 +334,10 @@ def _quadtree_leaves(eps, lo, width, grid, levels):
                 np.repeat(mask[parents], 4, axis=0),
                 level,
             ))
-        i, j, mask = gather(parts)
+        i, j, mask = (np.concatenate(a) for a in zip(*parts))
+        mask &= active
+        rows = mask.any(axis=1)
+        i, j, mask = i[rows], j[rows], mask[rows]
     return i, j, mask, ~active
 
 
@@ -357,8 +348,8 @@ def _theta_root_clusters():
     intervals (half-width <= 1e-7).  An interval of half-width h is dropped
     when |g(centre)| > 2 sqrt(2) h.
     """
-    width = math.pi / _THETA_ROOT_INTERVALS
-    idx = np.arange(_THETA_ROOT_INTERVALS, dtype=float)
+    width = math.pi
+    idx = np.zeros(1)
     while True:
         theta = -0.5 * math.pi + (idx + 0.5) * width
         mu, mv = _half_plane_moments(theta)
@@ -420,7 +411,7 @@ def _inside(point, cells, reach, balls):
     return any(math.hypot(*(point - centre)) <= radius for centre, radius in balls)
 
 
-def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.ndarray]:
+def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
     """Locate every stationary point of F inside ``box`` x ``box``, for each model.
 
     Takes a sequence of ``UniformModel`` and returns one array of shape
@@ -472,11 +463,10 @@ def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.
     point then lies within sqrt(2) h/(3 eps) of m(centre)/(2 eps).  Every
     eps >= 1/sqrt(2) has its minimizer (1/(2 eps), 0) in this disk.
 
-    Annulus.  The box is tiled by ``grid`` x ``grid`` square cells,
-    generated and evaluated row by row; each surviving cell splits into four,
-    evaluated in chunks of at most 512, down to half-width 1e-7.  Cells
-    wholly inside the inner disk are left to the angle analysis.  Where it
-    is smooth, m has derivative
+    Annulus.  The quadtree's root cell is the box itself; each surviving
+    cell splits into four, evaluated in chunks of at most 512, down to
+    half-width 1e-7.  Cells wholly inside the inner disk are left to the
+    angle analysis.  Where it is smooth, m has derivative
     Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral over the chord
     {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
     <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
@@ -494,19 +484,17 @@ def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.
     merges into it.  One lockstep ``refine_candidate`` call starts from
     every cluster's bounding-box centre at half-width 1e-7.
     """
-    if grid < 100:
-        raise ValueError(f"grid must be >= 100, got {grid}")
     lo, hi = float(box[0]), float(box[1])
     if not 0.0 < hi - lo < math.inf:
         raise ValueError(f"box must have positive finite width, got {lo} to {hi}")
-    width = (hi - lo) / grid
+    width = hi - lo
     levels, half = 0, 0.5 * width
     while half > _LEAF_HALF_WIDTH:
         levels, half = levels + 1, 0.5 * half
-    if grid << levels > 2**52:
+    if 1 << levels > 2**52:
         raise ValueError(f"box {lo} to {hi} is too wide for leaf cells of half-width {_LEAF_HALF_WIDTH}")
     eps = np.array([model.epsilon for model in models], dtype=float)
-    leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, lo, width, grid, levels)
+    leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, lo, width, levels)
     leaf_width = width * 0.5**levels
 
     # the angle roots serve every eps; each may give eps a disk point region
@@ -517,8 +505,8 @@ def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.
 
     # a cluster is its leaf cells (n, 2) and its disk regions [(centre, radius)]
     clusters, owner = [], []
-    # plain floats: beyond eps ~ 6e307 the ball radius's 3 * eps overflows,
-    # which leaves the radius 0 instead of warning
+    # plain floats, and the radius divides by 3 and then by eps, since
+    # 3 * eps overflows beyond eps ~ 6e307
     for k, e in enumerate(eps.tolist()):
         if failed[k]:
             continue
@@ -529,7 +517,7 @@ def scan_stationary_points(models, box=(-3.0, 3.0), grid: int = 300) -> list[np.
         for (_, half), m1, m2, em in zip(thetas, mu, mv, along):
             if em - _THETA_LIPSCHITZ * half > math.sqrt(2.0) * e:
                 continue  # the point would lie outside the disk
-            ball = (np.array([m1, m2]) / (2.0 * e), math.sqrt(2.0) * half / (3.0 * e))
+            ball = (np.array([m1, m2]) / (2.0 * e), math.sqrt(2.0) * half / 3.0 / e)
             touched = [_touches(ball, c, 0.5 * leaf_width) for c, _ in groups]
             merged = [g for g, t in zip(groups, touched) if t]
             groups = [g for g, t in zip(groups, touched) if not t]

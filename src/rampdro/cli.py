@@ -428,7 +428,7 @@ def _cmd_certify(args) -> int:
         "along_minus_e1": {"value": d_minus, "error": abs(d_minus), "pass": abs(d_minus) <= 1e-6},
     }
 
-    scans = analytic.scan_stationary_points(models, (-args.box, args.box), args.grid)
+    scans = analytic.scan_stationary_points(models, (-args.box, args.box))
     per_eps = []
     for model, points in zip(models, scans):
         eps = model.epsilon
@@ -466,7 +466,8 @@ def _cmd_certify(args) -> int:
     payload = {
         "command": "certify-analytic",
         "timestamp": _timestamp(),
-        "config": {"epsilons": epsilons, "grid": args.grid, "box": args.box},
+        # the quadtree has one root cell per side, the box itself
+        "config": {"epsilons": epsilons, "grid": 1, "box": args.box},
         "result": {"origin": origin, "per_epsilon": per_eps, "all_pass": all_pass},
     }
     _write_json(_resolve_out(args.out), payload)
@@ -528,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-analytic", help="certify the uniform-model closed forms")
     p.add_argument("--epsilons", default="0.1,0.3,0.5,1,2", help="comma-separated positive values")
-    p.add_argument("--grid", type=int, default=300,
-                   help="cells per side of the root tiling of the box (at least 100)")
     p.add_argument("--box", type=float, default=3.0,
                    help="half-width of the square searched; a single point is certified "
                         "only when the box reaches the outer radius R(eps)")

@@ -78,10 +78,17 @@ class GeneralizedMargin(NamedTuple):
 
 
 def distances(h: Hyperplane, ds) -> np.ndarray:
-    """Vector of distances to misclassification for every dataset point."""
-    norm = h.norm
-    scores = ds.points @ h.w
-    scores += h.b
+    """Vector of distances to misclassification for every dataset point.
+
+    Computed on (w, b) scaled by 2^-k (see ``_pow2_exponent``); a b that
+    overflows there is an infinite distance on its side of the hyperplane.
+    """
+    k = _pow2_exponent(h.w)
+    with np.errstate(over="ignore"):
+        w, b = np.ldexp(h.w, -k), np.ldexp(h.b, -k)
+    norm = float(np.linalg.norm(w))
+    scores = ds.points @ w
+    scores += b
     scores *= ds.labels
     if norm == 0.0:
         return np.where(scores > 0.0, np.inf, 0.0)
@@ -155,21 +162,20 @@ def generalized_margin(ds, candidates: Sequence[Hyperplane]) -> GeneralizedMargi
     return GeneralizedMargin(rho_star, gamma_star, rho_bar)
 
 
-def _pow2_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that brings its largest |entry| into [1/2, 1).
+def _pow2_exponent(x: np.ndarray) -> int:
+    """The k for which 2^-k brings the largest |entry| of x into [1/2, 1); 0 for x = 0.
 
-    The scaling is exact, so angles keep their bits while norms and dot
-    products can no longer overflow or underflow.
+    Scaling by 2^-k is exact, so angles and distances keep their bits while
+    norms and dot products can no longer overflow or underflow.
     """
-    peak = np.max(np.abs(x), initial=0.0)
-    if peak == 0.0:
-        raise ValueError("sin_angle is undefined for zero vectors")
-    return np.ldexp(x, -np.frexp(peak)[1])
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
 
 
 def sin_angle(u, v) -> float:
     """Sine of the angle between two nonzero vectors, in [0, 1]."""
-    u = _pow2_scaled(np.asarray(u, dtype=float).ravel())
-    v = _pow2_scaled(np.asarray(v, dtype=float).ravel())
+    u, v = (np.asarray(x, dtype=float).ravel() for x in (u, v))
+    if not (u.any() and v.any()):
+        raise ValueError("sin_angle is undefined for zero vectors")
+    u, v = np.ldexp(u, -_pow2_exponent(u)), np.ldexp(v, -_pow2_exponent(v))
     c = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
     return float(np.sqrt(max(0.0, 1.0 - c * c)))

@@ -109,6 +109,20 @@ def stable_distance_profile(dists, weights):
     }
 
 
+def distances_reference(h, ds):
+    """max(0, y (<w, x> + b)) / ||w|| on the unscaled (w, b), with inf or 0 at w = 0.
+
+    ``geometry.distances`` scales (w, b) by a power of two first; wherever
+    this plain form neither overflows nor underflows, the two agree bit for
+    bit.
+    """
+    norm = float(np.linalg.norm(h.w))
+    scores = (ds.points @ h.w + h.b) * ds.labels
+    if norm == 0.0:
+        return np.where(scores > 0.0, np.inf, 0.0)
+    return np.maximum(0.0, scores) / norm
+
+
 def epsilon_star(dists, weights, rho):
     """Smallest radius at which the worst-case misclassification probability reaches rho.
 

@@ -241,6 +241,22 @@ def test_oracle_epsilon_zero_gives_nominal_mass(tmp_path):
     assert payload["result"]["worst_case"]["t_star"] == "inf"
 
 
+def test_oracle_at_the_largest_normal(tmp_path):
+    # ||w|| overflows at w = (1e308, 1e308); the distances, and so the whole
+    # report, match those of w = (1, 1) to rounding
+    reports = []
+    for w in ("1e308,1e308", "1,1"):
+        out = tmp_path / f"o{len(reports)}.json"
+        assert cli.main(["oracle", "--n", "50", "--d", "2", "--w", w, "--epsilon", "0.1",
+                         "--rho", "0.5", "--out", str(out)]) == 0
+        reports.append(_read_json(out)["result"])
+    big, unit = reports
+    for part in ("margin", "worst_case"):
+        assert big[part] == pytest.approx(unit[part], rel=1e-14, abs=1e-14)
+    assert big["cvar"] == pytest.approx(unit["cvar"], rel=1e-14)
+    assert (big["chance_holds"], big["cvar_holds"]) == (unit["chance_holds"], unit["cvar_holds"])
+
+
 def test_oracle_dimension_mismatch(tmp_path):
     rc = cli.main(["oracle", "--data", str(two_point_csv(tmp_path)), "--w", "1,2",
                    "--epsilon", "0.1", "--out", str(tmp_path / "o.json")])
@@ -331,11 +347,11 @@ def test_reproduce_rejects_bad_scale(tmp_path):
 
 def test_certify_analytic_small(tmp_path):
     out = tmp_path / "cert.json"
-    rc = cli.main(["certify-analytic", "--epsilons", "0.5", "--grid", "120",
-                   "--out", str(out)])
+    rc = cli.main(["certify-analytic", "--epsilons", "0.5", "--out", str(out)])
     assert rc == 0
     payload = _read_json(out)
     _validate(payload, "certify_report.schema.json")
+    assert payload["config"]["grid"] == 1  # one root cell per side: the box
     assert payload["result"]["all_pass"] is True
     entry = payload["result"]["per_epsilon"][0]
     assert entry["n_points"] == 1
@@ -356,8 +372,8 @@ def _certify(tmp_path, *argv):
 
 
 def test_certify_large_epsilons_find_points_beside_the_origin(tmp_path):
-    # w1 = 1/(2 eps) lies inside the root cell next to the origin
-    result = _certify(tmp_path, "--epsilons", "1000,100000", "--grid", "120")
+    # w1 = 1/(2 eps) lies inside the inner disk next to the origin
+    result = _certify(tmp_path, "--epsilons", "1000,100000")
     assert result["all_pass"] is True
     for entry in result["per_epsilon"]:
         assert entry["n_points"] == 1
@@ -368,11 +384,28 @@ def test_certify_large_epsilons_find_points_beside_the_origin(tmp_path):
 @pytest.mark.parametrize("eps", ["1e10", "1e100", "1e300"])
 def test_certify_huge_epsilons_beside_the_origin(tmp_path, eps):
     # w = (1/(2 eps), 0) is far below 1e-10 but is not the origin
-    result = _certify(tmp_path, "--epsilons", eps, "--grid", "120")
+    result = _certify(tmp_path, "--epsilons", eps)
     assert result["all_pass"] is True
     entry = result["per_epsilon"][0]
     assert entry["n_points"] == 1
     assert entry["points"][0] == [0.5 / float(eps), 0.0]
+
+
+def test_certify_near_the_largest_epsilon_raises_no_overflow_warning(tmp_path):
+    # eps * w overflows on the coarse cells of a 1e5 box: such a residual
+    # exceeds every finite bound, and the disk point's radius must not
+    # round to 0 (3 * eps overflows here)
+    result = _certify(tmp_path, "--epsilons", "8.98e307", "--box", "1e5")
+    assert result["all_pass"] is True
+    assert result["per_epsilon"][0]["n_points"] == 1
+
+
+def test_certify_no_longer_takes_grid(tmp_path):
+    # the quadtree starts from the box itself, so there is no root tiling
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["certify-analytic", "--grid", "120", "--out", str(tmp_path / "c.json")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_rejects_epsilon_whose_double_overflows(tmp_path, capsys):

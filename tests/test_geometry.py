@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rampdro.dataset import Dataset, generate_separable
+from oracles import distances_reference
+from rampdro.dataset import Dataset, flip_labels, generate_separable
 from rampdro.dro import worst_case_prob_knapsack
 from rampdro.geometry import (
     Hyperplane,
@@ -82,6 +83,61 @@ def test_distance_deterministic_and_scale_invariant(instance, b, c):
     assert d4 == pytest.approx(d, rel=1e-13, abs=1e-15)
     dc = distances(Hyperplane(c * w, c * b), ds)
     assert np.all(np.abs(dc - d1) <= 1e-12 * (1.0 + np.linalg.norm(ds.points, axis=1)))
+
+
+# multiples of 1/1000, so that no product or sum below comes near the
+# subnormal range, where the unscaled reference loses bits
+_MILLI = st.integers(-3000, 3000).map(lambda k: k / 1000.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 200),
+    st.integers(0, 2**16),
+    st.lists(_MILLI, min_size=4, max_size=4),
+    _MILLI,
+    st.integers(-100, 100),
+    st.integers(-100, 100),
+)
+def test_distances_match_unscaled_formula_bitwise(d, n, seed, w, b, w_exp, b_exp):
+    # |w| and |b| from 1e-100 to 1e100, each on its own scale; w = 0 included
+    ds = flip_labels(generate_separable(n, d, seed), 0.2, seed)
+    h = Hyperplane(np.array(w[:d]) * 10.0**w_exp, b * 10.0**b_exp)
+    got, want = distances(h, ds), distances_reference(h, ds)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 50),
+    st.integers(0, 2**16),
+    st.lists(_MILLI, min_size=4, max_size=4),
+    _MILLI,
+)
+def test_distances_scale_invariant_at_extreme_scales(d, n, seed, w, b):
+    # ||c w|| overflows or underflows at c = 1e+-300; the distances do not
+    # move, and a power-of-two c keeps every bit
+    assume(any(w[:d]))
+    ds = generate_separable(n, d, seed)
+    w = np.array(w[:d])
+    base = distances(Hyperplane(w, b), ds)
+    tol = 1e-12 * (1.0 + np.linalg.norm(ds.points, axis=1))
+    for c in (1e300, 1e-300):
+        scaled = distances(Hyperplane(c * w, c * b), ds)
+        assert np.all(np.abs(scaled - base) <= tol)
+    for c in (2.0**997, 2.0**-997):
+        assert distances(Hyperplane(c * w, c * b), ds).tobytes() == base.tobytes()
+
+
+def test_distances_with_b_overflowing_after_scaling():
+    # w = 2^-1000 is scaled up by 2^1000, which takes b = 1e300 past the
+    # float range: every distance is inf or 0, and no warning is raised
+    ds = generate_separable(20, 2, 1)
+    for b in (1e300, -1e300):
+        dist = distances(Hyperplane(np.array([2.0**-1000, 0.0]), b), ds)
+        assert np.array_equal(dist, np.where(ds.labels * b > 0.0, np.inf, 0.0))
 
 
 def test_margin_profile_separable_pair():

@@ -1,5 +1,6 @@
 """The README's library session runs against the current API."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -11,3 +12,18 @@ def test_readme_library_session_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out.startswith("WorstCaseResult(value=")
+
+
+def _subcommand_flags():
+    from rampdro import cli
+
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
+
+
+def test_readme_names_only_flags_the_cli_accepts():
+    # a flag the README documents must parse under some subcommand; pip's
+    # own flag in the install line is the one exception
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    stale = named - _subcommand_flags() - {"--no-build-isolation"}
+    assert not stale, f"README names flags no subcommand accepts: {sorted(stale)}"
