@@ -5,6 +5,13 @@ of features, labels in {+1, -1}, and strictly positive probability weights
 summing to one.  Instances are immutable; every generator and corruption is
 a deterministic function of its parameters and an integer seed (PCG64 via
 ``numpy.random.default_rng``, one independent stream per operation).
+
+A dataset owns its arrays.  It adopts an input without copying only when the
+input is read-only and owns its data, which is how the generators, the
+corruptions and ``load_csv`` hand over the arrays they build; every other
+input is copied.  So no caller array, or view made of one before the call,
+can write into a dataset, and a corruption shares the unchanged n x d points
+with its base.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ class Dataset:
     weights: np.ndarray  # (n,) positive, sums to 1
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        labels = np.asarray(self.labels, dtype=float).ravel()
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        points = _private(self.points, 2)
+        labels = _private(self.labels, 1)
+        weights = _private(self.weights, 1)
         n, d = points.shape
         if n < 1 or d < 1:
             raise ValueError(f"dataset needs n >= 1 and d >= 1, got shape {points.shape}")
@@ -62,7 +69,6 @@ class Dataset:
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
         for arr, name in ((points, "points"), (labels, "labels"), (weights, "weights")):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -76,7 +82,7 @@ class Dataset:
     @classmethod
     def with_uniform_weights(cls, points, labels) -> "Dataset":
         n = np.atleast_2d(np.asarray(points)).shape[0]
-        return cls(points, labels, np.full(n, 1.0 / n))
+        return cls(points, labels, _frozen(np.full(n, 1.0 / n)))
 
     def allclose(self, other: "Dataset", tol: float = 1e-15) -> bool:
         return (
@@ -85,6 +91,27 @@ class Dataset:
             and np.array_equal(self.labels, other.labels)
             and np.all(np.abs(self.weights - other.weights) <= tol)
         )
+
+
+def _private(x, ndim: int) -> np.ndarray:
+    """x as a read-only float array that no caller can write through.
+
+    A read-only input that owns its data is adopted as it is (no caller
+    keeps a writable handle on it); any other input is copied.
+    """
+    a = np.asarray(x, dtype=float)
+    if a.ndim != ndim:
+        a = np.atleast_2d(a) if ndim == 2 else a.ravel()
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Hand a freshly built array to a Dataset without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 def _check_fraction(fraction: float) -> None:
@@ -119,7 +146,7 @@ def generate_separable(n: int, d: int, seed: int) -> Dataset:
         )
         on_boundary = points[:, 0] == 0.0
     labels = np.where(points[:, 0] > 0.0, 1.0, -1.0)
-    return Dataset.with_uniform_weights(points, labels)
+    return Dataset.with_uniform_weights(_frozen(points), _frozen(labels))
 
 
 def select_corruption_indices(n: int, fraction: float, seed: int) -> np.ndarray:
@@ -137,7 +164,7 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     idx = select_corruption_indices(ds.n, fraction, seed)
     labels = ds.labels.copy()
     labels[idx] = -labels[idx]
-    return Dataset(ds.points, labels, ds.weights)
+    return Dataset(ds.points, _frozen(labels), ds.weights)
 
 
 def inject_adversarial(ds: Dataset, fraction: float, seed: int) -> Dataset:
@@ -147,7 +174,7 @@ def inject_adversarial(ds: Dataset, fraction: float, seed: int) -> Dataset:
     labels = ds.labels.copy()
     points[idx, 0] = ADVERSARIAL_X1
     labels[idx] = 1.0
-    return Dataset(points, labels, ds.weights)
+    return Dataset(_frozen(points), _frozen(labels), ds.weights)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -216,4 +243,4 @@ def load_csv(path) -> Dataset:
             raise CsvFormatError(f"{path}: no data rows")
         n = len(points)
         w = np.asarray(weights) if has_weights else np.full(n, 1.0 / n)
-        return Dataset(np.asarray(points), np.asarray(labels), w)
+        return Dataset(_frozen(np.asarray(points)), _frozen(np.asarray(labels)), _frozen(w))

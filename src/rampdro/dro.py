@@ -17,8 +17,16 @@ The dual, the knapsack and the CVaR of the distance all read one sorted
 distance profile: the finite distances in ascending order with prefix sums
 of p and p*d.  It is built once per distinct (distances, weights) and kept
 in a single slot, so an epsilon sweep on one hyperplane, or both sides of
-``check_chance_cvar``, sort once.  The dual and the knapsack share that sort
-but not a formula, so their agreement remains an independent check.
+``check_chance_cvar``, sort once.  Only the positive distances are sorted:
+the zeros, the misclassified points, lead in input order.  The dual and the
+knapsack share that sort but not a formula, so their agreement remains an
+independent check.
+
+The plane-level queries (``worst_case_prob_dual``, ``worst_case_prob_knapsack``,
+``cvar_distance``, ``check_chance_cvar``) also keep their last distance
+vector in one slot, keyed on the Dataset (weakly) and on the bits of (w, b),
+so a sweep on one hyperplane forms the n x d product once.  They still pass
+that vector through the ``*_from_distances`` kernels and the profile slot.
 
 Points at infinite distance (w = 0 with y*b > 0) contribute nothing to the
 dual sum and are untouchable by the knapsack; the CVaR enumeration likewise
@@ -28,11 +36,13 @@ limit handled analytically.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import Dataset
 from .geometry import Hyperplane, distances
 
 __all__ = [
@@ -91,30 +101,43 @@ class _DistanceProfile:
         if not finite.all():
             d, p = d[finite], p[finite]
         n = d.size
+        # the zeros go first in input order, as a stable sort puts them, so
+        # only the positive distances are sorted
+        zero = d == 0.0
+        order = np.empty(n, dtype=np.intp)
+        z = self.zeros = int(np.count_nonzero(zero))
+        order[:z] = np.flatnonzero(zero)
+        positive = np.flatnonzero(~zero)
+        del zero
+        self.d = np.empty(n)
+        np.take(d, order[:z], out=self.d[:z])  # 0.0 and -0.0 keep their bits
         # the default argsort is SIMD and several times faster than a stable
         # one, but orders ties arbitrarily; each run of ties is put back in
         # input order below, sorting only the tied points by (run, index)
-        order = np.argsort(d)
-        self.d = d[order]
-        starts = np.ones(n + 1, dtype=bool)  # run starts, plus an end sentinel
-        np.not_equal(self.d[1:], self.d[:-1], out=starts[1:-1])
+        m = n - z
+        dpos = d[positive]
+        rank = np.argsort(dpos)
+        sorted_pos = self.d[z:]
+        np.take(dpos, rank, out=sorted_pos)
+        del dpos
+        starts = np.ones(m + 1, dtype=bool)  # run starts, plus an end sentinel
+        np.not_equal(sorted_pos[1:], sorted_pos[:-1], out=starts[1:-1])
         tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+        self.lower = np.arange(z, n)
         if tied.size:
             key = np.cumsum(starts[tied], dtype=np.int64)
-            key *= n
-            key += order[tied]
+            key *= m
+            key += rank[tied]
             key.sort()
-            key %= n
-            order[tied] = key
-            self.d[tied] = d[key]  # 0.0 and -0.0 tie, so re-read the bits
+            key %= m
+            rank[tied] = key
             del key
-        del tied
-        self.zeros = int(np.searchsorted(self.d, 0.0, side="right"))
-        # each positive point's run start, carried forward over its ties
-        self.lower = np.arange(self.zeros, n)
-        self.lower *= starts[self.zeros:n]
-        np.maximum.accumulate(self.lower, out=self.lower)
-        del starts
+            # each positive point's run start, carried forward over its ties
+            self.lower *= starts[:m]
+            np.maximum.accumulate(self.lower, out=self.lower)
+        del tied, starts
+        np.take(positive, rank, out=order[z:])
+        del positive, rank
 
         p = p[order]
         del order
@@ -223,6 +246,41 @@ def _profile(dists, weights) -> _DistanceProfile:
     return profile
 
 
+class _PlaneMemo(NamedTuple):
+    dataset: weakref.ref
+    plane: np.ndarray  # a copy of the bits of (w, b)
+    dists: np.ndarray  # read-only
+
+
+_last_plane: _PlaneMemo | None = None
+
+
+def _plane_distances(ds, h: Hyperplane) -> np.ndarray:
+    """``distances(h, ds)``, computed once per (dataset, hyperplane).
+
+    One slot keeps the last distance vector, keyed on a weak reference to the
+    Dataset and on a copy of the bits of (w, b).  A Dataset owns its arrays,
+    so no caller can change them under the key; the weak reference never
+    keeps a dataset alive, and a collected one never matches, even when its
+    ``id`` is reused.  ``h.w`` may be a view of a caller's writable array, so
+    the key is never the Hyperplane object.  Other dataset types are not
+    memoized.
+    """
+    global _last_plane
+    if not isinstance(ds, Dataset):
+        return distances(h, ds)
+    plane = np.append(h.w, h.b)
+    last = _last_plane
+    if last is not None and last.dataset() is ds and _same_bits(last.plane, plane):
+        return last.dists
+    # free the old vector first, so that two are never alive at once
+    _last_plane = last = None
+    dists = distances(h, ds)
+    dists.setflags(write=False)
+    _last_plane = _PlaneMemo(weakref.ref(ds), plane, dists)
+    return dists
+
+
 def worst_case_dual_from_distances(dists, weights, epsilon: float) -> WorstCaseResult:
     return _profile(dists, weights).dual(epsilon)
 
@@ -237,17 +295,17 @@ def cvar_from_distances(dists, weights, rho: float) -> float:
 
 def worst_case_prob_dual(ds, h: Hyperplane, epsilon: float) -> WorstCaseResult:
     """Exact dual-form worst-case misclassification probability."""
-    return worst_case_dual_from_distances(distances(h, ds), ds.weights, epsilon)
+    return worst_case_dual_from_distances(_plane_distances(ds, h), ds.weights, epsilon)
 
 
 def worst_case_prob_knapsack(ds, h: Hyperplane, epsilon: float) -> float:
     """Greedy fractional-knapsack form of the same worst-case probability."""
-    return worst_case_knapsack_from_distances(distances(h, ds), ds.weights, epsilon)
+    return worst_case_knapsack_from_distances(_plane_distances(ds, h), ds.weights, epsilon)
 
 
 def cvar_distance(ds, h: Hyperplane, rho: float) -> float:
     """CVaR at level rho of the distance to misclassification (low = risky)."""
-    return cvar_from_distances(distances(h, ds), ds.weights, rho)
+    return cvar_from_distances(_plane_distances(ds, h), ds.weights, rho)
 
 
 def check_chance_cvar(ds, h: Hyperplane, epsilon: float, rho: float):
@@ -259,7 +317,7 @@ def check_chance_cvar(ds, h: Hyperplane, epsilon: float, rho: float):
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    profile = _profile(distances(h, ds), ds.weights)
+    profile = _profile(_plane_distances(ds, h), ds.weights)
     chance_holds = profile.dual(epsilon).value <= rho
     cvar_holds = rho * profile.cvar(rho) >= epsilon
     return chance_holds, cvar_holds

@@ -16,6 +16,7 @@ into one (d + 1,) buffer; its value is bit-identical to ``evaluate``'s.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,7 +83,8 @@ def evaluate_with_gradient(spec: ObjectiveSpec, ds, h: Hyperplane):
     """Objective value and its gradient stacked as (d + 1,): d/dw then d/db.
 
     Requires a smoothed loss; for the NORM regularizer also w != 0 (the norm
-    is not differentiable at the origin).
+    is not differentiable at the origin).  Only ``h.w`` and ``h.b`` are read,
+    which lets ``objective_function`` pass the slices of a finite iterate.
     """
     if not spec.loss.smooth:
         raise ValueError("gradient requested for the non-smooth ramp loss")
@@ -105,12 +107,26 @@ def evaluate_with_gradient(spec: ObjectiveSpec, ds, h: Hyperplane):
     return value, grad
 
 
+class _Slices(NamedTuple):
+    """The (w, b) slices of a finite iterate, read as a Hyperplane is read."""
+
+    w: np.ndarray
+    b: np.float64
+
+
 def objective_function(spec: ObjectiveSpec, ds):
-    """Solver-facing closure: z = (w, b) stacked -> (value, gradient)."""
+    """Solver-facing closure: z = (w, b) stacked -> (value, gradient).
+
+    It evaluates on slices of z instead of building a validated Hyperplane
+    per call.  A non-finite z gives a NaN value and gradient, not an error,
+    so a line search that steps out of the floats shrinks its bracket.
+    """
 
     def fun(z: np.ndarray):
         z = np.asarray(z, dtype=float)
-        return evaluate_with_gradient(spec, ds, Hyperplane(z[:-1], z[-1]))
+        if not np.isfinite(z).all():
+            return math.nan, np.full(z.size, math.nan)
+        return evaluate_with_gradient(spec, ds, _Slices(z[:-1], z[-1]))
 
     return fun
 

@@ -14,7 +14,8 @@ order.
 The iterates are short (d + 1) vectors, so an iteration costs interpreter
 round-trips more than arithmetic.  The iteration keeps them few: inner
 products are ``ndarray.dot`` calls, scalar finiteness is ``math.isfinite``,
-the history is a bounded deque, and the line search hands back the accepted
+the history is a bounded deque, the two-loop recursion works on Python
+floats and one scratch vector, and the line search hands back the accepted
 trial point instead of it being recomputed.
 """
 
@@ -128,19 +129,26 @@ def _wolfe_search(fun, x, f0, g0, p, alpha: float):
 
 
 def _lbfgs_direction(g, memory):
+    # gamma stays a quotient of numpy scalars: a y.y that underflows to 0
+    # gives inf with a warning, where Python floats would raise
+    # ZeroDivisionError
     q = g.copy()
+    tmp = np.empty_like(q)
     alphas = []
     for s, y, rho in reversed(memory):
-        a = rho * s.dot(q)
+        a = rho * float(s.dot(q))
         alphas.append(a)
-        q -= a * y
+        np.multiply(a, y, tmp)
+        np.subtract(q, tmp, q)
     if memory:
         s, y, _ = memory[-1]
         q *= s.dot(y) / y.dot(y)
     for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * y.dot(q)
-        q += (a - b) * s
-    return -q
+        b = rho * float(y.dot(q))
+        np.multiply(a - b, s, tmp)
+        np.add(q, tmp, q)
+    np.negative(q, q)
+    return q
 
 
 def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
@@ -188,7 +196,7 @@ def minimize(fun: Callable, x0, opts: SolveOptions) -> SolveReport:
         y = g_new - g
         sy = s.dot(y)
         if sy > 1e-10 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
-            memory.append((s, y, 1.0 / sy))
+            memory.append((s, y, 1.0 / float(sy)))
 
         x, f, g = x_new, f_new, g_new
         gnorm = math.sqrt(g.dot(g))

@@ -66,6 +66,52 @@ def test_dataset_immutable():
         ds.points[0, 0] = 5.0
 
 
+def test_dataset_owns_its_arrays():
+    points = np.arange(6.0).reshape(3, 2)
+    labels = np.array([1.0, -1.0, 1.0])
+    weights = np.full(3, 1.0 / 3.0)
+    older_view = points[:, :]
+    ds = Dataset(points, labels, weights)
+    # the caller's arrays stay writable, and neither they nor a view made
+    # before the call write into the dataset
+    assert points.flags.writeable and labels.flags.writeable and weights.flags.writeable
+    points[0, 0] = 7.0
+    older_view[1, 1] = 7.0
+    labels[0] = -1.0
+    weights[:] = 0.5
+    assert np.array_equal(ds.points, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(ds.labels, [1.0, -1.0, 1.0])
+    assert np.array_equal(ds.weights, np.full(3, 1.0 / 3.0))
+    for arr in (ds.points, ds.labels, ds.weights):
+        assert not arr.flags.writeable and arr.flags.owndata
+
+
+def test_dataset_copies_read_only_views():
+    # a read-only view does not own its data: its base can still be written
+    base = np.arange(6.0).reshape(3, 2)
+    view = base[:, :]
+    view.setflags(write=False)
+    ds = Dataset(view, np.ones(3), np.full(3, 1.0 / 3.0))
+    base[0, 0] = 7.0
+    assert ds.points[0, 0] == 0.0
+
+
+def test_built_datasets_adopt_their_fresh_arrays(tmp_path):
+    base = generate_separable(20, 3, 4)
+    for arr in (base.points, base.labels, base.weights):
+        assert not arr.flags.writeable and arr.flags.owndata
+    # a corruption shares the unchanged arrays with its base instead of copying
+    flipped = flip_labels(base, 0.2, 5)
+    assert np.shares_memory(flipped.points, base.points)
+    assert np.shares_memory(flipped.weights, base.weights)
+    injected = inject_adversarial(base, 0.2, 5)
+    assert np.shares_memory(injected.weights, base.weights)
+    save_csv(base, tmp_path / "ds.csv")
+    loaded = load_csv(tmp_path / "ds.csv")
+    for arr in (loaded.points, loaded.labels, loaded.weights):
+        assert not arr.flags.writeable and arr.flags.owndata
+
+
 def test_flip_none_is_identity():
     ds = generate_separable(10, 2, 3)
     assert flip_labels(ds, 0.0, 9).allclose(ds)

@@ -1,4 +1,8 @@
+import contextlib
+import gc
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from rampdro.dro import (
     worst_case_prob_dual,
     worst_case_prob_knapsack,
 )
-from rampdro.geometry import Hyperplane
+from rampdro.geometry import Hyperplane, distances
 from rampdro.losses import LossKind, LossSpec
 from rampdro.objective import ObjectiveSpec, RegKind, evaluate
 
@@ -197,15 +201,27 @@ _PROFILE_DISTANCE = st.one_of(
     st.sampled_from([-0.0, 0.5, 1.0, 2.0, math.inf, 5e-324, 1e-310]),
     st.floats(0.0, 5.0),
 )
+_PROFILE_POOL = np.array([0.5, 1.0, 2.0, math.inf, 5e-324, 1e-310])
 
 
 @st.composite
 def _profile_input(draw):
-    n = draw(st.integers(0, 200))
-    d = draw(arrays(np.float64, n, elements=_PROFILE_DISTANCE))
-    p = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
-    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
-    return d, p, perm
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 200))
+        d = draw(arrays(np.float64, n, elements=_PROFILE_DISTANCE))
+        p = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
+        perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+        return d, p, perm
+    # long inputs, so that the SIMD argsort runs its partitioning paths:
+    # a run of zeros (both signs) of half or more, the pool's ties, inf and
+    # subnormals, and arbitrary positive distances
+    n = draw(st.integers(201, 2000))
+    zero_share = draw(st.sampled_from([0.5, 0.7, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = np.where(rng.random(n) < 0.5, rng.choice(_PROFILE_POOL, n), rng.uniform(0.0, 5.0, n))
+    zero = rng.random(n) < zero_share
+    d[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return d, rng.uniform(0.05, 1.0, n), rng.permutation(n)
 
 
 def _assert_profile_is_stable_sort(d, p):
@@ -295,6 +311,151 @@ def test_profile_memo_rejects_nan_every_time():
             cvar_from_distances(d, p[:2], 0.5)
     assert worst_case_dual_from_distances(d, p, 0.1) == expected
     assert worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], 0.25) == 0.75
+
+
+@contextlib.contextmanager
+def _memos_cleared():
+    saved = dro._last, dro._last_plane
+    dro._last = dro._last_plane = None
+    try:
+        yield
+    finally:
+        dro._last, dro._last_plane = saved
+
+
+def _query(op, ds, h, epsilon, rho):
+    if op == "dual":
+        result = worst_case_prob_dual(ds, h, epsilon)
+        return result.value, result.t_star
+    if op == "knapsack":
+        return worst_case_prob_knapsack(ds, h, epsilon)
+    if op == "cvar":
+        return cvar_distance(ds, h, rho)
+    return check_chance_cvar(ds, h, epsilon, rho)
+
+
+def _fresh_answer(op, ds, h, epsilon, rho):
+    # built directly, so neither memo slot takes part
+    profile = dro._DistanceProfile(distances(h, ds), np.asarray(ds.weights, dtype=float))
+    if op == "dual":
+        result = profile.dual(epsilon)
+        return result.value, result.t_star
+    if op == "knapsack":
+        return profile.knapsack(epsilon)
+    if op == "cvar":
+        return profile.cvar(rho)
+    return profile.dual(epsilon).value <= rho, rho * profile.cvar(rho) >= epsilon
+
+
+def _same_answer(got, want):
+    return np.array_equal(np.array(got, dtype=float).view(np.uint64),
+                          np.array(want, dtype=float).view(np.uint64))
+
+
+def _memo_dataset(rng, n):
+    # integer points: many exact zero distances and ties
+    points = rng.integers(-3, 4, (n, 2)).astype(float)
+    weights = rng.uniform(0.05, 1.0, n)
+    return Dataset(points, rng.choice([-1.0, 1.0], n), weights / weights.sum())
+
+
+_DATASET_STEPS = ["keep", "keep", "rebuild", "switch", "collect", "duck"]
+_PLANE_STEPS = ["keep", "keep", "rebuild", "ulp", "b_zero", "b_negative_zero", "mutate_w", "new"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_DATASET_STEPS),
+            st.sampled_from(_PLANE_STEPS),
+            st.sampled_from(["dual", "knapsack", "cvar", "chance"]),
+            st.floats(1e-3, 1.0),
+            st.floats(0.05, 0.95),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_plane_memo_answers_equal_fresh_profiles(seed, steps):
+    # interleaved (dataset, hyperplane, query) sequences: whatever the two
+    # memo slots hold, each answer is the one a fresh profile gives
+    rng = np.random.default_rng(seed)
+    datasets = [_memo_dataset(rng, int(rng.integers(1, 40))) for _ in range(2)]
+    duck = SimpleNamespace(points=np.array(datasets[0].points), labels=np.array(datasets[0].labels),
+                           weights=np.array(datasets[0].weights))
+    current = 0
+    w_arr = rng.standard_normal(2)
+    h = Hyperplane(w_arr, 0.5)
+    assert np.shares_memory(h.w, w_arr)  # the caller can still write into h.w
+    with _memos_cleared():
+        for ds_step, plane_step, op, epsilon, rho in steps:
+            if ds_step == "rebuild":
+                old = datasets[current]
+                datasets[current] = Dataset(old.points.copy(), old.labels.copy(), old.weights.copy())
+                del old
+            elif ds_step == "switch":
+                current = 1 - current
+            elif ds_step == "collect":
+                # the memo must not keep a dataset alive, and a new dataset
+                # that may reuse the freed id must not match
+                gone = weakref.ref(datasets[current])
+                datasets[current] = None
+                if gone() is not None:  # freed at once where refcounting frees
+                    gc.collect()
+                assert gone() is None
+                datasets[current] = _memo_dataset(rng, int(rng.integers(1, 40)))
+            elif ds_step == "duck":
+                # a duck-typed dataset owns nothing; it changes in place
+                duck.points[:] = rng.integers(-3, 4, duck.points.shape)
+            ds = duck if ds_step == "duck" else datasets[current]
+
+            if plane_step == "rebuild":
+                h = Hyperplane(h.w.copy(), h.b)
+            elif plane_step == "ulp":
+                h = Hyperplane(np.nextafter(h.w, np.inf), h.b)
+            elif plane_step == "b_zero":
+                h = Hyperplane(h.w, 0.0)
+            elif plane_step == "b_negative_zero":
+                h = Hyperplane(h.w, -0.0)
+            elif plane_step == "mutate_w":
+                w_arr = np.array(h.w)
+                h = Hyperplane(w_arr, h.b)
+                _query(op, ds, h, epsilon, rho)
+                w_arr[:] = rng.integers(-2, 3, 2)
+                if not w_arr.any():
+                    w_arr[0] = 1.0
+            elif plane_step == "new":
+                h = Hyperplane(rng.standard_normal(2), float(rng.integers(-2, 3)))
+
+            got = _query(op, ds, h, epsilon, rho)
+            assert _same_answer(got, _fresh_answer(op, ds, h, epsilon, rho))
+            del ds
+
+
+def test_plane_queries_form_distances_once_per_plane(monkeypatch):
+    calls = []
+
+    def counted(h, ds):
+        calls.append(h)
+        return distances(h, ds)
+
+    monkeypatch.setattr(dro, "distances", counted)
+    monkeypatch.setattr(dro, "_last_plane", None)
+    rng = np.random.default_rng(3)
+    ds = _memo_dataset(rng, 50)
+    sweep_plane, single = Hyperplane([1.0, 0.3], 0.2), Hyperplane([0.2, -1.0], 0.1)
+    for eps in (0.01, 0.1, 0.5):
+        worst_case_prob_dual(ds, sweep_plane, eps)
+        worst_case_prob_knapsack(ds, sweep_plane, eps)
+    cvar_distance(ds, sweep_plane, 0.3)
+    assert len(calls) == 1
+    check_chance_cvar(ds, single, 0.05, 0.3)
+    assert len(calls) == 2
+    # an equal-bits copy of the dataset is another key
+    worst_case_prob_dual(Dataset(ds.points, ds.labels, ds.weights), single, 0.1)
+    assert len(calls) == 3
 
 
 def test_worst_case_monotone_in_epsilon():
@@ -429,8 +590,6 @@ def test_wrapper_paths_match_distance_core():
     pts = rng.uniform(-2, 2, (9, 2))
     ds = Dataset(pts, rng.choice([-1.0, 1.0], 9), np.full(9, 1.0 / 9))
     h = Hyperplane(np.array([1.2, -0.4]), 0.2)
-    from rampdro.geometry import distances
-
     d = distances(h, ds)
     assert worst_case_prob_dual(ds, h, 0.2).value == pytest.approx(
         worst_case_dual_from_distances(d, ds.weights, 0.2).value, abs=1e-15

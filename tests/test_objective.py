@@ -139,8 +139,27 @@ def test_one_band_pass_matches_two_pass_reference_bitwise(
     assert grad.shape == (d + 1,) and np.array_equal(_bits(grad), _bits(ref_grad))
     # perfbench's train check re-evaluates the minimizer with `evaluate`
     assert _bits(evaluate(spec, ds, h)) == _bits(value)
+    # the solver's closure evaluates on the slices of z, with the same bits
+    fun_value, fun_grad = objective_function(spec, ds)(np.append(h.w, h.b))
+    assert _bits(fun_value) == _bits(value) and type(fun_value) is float
+    assert np.array_equal(_bits(fun_grad), _bits(grad))
     assert np.array_equal(_bits(spec.loss.value_and_slope(r)[1]),
                           _bits(loss_slope_reference(spec.loss, r)))
+
+
+@pytest.mark.parametrize("reg", [RegKind.SQUARED_NORM, RegKind.NORM])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, -1])
+def test_objective_function_at_non_finite_point(reg, bad, where):
+    # a trial point beyond the floats is a non-finite value for the line
+    # search, not an error; the suite turns any RuntimeWarning into an error
+    ds = generate_separable(30, 2, 1)
+    spec = ObjectiveSpec(LossSpec(LossKind.SMOOTHED_RAMP, 0.05), reg, 0.1)
+    z = np.array([1.0, -0.5, 0.25])
+    z[where] = bad
+    value, grad = objective_function(spec, ds)(z)
+    assert not np.isfinite(value)
+    assert grad.shape == (3,) and not np.isfinite(grad).any()
 
 
 def test_gradient_rejects_plain_ramp():
