@@ -272,6 +272,7 @@ def _monotone(values, direction: str) -> bool:
             bad += 1
     return bad <= _ALLOWED_INVERSIONS
 
+
 def _scaled(value: int, scale: float, floor: int) -> int:
     return max(floor, int(round(value * scale)))
 

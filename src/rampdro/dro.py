@@ -15,18 +15,18 @@ makes the tight dual-equals-primal equality tests possible.
 
 The dual, the knapsack and the CVaR of the distance all read one sorted
 distance profile: the finite distances in ascending order with prefix sums
-of p and p*d.  It is built once per distinct (distances, weights) and kept
-in a single slot, so an epsilon sweep on one hyperplane, or both sides of
-``check_chance_cvar``, sort once.  Only the positive distances are sorted:
-the zeros, the misclassified points, lead in input order.  The dual and the
-knapsack share that sort but not a formula, so their agreement remains an
-independent check.
+of p and p*d.  Only the positive distances are sorted: the zeros, the
+misclassified points, lead in input order.  The dual and the knapsack share
+that sort but not a formula, so their agreement remains an independent check.
 
 The plane-level queries (``worst_case_prob_dual``, ``worst_case_prob_knapsack``,
-``cvar_distance``, ``check_chance_cvar``) also keep their last distance
-vector in one slot, keyed on the Dataset (weakly) and on the bits of (w, b),
-so a sweep on one hyperplane forms the n x d product once.  They still pass
-that vector through the ``*_from_distances`` kernels and the profile slot.
+``cvar_distance``, ``check_chance_cvar``) keep one slot: the last distance
+vector, read-only, and its profile, built and freed together and keyed on
+the Dataset (weakly) and on the bits of (w, b).  So an epsilon sweep on one
+hyperplane, or both sides of ``check_chance_cvar``, forms the n x d product
+and sorts once.  The queries still pass that vector through the
+``*_from_distances`` kernels, which find the slot's profile by identity;
+any other input to a kernel is validated and profiled afresh.
 
 Points at infinite distance (w = 0 with y*b > 0) contribute nothing to the
 dual sum and are untouchable by the knapsack; the CVaR enumeration likewise
@@ -208,76 +208,63 @@ class _DistanceProfile:
         return best
 
 
-class _Memo(NamedTuple):
-    dists: np.ndarray  # private copies of the inputs the profile was built from
-    weights: np.ndarray
-    profile: _DistanceProfile
-
-
-_last: _Memo | None = None
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _profile(dists, weights) -> _DistanceProfile:
-    """The profile of (dists, weights), rebuilt only when either one changes.
-
-    One slot keeps the last profile beside copies of its inputs, so a sweep
-    over epsilon on one hyperplane sorts once.  Inputs match when their bits
-    do: a caller may mutate its array in place between calls, so the key is
-    never object identity.  A match was validated when it was stored.
-    """
-    global _last
+def _build(dists, weights) -> _DistanceProfile:
     d = np.asarray(dists, dtype=float).ravel()
     p = np.asarray(weights, dtype=float).ravel()
     if d.shape != p.shape:
         raise ValueError("distances and weights must have matching shapes")
-    last = _last
-    if last is not None and _same_bits(last.dists, d) and _same_bits(last.weights, p):
-        return last.profile
-    # free the old profile first, so that two are never alive at once
-    _last = last = None
-    if np.any(d < 0.0) or np.any(np.isnan(d)):
+    if not (d >= 0.0).all():
         raise ValueError("distances must be nonnegative")
-    profile = _DistanceProfile(d, p)
-    _last = _Memo(d.copy(), p.copy(), profile)
-    return profile
+    return _DistanceProfile(d, p)
 
 
 class _PlaneMemo(NamedTuple):
     dataset: weakref.ref
-    plane: np.ndarray  # a copy of the bits of (w, b)
-    dists: np.ndarray  # read-only
+    plane: bytes  # the bits of (w, b)
+    dists: np.ndarray  # read-only, and never handed to a caller
+    profile: _DistanceProfile
 
 
 _last_plane: _PlaneMemo | None = None
 
 
-def _plane_distances(ds, h: Hyperplane) -> np.ndarray:
-    """``distances(h, ds)``, computed once per (dataset, hyperplane).
+def _profile(dists, weights) -> _DistanceProfile:
+    """The slot's profile when ``dists`` is the slot's own vector, else a new one.
 
-    One slot keeps the last distance vector, keyed on a weak reference to the
-    Dataset and on a copy of the bits of (w, b).  A Dataset owns its arrays,
-    so no caller can change them under the key; the weak reference never
-    keeps a dataset alive, and a collected one never matches, even when its
-    ``id`` is reused.  ``h.w`` may be a view of a caller's writable array, so
-    the key is never the Hyperplane object.  Other dataset types are not
-    memoized.
+    ``_plane_distances`` builds the slot's vector and passes it only to the
+    kernels, so no caller holds it and object identity is a sound key.  The
+    weights must be the slot's Dataset's own.  Any other input is validated
+    and profiled afresh, and the result is stored nowhere.
+    """
+    last = _last_plane
+    if last is not None and dists is last.dists:
+        ds = last.dataset()
+        if ds is not None and weights is ds.weights:
+            return last.profile
+    return _build(dists, weights)
+
+
+def _plane_distances(ds, h: Hyperplane) -> np.ndarray:
+    """``distances(h, ds)``, computed and profiled once per (dataset, hyperplane).
+
+    One slot keeps the last distance vector and its profile, keyed on a weak
+    reference to the Dataset and on the bits of (w, b).  A Dataset owns its
+    arrays, so no caller can change them under the key; the weak reference
+    never keeps a dataset alive, and a collected one never matches, even
+    when its ``id`` is reused.  Other dataset types are not memoized.
     """
     global _last_plane
     if not isinstance(ds, Dataset):
         return distances(h, ds)
-    plane = np.append(h.w, h.b)
+    plane = np.append(h.w, h.b).tobytes()
     last = _last_plane
-    if last is not None and last.dataset() is ds and _same_bits(last.plane, plane):
+    if last is not None and last.dataset() is ds and last.plane == plane:
         return last.dists
-    # free the old vector first, so that two are never alive at once
+    # free the old pair first, so that two are never alive at once
     _last_plane = last = None
     dists = distances(h, ds)
     dists.setflags(write=False)
-    _last_plane = _PlaneMemo(weakref.ref(ds), plane, dists)
+    _last_plane = _PlaneMemo(weakref.ref(ds), plane, dists, _build(dists, ds.weights))
     return dists
 
 

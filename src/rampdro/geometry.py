@@ -19,6 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import _private
+
 __all__ = [
     "Hyperplane",
     "MarginProfile",
@@ -40,16 +42,17 @@ _EXHAUSTIVE_MAX_N = 20
 
 @dataclass(frozen=True)
 class Hyperplane:
+    """Owns its ``w``: as a ``Dataset`` does, it adopts a read-only ``w`` that owns its data, else copies."""
+
     w: np.ndarray
     b: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).ravel()
+        w = _private(self.w, 1)
         if w.size < 1:
             raise ValueError("w must have at least one component")
         if not (np.isfinite(w).all() and np.isfinite(self.b)):
             raise ValueError("hyperplane entries must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
 

@@ -243,22 +243,9 @@ def test_profile_matches_stable_sort_bitwise(instance):
     _assert_profile_is_stable_sort(d[perm], p[perm])
 
 
-def test_profile_memo_hits_on_equal_bits_only():
-    rng = np.random.default_rng(11)
-    d = np.round(rng.exponential(1.0, 500), 1)
-    p = rng.random(500)
-    first = dro._profile(d, p)
-    assert dro._profile(d.copy(), p.copy()) is first
-    assert dro._profile(d.reshape(20, 25), p) is first
-    d2 = d.copy()
-    assert (d2 == 0.0).any()
-    d2[d2 == 0.0] = -0.0
-    assert dro._profile(d2, p) is not first
-
-
 def _fresh(monkeypatch, fn, *args):
     with monkeypatch.context() as m:
-        m.setattr(dro, "_last", None)
+        m.setattr(dro, "_last_plane", None)
         return fn(*args)
 
 
@@ -314,13 +301,13 @@ def test_profile_memo_rejects_nan_every_time():
 
 
 @contextlib.contextmanager
-def _memos_cleared():
-    saved = dro._last, dro._last_plane
-    dro._last = dro._last_plane = None
+def _memo_cleared():
+    saved = dro._last_plane
+    dro._last_plane = None
     try:
         yield
     finally:
-        dro._last, dro._last_plane = saved
+        dro._last_plane = saved
 
 
 def _query(op, ds, h, epsilon, rho):
@@ -335,7 +322,7 @@ def _query(op, ds, h, epsilon, rho):
 
 
 def _fresh_answer(op, ds, h, epsilon, rho):
-    # built directly, so neither memo slot takes part
+    # built directly, so the memo slot takes no part
     profile = dro._DistanceProfile(distances(h, ds), np.asarray(ds.weights, dtype=float))
     if op == "dual":
         result = profile.dual(epsilon)
@@ -379,8 +366,8 @@ _PLANE_STEPS = ["keep", "keep", "rebuild", "ulp", "b_zero", "b_negative_zero", "
     ),
 )
 def test_plane_memo_answers_equal_fresh_profiles(seed, steps):
-    # interleaved (dataset, hyperplane, query) sequences: whatever the two
-    # memo slots hold, each answer is the one a fresh profile gives
+    # interleaved (dataset, hyperplane, query) sequences: whatever the memo
+    # slot holds, each answer is the one a fresh profile gives
     rng = np.random.default_rng(seed)
     datasets = [_memo_dataset(rng, int(rng.integers(1, 40))) for _ in range(2)]
     duck = SimpleNamespace(points=np.array(datasets[0].points), labels=np.array(datasets[0].labels),
@@ -388,8 +375,8 @@ def test_plane_memo_answers_equal_fresh_profiles(seed, steps):
     current = 0
     w_arr = rng.standard_normal(2)
     h = Hyperplane(w_arr, 0.5)
-    assert np.shares_memory(h.w, w_arr)  # the caller can still write into h.w
-    with _memos_cleared():
+    assert not np.shares_memory(h.w, w_arr)  # the caller cannot write into h.w
+    with _memo_cleared():
         for ds_step, plane_step, op, epsilon, rho in steps:
             if ds_step == "rebuild":
                 old = datasets[current]
@@ -435,13 +422,19 @@ def test_plane_memo_answers_equal_fresh_profiles(seed, steps):
 
 
 def test_plane_queries_form_distances_once_per_plane(monkeypatch):
-    calls = []
+    calls, builds = [], []
 
     def counted(h, ds):
         calls.append(h)
         return distances(h, ds)
 
+    class CountedProfile(dro._DistanceProfile):
+        def __init__(self, d, p):
+            builds.append(d)
+            super().__init__(d, p)
+
     monkeypatch.setattr(dro, "distances", counted)
+    monkeypatch.setattr(dro, "_DistanceProfile", CountedProfile)
     monkeypatch.setattr(dro, "_last_plane", None)
     rng = np.random.default_rng(3)
     ds = _memo_dataset(rng, 50)
@@ -450,12 +443,30 @@ def test_plane_queries_form_distances_once_per_plane(monkeypatch):
         worst_case_prob_dual(ds, sweep_plane, eps)
         worst_case_prob_knapsack(ds, sweep_plane, eps)
     cvar_distance(ds, sweep_plane, 0.3)
-    assert len(calls) == 1
+    check_chance_cvar(ds, sweep_plane, 0.05, 0.3)
+    assert len(calls) == len(builds) == 1
     check_chance_cvar(ds, single, 0.05, 0.3)
+    worst_case_prob_knapsack(ds, single, 0.05)
+    assert len(calls) == len(builds) == 2
+
+    # a kernel on a caller's array builds afresh, even on the slot's bits,
+    # and never hands out the slot's profile
+    slot = dro._last_plane
+    own, own_weights = np.array(slot.dists), np.array(ds.weights)
+    for fn, arg in ((worst_case_dual_from_distances, 0.05),
+                    (worst_case_knapsack_from_distances, 0.05),
+                    (cvar_from_distances, 0.3)):
+        n_builds = len(builds)
+        assert fn(own, ds.weights, arg) == fn(slot.dists, ds.weights, arg)
+        assert len(builds) == n_builds + 1
+    for dd, pp in ((own, ds.weights), (slot.dists, own_weights), (own, own_weights)):
+        assert dro._profile(dd, pp) is not slot.profile
+    assert dro._profile(slot.dists, ds.weights) is slot.profile
     assert len(calls) == 2
+
     # an equal-bits copy of the dataset is another key
     worst_case_prob_dual(Dataset(ds.points, ds.labels, ds.weights), single, 0.1)
-    assert len(calls) == 3
+    assert (len(calls), len(builds)) == (3, 9)
 
 
 def test_worst_case_monotone_in_epsilon():

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import distances_reference
 from rampdro.dataset import Dataset, flip_labels, generate_separable
-from rampdro.dro import worst_case_prob_knapsack
+from rampdro.dro import cvar_radius, worst_case_prob_knapsack
 from rampdro.geometry import (
     Hyperplane,
     distances,
@@ -44,6 +44,28 @@ def test_distance_zero_w_cases():
     h = Hyperplane(np.array([0.0, 0.0]), 1.0)
     assert distances(h, one_row([0.0, 0.0], 1.0))[0] == math.inf
     assert distances(h, one_row([0.0, 0.0], -1.0))[0] == 0.0
+
+
+def test_hyperplane_owns_its_w():
+    ds = flip_labels(generate_separable(60, 2, 5), 0.2, 1)
+    base = np.array([[1.0, 0.3], [0.2, -1.0], [-0.5, 0.8]])
+    earlier_view = base[1]  # a view made before the call
+    read_only_view = base[2].view()
+    read_only_view.setflags(write=False)
+    candidates = [Hyperplane(base[0], 0.1), Hyperplane(earlier_view, -0.2),
+                  Hyperplane(read_only_view, 0.0)]
+    w_before = [h.w.copy() for h in candidates]
+    radius = cvar_radius(ds, candidates, 0.3)
+    base[0] *= -1.0
+    earlier_view[:] = [3.0, 3.0]
+    base[2] = [0.0, 1.0]
+    for h, w in zip(candidates, w_before):
+        assert np.array_equal(h.w, w) and not h.w.flags.writeable
+    assert cvar_radius(ds, candidates, 0.3) == radius
+    # a read-only array that owns its data is adopted as it is
+    owned = np.array([1.0, 2.0])
+    owned.setflags(write=False)
+    assert Hyperplane(owned, 0.0).w is owned
 
 
 def test_distances_vector_matches_scalar():

@@ -27,3 +27,11 @@ def test_readme_names_only_flags_the_cli_accepts():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
     stale = named - _subcommand_flags() - {"--no-build-isolation"}
     assert not stale, f"README names flags no subcommand accepts: {sorted(stale)}"
+
+
+def test_readme_layout_table_has_one_row_per_module():
+    section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]*)`", section, re.M)
+    package = README.parent / "src" / "rampdro"
+    modules = [f"rampdro.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
