@@ -1,18 +1,21 @@
 """Independent reference computations used by the tests.
 
 These deliberately avoid the code paths they check: the knapsack LP is
-solved by enumerating polytope vertices, gradients come from central finite
-differences, and expectations from dense midpoint quadrature.  The lockstep
-refinement is checked against its one-seed form, and the closed-form origin
-derivatives against Richardson-extrapolated difference quotients.  The
-training inner loop is checked bit for bit against its earlier, plainer
-form: a two-pass objective evaluation and an L-BFGS iteration written with
-``float(a @ b)`` dots and a recomputed accepted point.
+solved by enumerating polytope vertices or by HiGHS, the oracle answers
+are read off a profile built whole with a stable sort, gradients come
+from central finite differences, and expectations from dense midpoint
+quadrature.  The lockstep refinement is checked against its one-seed
+form, and the closed-form origin derivatives against Richardson-extrapolated
+difference quotients.  The training inner loop is checked bit for bit
+against its earlier, plainer form: a two-pass objective evaluation and an
+L-BFGS iteration written with ``float(a @ b)`` dots and a recomputed
+accepted point.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from rampdro.analytic import UniformModel, _band_moments, f_epsilon
 from rampdro.losses import BAND_SIGMAS, LossKind
@@ -107,6 +110,99 @@ def stable_distance_profile(dists, weights):
         "lower": np.searchsorted(d, d[zeros:], side="left"),
         "zeros": zeros,
     }
+
+
+def dual_from_stable_profile(ref, epsilon):
+    """(value, t_star) of the dual, read off ``stable_distance_profile``.
+
+    The formulas of the profile's queries, applied to the whole sorted
+    profile: every breakpoint phi(1/d_k), the last argmin, and the t -> 0+
+    limit at the full finite mass.
+    """
+    d, cum_p, cum_pd, lo, z = ref["d"], ref["cum_p"], ref["cum_pd"], ref["lower"], ref["zeros"]
+    if epsilon == 0.0:
+        return min(1.0, float(cum_p[z])), math.inf
+    limit_zero = float(cum_p[-1])
+    if z == d.size:
+        return min(1.0, limit_zero), 0.0
+    dp = d[z:]
+    with np.errstate(over="ignore"):
+        phi = epsilon / dp + cum_p[lo] - cum_pd[lo] / dp
+    best = phi.size - 1 - int(np.argmin(phi[::-1]))
+    if limit_zero < phi[best]:
+        return min(1.0, limit_zero), 0.0
+    return min(1.0, float(phi[best])), 1.0 / float(dp[best])
+
+
+def knapsack_from_stable_profile(ref, epsilon):
+    """The greedy fractional knapsack over the whole ``stable_distance_profile``."""
+    d, cum_p, cum_pd, z = ref["d"], ref["cum_p"], ref["cum_pd"], ref["zeros"]
+    if epsilon == 0.0:
+        return min(1.0, float(cum_p[z]))
+    cost = cum_pd[z + 1:]
+    k = int(np.searchsorted(cost, epsilon, side="right"))
+    value = float(cum_p[z + k])
+    if k < cost.size:
+        value += (epsilon - float(cum_pd[z + k])) / d[z + k]
+    return min(1.0, value)
+
+
+def cvar_from_stable_profile(ref, rho):
+    """The CVaR of the distance: every breakpoint g(d_k) of the whole profile."""
+    d, cum_p, cum_pd, lo, z = ref["d"], ref["cum_p"], ref["cum_pd"], ref["lower"], ref["zeros"]
+    finite_mass = float(cum_p[-1])
+    if finite_mass < rho:
+        return math.inf
+    t_vals = d[z:]
+    best = float((t_vals + (cum_pd[lo] - t_vals * cum_p[lo]) / rho).max(initial=0.0))
+    if finite_mass == rho:
+        best = max(best, float(cum_pd[-1]) / rho)
+    return best
+
+
+# HiGHS's primal and dual feasibility tolerance for ``knapsack_lp_highs``
+HIGHS_TOL = 1e-9
+
+
+def knapsack_lp_highs(dists, weights, epsilon):
+    """Optimum of max{sum v : 0 <= v <= p, sum d_i v_i <= eps} by HiGHS.
+
+    For any n.  Infinite distances are dropped (their v must be 0).  The
+    answer carries HiGHS's tolerances; see ``highs_knapsack_tolerance``.
+    """
+    d = np.asarray(dists, dtype=float).ravel()
+    p = np.asarray(weights, dtype=float).ravel()
+    keep = np.isfinite(d)
+    d, p = d[keep], p[keep]
+    if d.size == 0:
+        return 0.0
+    res = linprog(
+        -np.ones(d.size), A_ub=d[None, :], b_ub=[epsilon], bounds=np.column_stack([np.zeros(d.size), p]),
+        method="highs",
+        options={"primal_feasibility_tolerance": HIGHS_TOL, "dual_feasibility_tolerance": HIGHS_TOL},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not solve the knapsack LP: {res.message}")
+    return -float(res.fun)
+
+
+def highs_knapsack_tolerance(dists, weights):
+    """How far ``knapsack_lp_highs`` may sit from the exact optimum.
+
+    At HiGHS's optimal basis the nonbasic v_i sit exactly at 0 or p_i.  The
+    budget row may be violated by up to tau (the primal feasibility
+    tolerance), which buys at most tau / d_min more value at the cheapest
+    positive distance d_min, and the one basic v_j may leave its box by tau.
+    A dual infeasibility of up to tau (the dual feasibility tolerance) leaves
+    the objective at most tau * sum(p) below the optimum (weak duality over
+    the box).  So |LP - optimum| <= tau (1 + 1/d_min + sum p); one more tau
+    covers the rounding of the reported objective.
+    """
+    d = np.asarray(dists, dtype=float).ravel()
+    p = np.asarray(weights, dtype=float).ravel()
+    positive = d[np.isfinite(d) & (d > 0.0)]
+    d_min = float(positive.min()) if positive.size else math.inf
+    return HIGHS_TOL * (2.0 + 1.0 / d_min + float(p[np.isfinite(d)].sum()))
 
 
 def distances_reference(h, ds):

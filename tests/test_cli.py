@@ -199,7 +199,9 @@ def test_oracle_report_equals_fresh_stable_profiles(tmp_path, monkeypatch, seed)
     assert cli.main([*argv, "--out", str(shared)]) == 0
 
     def stable_profile(dists, weights):
-        profile = object.__new__(dro._DistanceProfile)
+        # a profile grown whole, its arrays replaced by the stable sort's
+        profile = dro._build(dists, weights)
+        profile.cover(math.inf)
         vars(profile).update(stable_distance_profile(dists, weights))
         return profile
 

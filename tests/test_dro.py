@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import weakref
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,13 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    cvar_from_stable_profile,
+    dual_from_stable_profile,
     epsilon_star,
+    highs_knapsack_tolerance,
+    knapsack_from_stable_profile,
+    knapsack_lp_highs,
     knapsack_lp_vertices,
     random_knapsack_instance,
     stable_distance_profile,
 )
 from rampdro import dro
-from rampdro.dataset import Dataset
+from rampdro.dataset import Dataset, flip_labels, generate_separable
 from rampdro.dro import (
     check_chance_cvar,
     cvar_distance,
@@ -227,6 +233,13 @@ def _profile_input(draw):
 def _assert_profile_is_stable_sort(d, p):
     profile = dro._profile(d, p)
     ref = stable_distance_profile(d, p)
+    # a prefix grown to a mid-range cost is the full profile's first entries
+    profile.cover(0.5 * float(ref["cum_pd"][-1]))
+    for name in ("d", "cum_p", "cum_pd"):
+        assert np.array_equal(getattr(profile, name).view(np.uint64),
+                              ref[name][:getattr(profile, name).size].view(np.uint64)), name
+    assert np.array_equal(profile.lower, ref["lower"][:profile.lower.size])
+    profile.cover(math.inf)  # grown whole
     for name in ("d", "cum_p", "cum_pd", "lower"):
         got, want = getattr(profile, name), ref[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -241,6 +254,263 @@ def test_profile_matches_stable_sort_bitwise(instance):
     d, p, perm = instance
     _assert_profile_is_stable_sort(d, p)
     _assert_profile_is_stable_sort(d[perm], p[perm])
+
+
+# zeros of both signs, a pool of ties heavy enough that tie runs straddle
+# the sample's cuts, neighbours one ulp apart, inf, subnormals and
+# arbitrary positive distances
+_TAIL_POOL = np.array([0.5, 1.0, 1.0, 1.0 + 2**-52, 2.0, 5e-324, 1e-310, math.inf])
+
+
+# epsilon and rho set when a query runs, from the prefix grown so far: one
+# ulp below its totals, or halfway through its last tie run; the crossing
+# then ends the prefix, where the next breakpoint may lie one ulp beyond
+_AT_PREFIX = ["below the prefix's totals", "inside the prefix's last run"]
+
+
+@st.composite
+def _tail_queries(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 5, 60, 700, 3000, 3000]))
+    pooled = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.95]))
+    d = np.where(pooled, rng.choice(_TAIL_POOL, n), rng.uniform(0.0, 5.0, n))
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.7]))
+    d[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    p = rng.uniform(0.05, 1.0, n)
+    if draw(st.booleans()):
+        p /= p.sum()
+    ref = stable_distance_profile(d, p)
+    total_cost, finite_mass = float(ref["cum_pd"][-1]), float(ref["cum_p"][-1])
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["dual", "knapsack", "cvar", "chance"]))
+        eps_kind = draw(st.sampled_from(
+            ["fraction", "cum_pd entry", "below cum_pd entry", "beyond total cost", *_AT_PREFIX]))
+        if eps_kind in _AT_PREFIX:
+            eps = eps_kind
+        elif eps_kind == "fraction":  # mostly small, so that the profile grows in steps
+            eps = draw(st.floats(0.0, 1.0)) ** 3 * total_cost
+        elif eps_kind.endswith("cum_pd entry"):
+            eps = float(ref["cum_pd"][draw(st.integers(0, ref["cum_pd"].size - 1))])
+            if eps_kind.startswith("below"):
+                eps = float(np.nextafter(eps, 0.0))
+        else:  # the t -> 0+ limit
+            eps = 2.0 * total_cost + draw(st.floats(1e-6, 1.0))
+        rho = draw(st.floats(0.01, 0.99)) ** 2
+        rho_kind = draw(st.sampled_from(
+            ["uniform", "cum_p entry", "finite mass", "above finite mass", *_AT_PREFIX]))
+        if rho_kind in _AT_PREFIX:
+            rho = rho_kind
+        elif rho_kind != "uniform":
+            if rho_kind == "cum_p entry":
+                candidate = float(ref["cum_p"][draw(st.integers(0, ref["cum_p"].size - 1))])
+            elif rho_kind == "finite mass":
+                candidate = finite_mass
+            else:
+                candidate = float(np.nextafter(finite_mass, math.inf))
+            rho = candidate if 0.0 < candidate < 1.0 else rho
+        queries.append((op, eps, rho))
+    order = draw(st.sampled_from(["as drawn", "ascending", "descending"]))
+    if order != "as drawn":
+        # the queries set at run time keep their drawn places
+        def at_prefix(q):
+            return isinstance(q[1], str) or isinstance(q[2], str)
+        fixed = sorted((q for q in queries if not at_prefix(q)), key=lambda q: q[1:],
+                       reverse=order == "descending")
+        queries = [q if at_prefix(q) else fixed.pop(0) for q in queries]
+    return d, p, queries
+
+
+def _at_prefix(kind, cum, profile):
+    if kind == _AT_PREFIX[0]:
+        return float(np.nextafter(cum[-1], 0.0))
+    start = profile.lower[-1] if profile.lower.size else 0
+    return 0.5 * (float(cum[start]) + float(cum[-1]))
+
+
+def _stable_answer(op, ref, epsilon, rho):
+    if op == "dual":
+        return dual_from_stable_profile(ref, epsilon)
+    if op == "knapsack":
+        return knapsack_from_stable_profile(ref, epsilon)
+    if op == "cvar":
+        return cvar_from_stable_profile(ref, rho)
+    return (dual_from_stable_profile(ref, epsilon)[0] <= rho,
+            rho * cvar_from_stable_profile(ref, rho) >= epsilon)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tail_queries())
+def test_grown_profile_answers_match_stable_sort_bitwise(instance):
+    # interleaved queries on one profile, which grows as they need: each
+    # answer is the one the whole stable-sorted profile gives, bit for bit
+    d, p, queries = instance
+    ref = stable_distance_profile(d, p)
+    profile = dro._build(d, p)
+    ds, h = SimpleNamespace(weights=p), Hyperplane([1.0], 0.0)
+    with pytest.MonkeyPatch.context() as m:
+        # every plane-level query, check_chance_cvar included, reads it
+        m.setattr(dro, "_plane_distances", lambda ds, h: d)
+        m.setattr(dro, "_profile", lambda dists, weights: profile)
+        for op, eps, rho in queries:
+            if isinstance(eps, str):
+                eps = _at_prefix(eps, profile.cum_pd, profile)
+            if isinstance(rho, str):
+                rho = _at_prefix(rho, profile.cum_p, profile)
+                rho = rho if 0.0 < rho < 1.0 else 0.5
+            if op == "chance" and eps == 0.0:
+                eps = 5e-324
+            got = _query(op, ds, h, eps, rho)
+            assert _same_answer(got, _stable_answer(op, ref, eps, rho)), (op, eps, rho)
+    # whatever it grew to, the prefix is the start of the whole profile
+    assert profile.zeros == ref["zeros"]
+    for name in ("d", "cum_p", "cum_pd"):
+        got = getattr(profile, name)
+        assert np.array_equal(got.view(np.uint64), ref[name][:got.size].view(np.uint64)), name
+    assert np.array_equal(profile.lower, ref["lower"][:profile.lower.size])
+
+
+def test_breakpoints_one_ulp_beyond_the_cut_keep_their_answers():
+    # the prefix ends on a run of 1.0 and 1 + 2^-52 lies just beyond the
+    # cut: phi and g there differ from their last prefix values by about one
+    # rounding error, so only the stop rules' margins keep the answers, and
+    # the dual's last argmin, those of the whole profile
+    rng = np.random.default_rng(21)
+    hits = 0
+    for _ in range(40):
+        d = rng.choice([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0], 3000)
+        p = rng.uniform(0.05, 1.0, d.size)
+        p /= p.sum()
+        ref = stable_distance_profile(d, p)
+        for share in (0.1, 0.15, 0.2, 0.25):
+            profile = dro._build(d, p)
+            profile.knapsack(share * float(ref["cum_pd"][-1]))
+            if profile.complete or profile.d[-1] != 1.0:
+                continue
+            hits += 1
+            run = profile.lower[-1]
+            for cum in (profile.cum_pd, profile.cum_p):
+                end = float(cum[-1])
+                for x in (np.nextafter(end, 0.0), 0.5 * (float(cum[run]) + end), float(cum[run])):
+                    eps = rho = float(x)
+                    assert _same_answer(_stable_answer("dual", ref, eps, rho),
+                                        astuple(dro._build(d, p).dual(eps)))
+                    assert _same_answer(_stable_answer("cvar", ref, eps, rho), dro._build(d, p).cvar(rho))
+                    assert _same_answer(_stable_answer("dual", ref, eps, rho), astuple(profile.dual(eps)))
+                    assert _same_answer(_stable_answer("cvar", ref, eps, rho), profile.cvar(rho))
+    assert hits >= 100
+
+
+class _SortCounter:
+    """numpy, counting the elements handed to its sorts."""
+
+    def __init__(self):
+        self.sorted = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("argsort", "sort", "partition", "argpartition", "lexsort"):
+            return attr
+
+        def counted(a, *args, **kwargs):
+            self.sorted += np.size(a)
+            return attr(a, *args, **kwargs)
+        return counted
+
+
+def test_single_check_sorts_only_the_tail(monkeypatch):
+    # the benchmark's shape at n = 2*10^4: d = 10, 10 % flips, planes near
+    # the labelling rule; a check needs about a sixth of the positive
+    # distances sorted, and must sort fewer than half
+    ds = flip_labels(generate_separable(20_000, 10, 5), 0.1, 6)
+    calls, builds = [], []
+    counter = _SortCounter()
+
+    def counted(h, ds):
+        calls.append(h)
+        return distances(h, ds)
+
+    class CountedProfile(dro._DistanceProfile):
+        def __init__(self, d, p):
+            builds.append(d)
+            super().__init__(d, p)
+
+    monkeypatch.setattr(dro, "np", counter)
+    monkeypatch.setattr(dro, "distances", counted)
+    monkeypatch.setattr(dro, "_DistanceProfile", CountedProfile)
+    monkeypatch.setattr(dro, "_last_plane", None)
+    rng = np.random.default_rng(7)
+    for i in range(6):
+        w = rng.uniform(0.05, 0.6) * rng.standard_normal(10)
+        w[0] += 1.0
+        h = Hyperplane(w, 0.5 * rng.standard_normal())
+        counter.sorted = 0
+        verdict = check_chance_cvar(ds, h, 0.05, 0.3)
+        d = distances(h, ds)
+        assert counter.sorted < np.count_nonzero(d > 0.0) / 2
+        ref = stable_distance_profile(d, ds.weights)
+        assert verdict == _stable_answer("chance", ref, 0.05, 0.3)
+        # one distance vector and one profile object per plane
+        assert len(calls) == len(builds) == i + 1
+
+
+@pytest.mark.parametrize("n", [50, 120, 500])
+def test_dual_knapsack_highs_agree_around_the_cut(n):
+    # epsilon at, just below and just above the cost of a grown prefix, so
+    # that the crossing falls on the cut, plus fractions of the total cost
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        d = rng.uniform(0.1, 5.0, n)
+        d[rng.random(n) < 0.2] = 0.0
+        d[rng.random(n) < 0.2] = 1.5  # a tie run
+        d[rng.random(n) < 0.05] = np.inf
+        p = rng.uniform(0.05, 1.0, n)
+        p /= p.sum()
+        tol = highs_knapsack_tolerance(d, p)
+        total = float(stable_distance_profile(d, p)["cum_pd"][-1])
+        first = float(rng.uniform(0.05, 0.5)) * total
+
+        def grown():
+            profile = dro._build(d, p)
+            profile.cover(first)
+            return profile
+
+        cut_cost = float(grown().cum_pd[-1])
+        for eps in (np.nextafter(cut_cost, 0.0), cut_cost, np.nextafter(cut_cost, math.inf),
+                    0.3 * total, 0.9 * total, 1.1 * total):
+            eps = float(eps)
+            lp = knapsack_lp_highs(d, p, eps)
+            for profile in (grown(), dro._build(d, p)):
+                dual, knap = profile.dual(eps).value, profile.knapsack(eps)
+                assert abs(dual - knap) <= 1e-10
+                assert abs(dual - lp) <= tol
+
+
+def test_chance_cvar_validates_before_forming_distances(monkeypatch):
+    calls = []
+
+    def counted(h, ds):
+        calls.append(h)
+        return distances(h, ds)
+
+    monkeypatch.setattr(dro, "distances", counted)
+    monkeypatch.setattr(dro, "_last_plane", None)
+    ds, h = dataset_with_distances([0.0, 1.0, 2.0])
+    for rho in (0.0, 1.0, -0.2, 1.5, math.nan, np.float64(1.5)):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            check_chance_cvar(ds, h, 0.1, rho)
+    for eps in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            check_chance_cvar(ds, h, eps, 0.5)
+    assert calls == []
+    # numpy scalars print as plain values
+    with pytest.raises(ValueError) as err:
+        check_chance_cvar(ds, h, 0.1, np.float64(1.05))
+    assert str(err.value) == "rho must lie in (0, 1), got 1.05"
+    with pytest.raises(ValueError) as err:
+        check_chance_cvar(ds, h, np.float64(-0.05), 0.3)
+    assert str(err.value) == "epsilon must be positive, got -0.05"
+    assert check_chance_cvar(ds, h, np.float64(0.05), np.float64(0.5)) == (True, True)
 
 
 def _fresh(monkeypatch, fn, *args):
