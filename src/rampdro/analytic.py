@@ -23,19 +23,18 @@ rectangle (x has density 1/2 there).  The band moments do not depend on eps,
 so every moment evaluation serves every eps being certified.
 
 The stationary-point scan is an exclusion certificate.  For each eps it
-proves that every stationary point of F in the box lies in one of the
+proves that every stationary point of F in the plane lies in one of the
 survivor clusters it reports.  Four facts, derived in
 ``scan_stationary_points``, carry the proof: no stationary point has
 w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) stationarity is a condition on the angle of w alone,
-settled by 1-D exclusion; and elsewhere a quadtree, whose root cell is the
-box itself, drops every cell on which a proved bound shows the residual
-cannot vanish.  Each cluster is then refined to a point.  What is not
-proved: the bounds are applied to residuals computed in floating point
-(about 1e-15 absolute error) without interval arithmetic, and that a
-cluster holds only one stationary point, since no Jacobian argument rules
-out a second root among its cells, which are about 2e-7 wide.  Outside the
-box nothing is certified, which is why the CLI also requires R(eps) <= box.
+settled by 1-D exclusion; and elsewhere a quadtree, whose root spans every
+R(eps), drops every cell on which a proved bound shows the residual cannot
+vanish.  Each cluster is then refined to a point.  What is not proved: the
+bounds are applied to residuals computed in floating point (about 1e-15
+absolute error) without interval arithmetic, and that a cluster holds only
+one stationary point, since no Jacobian argument rules out a second root
+among its cells, which are 2^-23 (about 1.2e-7) wide.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -62,6 +61,7 @@ __all__ = [
     "origin_directional_derivative",
     "origin_directional_derivatives",
     "outer_radius",
+    "root_half_width",
     "scan_stationary_points",
     "label_flip_balance",
     "closed_form_minimizer",
@@ -241,6 +241,15 @@ def outer_radius(epsilon: float) -> float:
     return (_RECT_DIAMETER / (2.0 * epsilon)) ** (1.0 / 3.0)
 
 
+def root_half_width(epsilons) -> float:
+    """The smallest power of two above every R(eps), if all R(eps) < 2^28 (eps > ~5.8e-26)."""
+    eps = [float(e) for e in epsilons]
+    radius = max((outer_radius(e) for e in eps), default=0.0)
+    if not radius < 2.0**28:
+        raise ValueError(f"epsilon {min(eps)} is too small: its outer radius {radius} is not below {2.0**28}")
+    return math.ldexp(1.0, math.frexp(radius)[1])
+
+
 def refine_candidate(epsilons, seeds, half_width: float):
     """Compass-shrink minimization of the residual norm from seed cells.
 
@@ -278,11 +287,11 @@ def refine_candidate(epsilons, seeds, half_width: float):
     return best, best_res
 
 
-def _quadtree_leaves(eps, lo, width, levels):
+def _quadtree_leaves(eps, root, levels):
     """Leaf cells of the annulus exclusion tree (see ``scan_stationary_points``).
 
-    The root cell, level 0, is the box itself.  A cell at level l is an
-    integer pair (i, j) with centre lo + (i + 1/2, j + 1/2) * width / 2^l.
+    The root cell, level 0, is [-root, root]^2.  A cell at level l is an
+    integer pair (i, j) with centre (i + 1/2, j + 1/2) * 2 root / 2^l - root.
     i and j are held as float64, exact below 2^52, so that no step casts
     integers to floats (each cast takes a 64 KB buffer, which shows in peak
     memory).  Returns the leaf cells' i and j, a (n, k) mask of the eps each
@@ -298,9 +307,8 @@ def _quadtree_leaves(eps, lo, width, levels):
         # at most _CHUNK_CELLS cells: drop the half-plane w1 <= 0 and the
         # inner disk for every eps, each eps beyond its R(eps), then each eps
         # whose residual bound excludes the cell
-        w = width * 0.5**level
-        h = 0.5 * w
-        c1, c2 = lo + (i + 0.5) * w, lo + (j + 0.5) * w
+        h = root * 0.5**level
+        c1, c2 = (i + 0.5) * (2.0 * h) - root, (j + 0.5) * (2.0 * h) - root
         a1, a2 = np.abs(c1), np.abs(c2)
         r_min = np.hypot(np.maximum(a1 - h, 0.0), np.maximum(a2 - h, 0.0))
         mask = mask & active & (r_min[:, None] <= radius)
@@ -405,25 +413,24 @@ def _bounding_centre(cells, h, balls):
 
 
 def _inside(point, cells, reach, balls):
-    # in a cell of half-width reach, or in a disk
-    if np.any(np.max(np.abs(cells - point), axis=1) <= reach):
-        return True
-    return any(math.hypot(*(point - centre)) <= radius for centre, radius in balls)
+    # in a closed cell of half-width reach, or in a disk
+    return _touches((point, 0.0), cells, reach) or any(math.hypot(*(point - c)) <= r for c, r in balls)
 
 
-def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
-    """Locate every stationary point of F inside ``box`` x ``box``, for each model.
+def scan_stationary_points(models) -> list[np.ndarray]:
+    """Locate every stationary point of F in the plane, for each model.
 
     Takes a sequence of ``UniformModel`` and returns one array of shape
     (k, 2), sorted by w1, per model and in the same order.  What is proved:
-    every stationary point in the box lies in a survivor cluster, and each
-    reported point is a cluster's refined point, with residual <= 1e-8,
-    inside its cluster and inside the box.  An eps whose certificate does
-    not close (a cluster whose refined point fails that test, or more than
-    ``_MAX_LIVE_CELLS`` live cells at one level) gets an empty array.  What
-    is not proved: that a cluster holds only one stationary point, and
-    rounding in the computed residuals (see the module docstring).  The
-    exclusions below share one moment evaluation per cell across all eps.
+    every stationary point lies in a survivor cluster, and each reported
+    point is a cluster's refined point, with residual <= 1e-8, inside its
+    cluster.  An eps whose certificate does not close (a cluster whose
+    refined point fails that test, or more than ``_MAX_LIVE_CELLS`` live
+    cells at one level) gets an empty array; one too small for
+    ``root_half_width`` raises ``ValueError``.  What is not proved: that a
+    cluster holds only one stationary point, and rounding in the computed
+    residuals (see the module docstring).  The exclusions below share one
+    moment evaluation per cell across all eps.
 
     Write x = (u, v) on the rectangle [0,1] x [-1,1] and the residual
     res(w) = eps w - m(w)/2 with m(w) the integral of x over the band
@@ -463,12 +470,15 @@ def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
     point then lies within sqrt(2) h/(3 eps) of m(centre)/(2 eps).  Every
     eps >= 1/sqrt(2) has its minimizer (1/(2 eps), 0) in this disk.
 
-    Annulus.  The quadtree's root cell is the box itself; each surviving
-    cell splits into four, evaluated in chunks of at most 512, down to
-    half-width 1e-7.  Cells wholly inside the inner disk are left to the
-    angle analysis.  Where it is smooth, m has derivative
-    Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral over the chord
-    {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
+    Annulus.  The quadtree's root cell is [-B, B]^2, B = ``root_half_width``;
+    each surviving cell splits into four, evaluated in chunks of at most 512,
+    down to half-width 2^-24.  As B is a power of two at most 2^28, the leaves
+    lie on one origin-aligned lattice with exact centres and edges, and an
+    eps keeps its leaves in a batch: cells no wider than its own root
+    coincide, and wider ones touch the origin.  Cells wholly inside the inner
+    disk are left to the angle analysis.  Where it is smooth, m has
+    derivative Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral over the
+    chord {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
     <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
     ||Dm(w)|| <= 4 sqrt(5)/||w||.  m is continuous away from 0, so
     integrating along the segment from a cell's centre c gives
@@ -484,18 +494,12 @@ def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
     merges into it.  One lockstep ``refine_candidate`` call starts from
     every cluster's bounding-box centre at half-width 1e-7.
     """
-    lo, hi = float(box[0]), float(box[1])
-    if not 0.0 < hi - lo < math.inf:
-        raise ValueError(f"box must have positive finite width, got {lo} to {hi}")
-    width = hi - lo
-    levels, half = 0, 0.5 * width
-    while half > _LEAF_HALF_WIDTH:
-        levels, half = levels + 1, 0.5 * half
-    if 1 << levels > 2**52:
-        raise ValueError(f"box {lo} to {hi} is too wide for leaf cells of half-width {_LEAF_HALF_WIDTH}")
     eps = np.array([model.epsilon for model in models], dtype=float)
-    leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, lo, width, levels)
-    leaf_width = width * 0.5**levels
+    root = root_half_width(eps.tolist())
+    levels, leaf_half = 0, root
+    while leaf_half > _LEAF_HALF_WIDTH:
+        levels, leaf_half = levels + 1, 0.5 * leaf_half
+    leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, root, levels)
 
     # the angle roots serve every eps; each may give eps a disk point region
     thetas = _theta_root_clusters()
@@ -511,14 +515,14 @@ def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
         if failed[k]:
             continue
         sel = leaf_mask[:, k]
-        cells = lo + (np.column_stack([leaf_i[sel], leaf_j[sel]]) + 0.5) * leaf_width
+        cells = (np.column_stack([leaf_i[sel], leaf_j[sel]]) + 0.5) * (2.0 * leaf_half) - root
         labels, count = _components(leaf_i[sel], leaf_j[sel])
         groups = [(cells[labels == n], []) for n in range(count)]
         for (_, half), m1, m2, em in zip(thetas, mu, mv, along):
             if em - _THETA_LIPSCHITZ * half > math.sqrt(2.0) * e:
                 continue  # the point would lie outside the disk
             ball = (np.array([m1, m2]) / (2.0 * e), math.sqrt(2.0) * half / 3.0 / e)
-            touched = [_touches(ball, c, 0.5 * leaf_width) for c, _ in groups]
+            touched = [_touches(ball, c, leaf_half) for c, _ in groups]
             merged = [g for g, t in zip(groups, touched) if t]
             groups = [g for g, t in zip(groups, touched) if not t]
             groups.append((
@@ -528,23 +532,19 @@ def scan_stationary_points(models, box=(-3.0, 3.0)) -> list[np.ndarray]:
         clusters += groups
         owner += [k] * len(groups)
 
-    seeds = np.array([_bounding_centre(c, 0.5 * leaf_width, balls) for c, balls in clusters]).reshape(-1, 2)
+    seeds = np.array([_bounding_centre(c, leaf_half, balls) for c, balls in clusters]).reshape(-1, 2)
     points, residuals = refine_candidate(eps[owner], seeds, _LEAF_HALF_WIDTH)
 
-    # a root on a cell edge may sit a rounding of the box bounds outside
-    # both computed neighbours
-    reach = 0.5 * leaf_width + 4.0 * np.spacing(max(abs(lo), abs(hi)))
+    # leaf bounds are exact and rounding monotone: a point in a closed leaf
+    # computes within leaf_half of its centre
     accepted = [[] for _ in eps]
     for k, (cells, balls), point, res in zip(owner, clusters, points, residuals):
-        if not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, reach, balls)):
-            failed[k] = True
-        elif np.all((lo <= point) & (point <= hi)):
-            accepted[k].append(point)
-    found = []
-    for k in range(eps.size):
-        pts = [] if failed[k] else sorted(accepted[k], key=lambda p: (p[0], p[1]))
-        found.append(np.array(pts) if pts else np.empty((0, 2)))
-    return found
+        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, leaf_half, balls))
+        accepted[k].append(point)
+    return [
+        np.array(sorted(pts, key=lambda p: (p[0], p[1]))) if pts and not bad else np.empty((0, 2))
+        for pts, bad in zip(accepted, failed)
+    ]
 
 
 def closed_form_minimizer(epsilon: float):

@@ -423,27 +423,26 @@ def _cmd_certify(args) -> int:
         raise ValueError("--epsilons must be a non-empty list of positive values")
 
     models = [analytic.UniformModel(float(eps)) for eps in epsilons]
+    box = analytic.root_half_width(epsilons)
     d_plus, d_minus = analytic.origin_directional_derivatives(models[0])
     origin = {
         "along_plus_e1": {"value": d_plus, "error": abs(d_plus + 0.5), "pass": abs(d_plus + 0.5) <= 1e-4},
         "along_minus_e1": {"value": d_minus, "error": abs(d_minus), "pass": abs(d_minus) <= 1e-6},
     }
 
-    scans = analytic.scan_stationary_points(models, (-args.box, args.box))
+    scans = analytic.scan_stationary_points(models)
     per_eps = []
     for model, points in zip(models, scans):
         eps = model.epsilon
         w1_star, f_star = analytic.closed_form_minimizer(eps)
         residual = analytic.stationarity_residual(model, (w1_star, 0.0))
-        radius = analytic.outer_radius(eps)
         checks = {
-            # the scan certifies the box only, so it must reach R(eps)
-            "single_point": points.shape[0] == 1 and radius <= args.box,
+            "single_point": points.shape[0] == 1,
             "closed_form_residual": bool(np.max(np.abs(residual)) <= 1e-8),
         }
         entry = {
             "epsilon": eps,
-            "outer_radius": radius,
+            "outer_radius": analytic.outer_radius(eps),
             "points": points,
             "n_points": int(points.shape[0]),
             "closed_form": {"w1": w1_star, "value": f_star},
@@ -467,8 +466,8 @@ def _cmd_certify(args) -> int:
     payload = {
         "command": "certify-analytic",
         "timestamp": _timestamp(),
-        # the quadtree has one root cell per side, the box itself
-        "config": {"epsilons": epsilons, "grid": 1, "box": args.box},
+        # one root cell: the square [-box, box]^2
+        "config": {"epsilons": epsilons, "grid": 1, "box": box},
         "result": {"origin": origin, "per_epsilon": per_eps, "all_pass": all_pass},
     }
     _write_json(_resolve_out(args.out), payload)
@@ -530,9 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-analytic", help="certify the uniform-model closed forms")
     p.add_argument("--epsilons", default="0.1,0.3,0.5,1,2", help="comma-separated positive values")
-    p.add_argument("--box", type=float, default=3.0,
-                   help="half-width of the square searched; a single point is certified "
-                        "only when the box reaches the outer radius R(eps)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_certify)
 

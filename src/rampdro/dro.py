@@ -145,9 +145,10 @@ class _DistanceProfile:
     and C, and for the rounding of the bound itself.  So when a query stops,
     every computed phi beyond the prefix lies strictly above the prefix
     minimum (the last argmin stays put), and every computed g strictly below
-    the prefix maximum.  The margins need nonnegative weights and sums that
-    cannot overflow; otherwise ``_mass`` is inf and every query grows the
-    profile whole.  A bound that is not finite also grows it.
+    the prefix maximum.  The margins need nonnegative weights, which
+    ``_build`` requires, and sums that cannot overflow; otherwise ``_mass``
+    is inf and every query grows the profile whole.  A bound that is not
+    finite also grows it.
     """
 
     def __init__(self, d: np.ndarray, p: np.ndarray):
@@ -174,8 +175,7 @@ class _DistanceProfile:
         self.size, self.cut, self._rank, self._sample = z, 0.0, -1, None
         self._top = float(d.max(initial=0.0))  # the largest finite distance
         mass = float(p.sum())
-        trusted = bool((p >= 0.0).all()) and mass * self._top < 2.0**1000
-        self._mass = mass if trusted else math.inf
+        self._mass = mass if mass * self._top < 2.0**1000 else math.inf
         self._tol = 8.0 * (n + 4) * 2.0**-53
         self._views()
 
@@ -368,6 +368,9 @@ def _build(dists, weights) -> _DistanceProfile:
         raise ValueError("distances and weights must have matching shapes")
     if not (d >= 0.0).all():
         raise ValueError("distances must be nonnegative")
+    with np.errstate(over="ignore"):  # an overflowed sum is rejected here
+        if not ((p >= 0.0).all() and p.sum() < math.inf):
+            raise ValueError(f"weights must be nonnegative with a finite sum, got {p.min()} to {p.max()}")
     return _DistanceProfile(d, p)
 
 

@@ -59,7 +59,7 @@ def test_criterion_01_closed_form_minimizer():
     # one scan certifies all five eps, so the 60 s bound covers them together
     models = [UniformModel(eps) for eps in (0.1, 0.3, 0.5, 1.0, 2.0)]
     start = time.time()
-    found = scan_stationary_points(models, (-3.0, 3.0))
+    found = scan_stationary_points(models)
     elapsed = time.time() - start
     ok = len(found) == len(models) and elapsed < 60.0
     details = []

@@ -1,9 +1,10 @@
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import central_difference_gradient, origin_derivative_richardson, refine_one_seed
 from rampdro import analytic
@@ -17,6 +18,7 @@ from rampdro.analytic import (
     origin_directional_derivatives,
     outer_radius,
     refine_candidate,
+    root_half_width,
     scan_stationary_points,
     stationarity_residual,
 )
@@ -225,7 +227,7 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("eps,expected_w1", [(0.1, (0.2) ** (-1.0 / 3.0)), (2.0, 0.25)])
 def test_scan_finds_single_root(eps, expected_w1):
-    (pts,) = scan_stationary_points([UniformModel(eps)], (-3.0, 3.0))
+    (pts,) = scan_stationary_points([UniformModel(eps)])
     assert pts.shape == (1, 2)
     assert abs(pts[0, 0] - expected_w1) <= 1e-3
     assert abs(pts[0, 1]) <= 1e-3
@@ -233,7 +235,7 @@ def test_scan_finds_single_root(eps, expected_w1):
 
 def test_scan_minimum_matches_closed_form_values():
     models = [UniformModel(0.3), UniformModel(1.0)]
-    for model, pts in zip(models, scan_stationary_points(models, (-3.0, 3.0))):
+    for model, pts in zip(models, scan_stationary_points(models)):
         assert pts.shape[0] == 1
         _, f_star = closed_form_minimizer(model.epsilon)
         assert f_epsilon(model, pts[0]) == pytest.approx(f_star, abs=1e-6)
@@ -244,34 +246,28 @@ def test_scan_minimum_matches_closed_form_values():
     st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
 )
+# alone their roots are 4 and 2, and 4 and 1; batched, both take 4
+@example([0.1, 0.5], random.Random(0))
+@example([0.05, 2.0], random.Random(0))
 def test_batched_scan_equals_per_model_scans(epsilons, rnd):
     models = [UniformModel(e) for e in epsilons]
-    found = scan_stationary_points(models, (-3.0, 3.0))
+    found = scan_stationary_points(models)
     assert len(found) == len(models)
     for model, pts in zip(models, found):
-        assert _same_bits(pts, scan_stationary_points([model], (-3.0, 3.0))[0])
+        assert _same_bits(pts, scan_stationary_points([model])[0])
     order = list(range(len(models)))
     rnd.shuffle(order)
-    permuted = scan_stationary_points([models[i] for i in order], (-3.0, 3.0))
+    permuted = scan_stationary_points([models[i] for i in order])
     for i, pts in zip(order, permuted):
         assert _same_bits(pts, found[i])
 
 
-def test_scan_without_seeds_returns_one_empty_array_per_model():
-    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-3.0, -2.0))
-    assert len(found) == 2
-    assert all(pts.shape == (0, 2) for pts in found)
-
-
 @settings(derandomize=True, max_examples=8, deadline=None)
-@given(st.floats(0.05, 5.0), st.floats(1.05, 2.0), st.floats(0.1, 2.0))
-def test_scan_finds_the_closed_form_point(eps, reach, below):
-    # a box covering R(eps) holds every stationary point, and there is one;
-    # an asymmetric box puts the leaf lattice off the origin's axes
-    hi = reach * outer_radius(eps)
-    lo = -below * hi
-    assume(lo != -hi)
-    (pts,) = scan_stationary_points([UniformModel(eps)], (lo, hi))
+@given(st.floats(0.05, 5.0))
+def test_scan_finds_the_closed_form_point(eps):
+    # the root square covers R(eps), so it holds every stationary point, and
+    # there is one
+    (pts,) = scan_stationary_points([UniformModel(eps)])
     assert pts.shape == (1, 2)
     assert np.max(np.abs(pts[0] - [closed_form_minimizer(eps)[0], 0.0])) <= 1e-12
 
@@ -279,7 +275,7 @@ def test_scan_finds_the_closed_form_point(eps, reach, below):
 def test_scan_finds_small_disk_roots():
     # eps = 1e3, 1e5: the minimizer sits in the inner disk next to the
     # origin, deep inside the inner disk, and comes from the angle analysis
-    found = scan_stationary_points([UniformModel(1e3), UniformModel(1e5)], (-3.0, 3.0))
+    found = scan_stationary_points([UniformModel(1e3), UniformModel(1e5)])
     for eps, pts in zip((1e3, 1e5), found):
         assert pts.shape == (1, 2)
         assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-15
@@ -303,7 +299,7 @@ def test_disk_root_merges_with_annulus_cluster(monkeypatch):
     monkeypatch.setattr(analytic, "_quadtree_leaves", recording_quadtree)
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
     eps = math.sqrt(0.5)
-    (pts,) = scan_stationary_points([UniformModel(eps)], (-3.0, 3.0))
+    (pts,) = scan_stationary_points([UniformModel(eps)])
     assert leaves[0][2].sum() > 0
     assert len(seeds) == 1 and seeds[0].shape == (1, 2)
     assert pts.shape == (1, 2)
@@ -321,15 +317,9 @@ def test_disk_point_region_keeps_its_radius_at_the_largest_epsilon(monkeypatch):
         return inside(point, cells, reach, disks)
 
     monkeypatch.setattr(analytic, "_inside", recording_inside)
-    (pts,) = scan_stationary_points([UniformModel(8.98e307)], (-3.0, 3.0))
+    (pts,) = scan_stationary_points([UniformModel(8.98e307)])
     assert pts.shape == (1, 2)
     assert len(balls) == 1 and balls[0][1] > 0.0
-
-
-def test_scan_reports_only_points_in_the_box():
-    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-2.0, 1.0))
-    assert found[0].shape == (0, 2)
-    assert found[1].shape == (1, 2)
 
 
 def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
@@ -342,7 +332,7 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
         return points + np.where(np.asarray(epsilons)[:, None] < 1.0, 1e-3, 0.0), residuals
 
     monkeypatch.setattr(analytic, "refine_candidate", stray_refine)
-    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)], (-3.0, 3.0))
+    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)])
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
 
@@ -351,15 +341,26 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
     # eps = 0.1 keeps about 200 leaf cells, eps = 2 none
     monkeypatch.setattr(analytic, "_MAX_LIVE_CELLS", 100)
     models = [UniformModel(0.1), UniformModel(2.0)]
-    found = scan_stationary_points(models, (-3.0, 3.0))
+    found = scan_stationary_points(models)
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
-    assert _same_bits(found[1], scan_stationary_points(models[1:], (-3.0, 3.0))[0])
+    assert _same_bits(found[1], scan_stationary_points(models[1:])[0])
 
 
-def test_scan_rejects_box_too_wide_for_leaf_lattice():
-    with pytest.raises(ValueError):
-        scan_stationary_points([UniformModel(0.1)], (-1e9, 1e9))
+def test_scan_rejects_epsilon_too_small_for_leaf_lattice():
+    # R(1e-30) = 1.04e10 needs a root beyond 2^28; R(5e-324) is not finite
+    for epsilons in ([0.1, 1e-30], [5e-324, 0.1]):
+        smallest = min(epsilons)
+        with pytest.raises(ValueError, match=f"^epsilon {smallest} is too small"):
+            scan_stationary_points([UniformModel(e) for e in epsilons])
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 1.0, 2.0, 0.001, 1e-25, 1e100, 8.98e307])
+def test_root_half_width_is_the_next_power_of_two_above_the_outer_radius(eps):
+    root = root_half_width([2.0, eps])
+    radius = max(outer_radius(2.0), outer_radius(eps))
+    assert math.frexp(root)[0] == 0.5
+    assert 0.5 * root <= radius < root <= 2.0**28
 
 
 def test_refine_without_seeds_returns_empty_arrays():

@@ -275,9 +275,9 @@ def test_oracle_dimension_mismatch(tmp_path):
     ["oracle", "--n", "20", "--d", "2", "--w", "1,0", "--epsilon", "0.1", "--adv-fraction", "-0.1"],
     ["train", "--n", "200", "--d", "3", "--starts", "3", "--grad-tol", "inf"],
     ["train", "--n", "20", "--d", "2", "--starts", "1", "--sigma", "inf"],
-    ["certify-analytic", "--epsilons", "0.1", "--box", "inf"],
-    ["certify-analytic", "--epsilons", "0.1", "--box", "1e308"],
-    ["certify-analytic", "--epsilons", "0.1", "--box", "1e300"],
+    ["certify-analytic", "--epsilons", "nan"],
+    ["certify-analytic", "--epsilons", ""],
+    ["certify-analytic", "--epsilons", "0.1,1e-30"],
     ["certify-analytic", "--epsilons", "inf"],
     ["reproduce", "--table", "T1", "--scale", "0.01", "--d", "0"],
     ["train", "--n", "200", "--d", "3", "--starts", "3", "--epsilon-bar", "inf"],
@@ -353,7 +353,8 @@ def test_certify_analytic_small(tmp_path):
     assert rc == 0
     payload = _read_json(out)
     _validate(payload, "certify_report.schema.json")
-    assert payload["config"]["grid"] == 1  # one root cell per side: the box
+    assert payload["config"]["grid"] == 1  # one root cell: [-box, box]^2
+    assert payload["config"]["box"] == 2.0  # R(0.5) = 1.31
     assert payload["result"]["all_pass"] is True
     entry = payload["result"]["per_epsilon"][0]
     assert entry["n_points"] == 1
@@ -394,20 +395,22 @@ def test_certify_huge_epsilons_beside_the_origin(tmp_path, eps):
 
 
 def test_certify_near_the_largest_epsilon_raises_no_overflow_warning(tmp_path):
-    # eps * w overflows on the coarse cells of a 1e5 box: such a residual
-    # exceeds every finite bound, and the disk point's radius must not
-    # round to 0 (3 * eps overflows here)
-    result = _certify(tmp_path, "--epsilons", "8.98e307", "--box", "1e5")
+    # eps * w overflows on the coarse cells of the root that eps = 0.1 sets:
+    # such a residual exceeds every finite bound, and the disk point's radius
+    # must not round to 0 (3 * eps overflows here)
+    result = _certify(tmp_path, "--epsilons", "0.1,8.98e307")
     assert result["all_pass"] is True
-    assert result["per_epsilon"][0]["n_points"] == 1
+    assert [e["n_points"] for e in result["per_epsilon"]] == [1, 1]
 
 
 def test_certify_no_longer_takes_grid(tmp_path):
-    # the quadtree starts from the box itself, so there is no root tiling
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["certify-analytic", "--grid", "120", "--out", str(tmp_path / "c.json")])
-    assert exit_info.value.code == 2
-    assert not (tmp_path / "c.json").exists()
+    # the quadtree's one root cell is fitted to the outer radii, so there is
+    # no root tiling and no box to set
+    for flag in (["--grid", "120"], ["--box", "3"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["certify-analytic", *flag, "--out", str(tmp_path / "c.json")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_rejects_epsilon_whose_double_overflows(tmp_path, capsys):
@@ -427,16 +430,30 @@ def test_certify_on_the_inner_disk_edge(tmp_path):
 
 
 def test_certify_requires_the_box_to_reach_the_outer_radius(tmp_path):
-    # R(0.001) = 10.4: box 3 certifies nothing about the minimizer at 7.94
-    small = _certify(tmp_path, "--epsilons", "0.001", "--box", "3")["per_epsilon"][0]
-    assert small["outer_radius"] == pytest.approx(10.38, abs=0.01)
-    assert small["checks"]["single_point"] is False
-    # R(0.1) = 2.24: box 2 holds the minimizer at 1.71 but not all of R
-    inside = _certify(tmp_path, "--epsilons", "0.1", "--box", "2")["per_epsilon"][0]
-    assert inside["n_points"] == 1 and inside["checks"]["single_point"] is False
-    large = _certify(tmp_path, "--epsilons", "0.001", "--box", "11")
-    assert large["all_pass"] is True
-    assert large["per_epsilon"][0]["points"][0][0] == pytest.approx(0.002 ** (-1.0 / 3.0), abs=1e-12)
+    # R(0.001) = 10.4, so the root square is [-16, 16]^2 and holds the
+    # minimizer at 7.94 with every other stationary point there could be
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify-analytic", "--epsilons", "0.001", "--out", str(out)]) == 0
+    payload = _read_json(out)
+    _validate(payload, "certify_report.schema.json")
+    entry = payload["result"]["per_epsilon"][0]
+    assert entry["outer_radius"] == pytest.approx(10.38, abs=0.01)
+    assert payload["config"]["box"] == 16.0 >= entry["outer_radius"]
+    assert payload["result"]["all_pass"] is True
+    assert entry["points"][0] == pytest.approx([7.937005259840997, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("eps,radius", [("1e-30", "10378908155.56212"), ("5e-324", "inf")])
+def test_certify_rejects_epsilon_too_small_for_the_leaf_lattice(tmp_path, capsys, eps, radius):
+    # pytest turns a RuntimeWarning into an error, as CI's PYTHONWARNINGS does
+    rc = cli.main(["certify-analytic", "--epsilons", eps, "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["type"] == "validation"
+    assert err["message"] == (
+        f"epsilon {eps} is too small: its outer radius {radius} is not below 268435456.0"
+    )
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_rejects_nonpositive_epsilon(tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import math
+import re
 import weakref
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -566,6 +567,23 @@ def test_profile_memo_rejects_nan_every_time():
     for _ in range(2):
         with pytest.raises(ValueError, match="matching shapes"):
             cvar_from_distances(d, p[:2], 0.5)
+    # negative, NaN and infinite weights, and weights whose sum overflows
+    bad_weights = [
+        (np.array([-0.5, 1.0, 0.5]), "got -0.5 to 1.0"),
+        (np.array([0.2, math.nan, 0.5]), "got nan to nan"),
+        (np.array([0.2, math.inf, 0.5]), "got 0.2 to inf"),
+        (np.array([0.0, 1e308, 1e308]), "got 0.0 to 1e+308"),
+    ]
+    kernels = [
+        lambda w: worst_case_dual_from_distances(d, w, 0.1),
+        lambda w: worst_case_knapsack_from_distances(d, w, 0.1),
+        lambda w: cvar_from_distances(d, w, 0.5),
+    ]
+    for bad, got in bad_weights:
+        for kernel in kernels:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=re.escape(f"with a finite sum, {got}")):
+                    kernel(bad)
     assert worst_case_dual_from_distances(d, p, 0.1) == expected
     assert worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], 0.25) == 0.75
 

@@ -21,12 +21,20 @@ def _subcommand_flags():
     return {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
 
 
+def _readme_flags():
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+
+
 def test_readme_names_only_flags_the_cli_accepts():
     # a flag the README documents must parse under some subcommand; pip's
     # own flag in the install line is the one exception
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
-    stale = named - _subcommand_flags() - {"--no-build-isolation"}
+    stale = _readme_flags() - _subcommand_flags() - {"--no-build-isolation"}
     assert not stale, f"README names flags no subcommand accepts: {sorted(stale)}"
+
+
+def test_readme_names_every_flag_the_cli_accepts():
+    missing = _subcommand_flags() - _readme_flags() - {"-h", "--help"}
+    assert not missing, f"README never names these flags: {sorted(missing)}"
 
 
 def test_readme_layout_table_has_one_row_per_module():
