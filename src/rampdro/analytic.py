@@ -27,14 +27,15 @@ proves that every stationary point of F in the plane lies in one of the
 survivor clusters it reports.  Four facts, derived in
 ``scan_stationary_points``, carry the proof: no stationary point has
 w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
-||w|| <= 1/sqrt(2) stationarity is a condition on the angle of w alone,
-settled by 1-D exclusion; and elsewhere a quadtree, whose root spans every
-R(eps), drops every cell on which a proved bound shows the residual cannot
-vanish.  Each cluster is then refined to a point.  What is not proved: the
-bounds are applied to residuals computed in floating point (about 1e-15
-absolute error) without interval arithmetic, and that a cluster holds only
-one stationary point, since no Jacobian argument rules out a second root
-among its cells, which are 2^-23 (about 1.2e-7) wide.
+||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
+exactly when eps >= 1/sqrt(2); and elsewhere a quadtree, whose root spans
+every R(eps), drops every cell on which a proved bound shows the residual
+cannot vanish.  Each cluster is then refined to a point.  What is not
+proved: the bounds are applied to residuals computed in floating point
+(about 1e-15 absolute error) without interval arithmetic, and that a
+cluster with leaf cells holds only one stationary point, since no Jacobian
+argument rules out a second root among its cells, which are 2^-23 (about
+1.2e-7) wide.  A cluster that is the disk point alone holds exactly one.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -76,18 +77,14 @@ _RECT_Q = np.roll(_RECT_P, -1, axis=0)
 _RECT_DIAMETER = math.sqrt(5.0)
 _INNER_RADIUS = math.sqrt(0.5)
 
-# exclusion tree: quadtree and angle intervals stop at this half-width, cells
-# are evaluated at most this many at a time, and an eps whose live cells at
-# one level exceed the cap is given up rather than filling memory
+# exclusion tree: the quadtree stops at this half-width, cells are evaluated
+# at most this many at a time, and an eps whose live cells at one level
+# exceed the cap is given up rather than filling memory
 _LEAF_HALF_WIDTH = 1e-7
 _CHUNK_CELLS = 512
 _MAX_LIVE_CELLS = 1_000_000
 _CHILD_I = np.array([0.0, 1.0, 0.0, 1.0])
 _CHILD_J = np.array([0.0, 0.0, 1.0, 1.0])
-
-# angle analysis of the inner disk: the Lipschitz constant of g(theta) and of
-# e.m(theta) (see scan_stationary_points)
-_THETA_LIPSCHITZ = 2.0 * math.sqrt(2.0)
 
 # a refined cluster counts as a point when its residual essentially vanishes
 _ACCEPT_RESIDUAL = 1e-8
@@ -151,13 +148,6 @@ def _band_moments(w1, w2):
     return _moments(*upper)[0], area_band, m[..., 0], m[..., 1]
 
 
-def _half_plane_moments(theta):
-    # (m_u, m_v) over {e(theta).x >= 0}: the band at radius 1/2 is that
-    # half-plane, since 1/2 <= 1/sqrt(2)
-    _, _, mu, mv = _band_moments(0.5 * np.cos(theta), 0.5 * np.sin(theta))
-    return mu, mv
-
-
 def _residual(epsilon, w1, w2):
     # gradient components of F away from the origin; epsilon broadcasts
     # against the moments, which do not depend on it
@@ -204,7 +194,7 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
     return np.array(_residual(model.epsilon, w1, w2), dtype=float)
 
 
-def origin_directional_derivative(model: UniformModel, direction) -> float:
+def origin_directional_derivative(direction) -> float:
     """One-sided derivative of F at the origin along ``direction``, in closed form.
 
     For 0 < t <= 1/(sqrt(2) ||u||), t*u.x <= 1 on the whole rectangle, so
@@ -224,21 +214,20 @@ def origin_directional_derivative(model: UniformModel, direction) -> float:
     return -0.5 * (u1 * float(mu) + u2 * float(mv)) + 0.0
 
 
-def origin_directional_derivatives(model: UniformModel):
+def origin_directional_derivatives():
     """Derivatives along (1, 0) and (-1, 0); the certified values are -1/2, 0."""
-    return (
-        origin_directional_derivative(model, (1.0, 0.0)),
-        origin_directional_derivative(model, (-1.0, 0.0)),
-    )
+    return origin_directional_derivative((1.0, 0.0)), origin_directional_derivative((-1.0, 0.0))
 
 
 def outer_radius(epsilon: float) -> float:
     """R(eps) = (sqrt(5)/(2 eps))^(1/3): F has no stationary point beyond it.
 
     See ``scan_stationary_points`` for the derivation.  It is 2.24 at
-    eps = 0.1 and 10.4 at eps = 0.001.
+    eps = 0.1 and 10.4 at eps = 0.001.  The quotient is formed as
+    (sqrt(5)/2)/eps, the same bits as sqrt(5)/(2 eps) wherever 2 eps is
+    finite, and still positive beyond.
     """
-    return (_RECT_DIAMETER / (2.0 * epsilon)) ** (1.0 / 3.0)
+    return (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)
 
 
 def root_half_width(epsilons) -> float:
@@ -349,31 +338,6 @@ def _quadtree_leaves(eps, root, levels):
     return i, j, mask, ~active
 
 
-def _theta_root_clusters():
-    """Clusters of angle intervals that may hold a root of g on [-pi/2, pi/2].
-
-    Returns (centre, half-width) pairs, one per run of adjacent leaf
-    intervals (half-width <= 1e-7).  An interval of half-width h is dropped
-    when |g(centre)| > 2 sqrt(2) h.
-    """
-    width = math.pi
-    idx = np.zeros(1)
-    while True:
-        theta = -0.5 * math.pi + (idx + 0.5) * width
-        mu, mv = _half_plane_moments(theta)
-        g = np.cos(theta) * mv - np.sin(theta) * mu
-        idx = idx[~(np.abs(g) > _THETA_LIPSCHITZ * 0.5 * width)]
-        if 0.5 * width <= _LEAF_HALF_WIDTH:
-            break
-        idx = (2.0 * idx[:, None] + np.array([0.0, 1.0])).ravel()
-        width *= 0.5
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if idx.size else []
-    return [
-        (-0.5 * math.pi + 0.5 * (run[0] + run[-1] + 1) * width, 0.5 * (run[-1] + 1 - run[0]) * width)
-        for run in runs
-    ]
-
-
 def _components(i, j):
     """Labels of the 8-connected components of lattice cells (i, j), in cell order."""
     cells = list(zip(i.tolist(), j.tolist()))
@@ -403,18 +367,14 @@ def _touches(ball, cells, h):
     return bool(np.any(np.hypot(gap[:, 0], gap[:, 1]) <= radius))
 
 
-def _bounding_centre(cells, h, balls):
-    lows = [centre - radius for centre, radius in balls]
-    highs = [centre + radius for centre, radius in balls]
-    if cells.size:
-        lows.append(cells.min(axis=0) - h)
-        highs.append(cells.max(axis=0) + h)
-    return 0.5 * (np.min(lows, axis=0) + np.max(highs, axis=0))
+def _bounding_centre(cells, h):
+    # centre of the box around the closed cells
+    return 0.5 * ((cells.min(axis=0) - h) + (cells.max(axis=0) + h))
 
 
-def _inside(point, cells, reach, balls):
-    # in a closed cell of half-width reach, or in a disk
-    return _touches((point, 0.0), cells, reach) or any(math.hypot(*(point - c)) <= r for c, r in balls)
+def _inside(point, cells, reach, ball):
+    # in a closed cell of half-width reach, or in the disk, if any
+    return _touches((point, 0.0), cells, reach) or bool(ball and math.hypot(*(point - ball[0])) <= ball[1])
 
 
 def scan_stationary_points(models) -> list[np.ndarray]:
@@ -428,9 +388,9 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     refined point fails that test, or more than ``_MAX_LIVE_CELLS`` live
     cells at one level) gets an empty array; one too small for
     ``root_half_width`` raises ``ValueError``.  What is not proved: that a
-    cluster holds only one stationary point, and rounding in the computed
-    residuals (see the module docstring).  The exclusions below share one
-    moment evaluation per cell across all eps.
+    cluster with leaf cells holds only one stationary point, and rounding in
+    the computed residuals (see the module docstring).  The exclusions below
+    share one moment evaluation per cell across all eps.
 
     Write x = (u, v) on the rectangle [0,1] x [-1,1] and the residual
     res(w) = eps w - m(w)/2 with m(w) the integral of x over the band
@@ -456,19 +416,22 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     and m = m(theta).  The residual vanishes at w = rho e exactly when
     g(theta) = e_perp.m(theta) = 0 (e_perp = (-sin theta, cos theta)) and
     rho = e.m(theta)/(2 eps) <= 1/sqrt(2); then w = m(theta)/(2 eps), and
-    theta lies in (-pi/2, pi/2) by the half-plane fact.  The line e.x = 0
-    meets the rectangle in a segment from the origin of length
-    l(theta) = min(1/|sin theta|, 1/cos theta) <= sqrt(2), and moving the
-    boundary of H gives m'(theta) = (l^3/3) e_perp, so ||m'|| <= 2 sqrt(2)/3,
-    (e.m)' = g and g' = -e.m + l^3/3.  Both e.m and |g| are at most
-    ||m|| <= (area 2) * (max ||x|| = sqrt(2)) = 2 sqrt(2), and l^3/3 <=
-    2 sqrt(2)/3, so g and e.m are 2 sqrt(2)-Lipschitz.  An angle interval of
-    half-width h is dropped when |g(centre)| > 2 sqrt(2) h; down to
-    half-width 1e-7 this leaves the root theta = 0 (g is odd), which is the
-    same for every eps.  A surviving cluster of half-width h holds a disk
-    point for eps only if e.m(centre) - 2 sqrt(2) h <= sqrt(2) eps; the
-    point then lies within sqrt(2) h/(3 eps) of m(centre)/(2 eps).  Every
-    eps >= 1/sqrt(2) has its minimizer (1/(2 eps), 0) in this disk.
+    theta lies in (-pi/2, pi/2) by the half-plane fact.  Lemma: in that range
+    g vanishes only at theta = 0.  For theta in (0, pi/2) let c = cot theta,
+    so H is {v >= -c u}.  Its boundary leaves the rectangle through the
+    bottom edge at u = 1/c when c >= 1, and through the right edge when
+    c <= 1; integrating u and v over H gives
+        m = (1 - 1/(6 c^2), 1/(3 c))      for c >= 1,
+        m = (1/2 + c/3, 1/2 - c^2/6)      for c <= 1.
+    So g = sin theta (c m_v - m_u), and c m_v - m_u is 1/(6 c^2) - 2/3
+    <= -1/2 in the first case and (c - c^3)/6 - 1/2 <= 1/(9 sqrt(3)) - 1/2
+    < -1/3 in the second: g(theta) <= -sin(theta)/3 < 0.  Reflecting
+    v -> -v maps H(theta) to H(-theta) and m to (m_u, -m_v), so g is odd,
+    and g(0) = 0 with m(0) = (1, 0), the whole rectangle's moment (exactly
+    (1.0, 0.0) in floating point too).  Hence the only stationary point with
+    ||w|| <= 1/sqrt(2) is m(0)/(2 eps) = (1/(2 eps), 0), and it exists
+    exactly when it lies in the closed disk: eps >= 1/sqrt(2).  The scan
+    gives it a disk whose radius covers only the rounding of 1/(2 eps).
 
     Annulus.  The quadtree's root cell is [-B, B]^2, B = ``root_half_width``;
     each surviving cell splits into four, evaluated in chunks of at most 512,
@@ -476,7 +439,7 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     lie on one origin-aligned lattice with exact centres and edges, and an
     eps keeps its leaves in a batch: cells no wider than its own root
     coincide, and wider ones touch the origin.  Cells wholly inside the inner
-    disk are left to the angle analysis.  Where it is smooth, m has
+    disk are left to the lemma.  Where it is smooth, m has
     derivative Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral over the
     chord {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
     <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
@@ -490,9 +453,10 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     (eps + 2 sqrt(5)/r_min) ||w - c||: the bound is tight to within 8 %.
 
     Survivors become points.  Connected leaf cells (sharing an edge or a
-    corner) form a cluster, and a disk point region that touches a cluster
-    merges into it.  One lockstep ``refine_candidate`` call starts from
-    every cluster's bounding-box centre at half-width 1e-7.
+    corner) form a cluster, and the disk point merges into one cluster with
+    every cluster that has a leaf reaching into the inner disk.  One lockstep
+    ``refine_candidate`` call starts, at half-width 1e-7, from the disk point
+    in its cluster and from the bounding-box centre of each other cluster.
     """
     eps = np.array([model.epsilon for model in models], dtype=float)
     root = root_half_width(eps.tolist())
@@ -501,45 +465,46 @@ def scan_stationary_points(models) -> list[np.ndarray]:
         levels, leaf_half = levels + 1, 0.5 * leaf_half
     leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, root, levels)
 
-    # the angle roots serve every eps; each may give eps a disk point region
-    thetas = _theta_root_clusters()
-    angles = np.array([centre for centre, _ in thetas])
-    mu, mv = _half_plane_moments(angles)
-    along = np.cos(angles) * mu + np.sin(angles) * mv
-
-    # a cluster is its leaf cells (n, 2) and its disk regions [(centre, radius)]
+    # a cluster is its leaf cells (n, 2) and at most one disk (centre, radius)
     clusters, owner = [], []
-    # plain floats, and the radius divides by 3 and then by eps, since
-    # 3 * eps overflows beyond eps ~ 6e307
     for k, e in enumerate(eps.tolist()):
         if failed[k]:
             continue
         sel = leaf_mask[:, k]
         cells = (np.column_stack([leaf_i[sel], leaf_j[sel]]) + 0.5) * (2.0 * leaf_half) - root
         labels, count = _components(leaf_i[sel], leaf_j[sel])
-        groups = [(cells[labels == n], []) for n in range(count)]
-        for (_, half), m1, m2, em in zip(thetas, mu, mv, along):
-            if em - _THETA_LIPSCHITZ * half > math.sqrt(2.0) * e:
-                continue  # the point would lie outside the disk
-            ball = (np.array([m1, m2]) / (2.0 * e), math.sqrt(2.0) * half / 3.0 / e)
-            touched = [_touches(ball, c, leaf_half) for c, _ in groups]
-            merged = [g for g, t in zip(groups, touched) if t]
+        groups = [(cells[labels == n], None) for n in range(count)]
+        # the disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly.
+        # The division rounds once to nearest, so the true w1 lies within half
+        # the spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and
+        # w2 = 0 is exact.  Rounding is monotone, so every eps >= 1/sqrt(2)
+        # passes the test below; an eps an ulp short of it may too, and its
+        # disk then only adds a region.
+        w1 = 0.5 / e
+        if w1 <= _INNER_RADIUS:
+            # every leaf wholly inside the inner disk was dropped, the point's
+            # own leaf too unless it reaches the edge, so the leaves left around
+            # the point are those reaching into the disk: each cluster with
+            # one merges with the point
+            ball = (np.array([w1, 0.0]), math.ulp(w1))
+            touched = [_touches((np.zeros(2), _INNER_RADIUS), c, leaf_half) for c, _ in groups]
+            merged = [c for (c, _), t in zip(groups, touched) if t]
             groups = [g for g, t in zip(groups, touched) if not t]
-            groups.append((
-                np.concatenate([np.empty((0, 2))] + [c for c, _ in merged]),
-                [ball] + [b for _, balls in merged for b in balls],
-            ))
+            groups.append((np.concatenate([np.empty((0, 2))] + merged), ball))
         clusters += groups
         owner += [k] * len(groups)
 
-    seeds = np.array([_bounding_centre(c, leaf_half, balls) for c, balls in clusters]).reshape(-1, 2)
+    # a cluster with the disk point starts from it: its residual is rounding only
+    seeds = np.array(
+        [ball[0] if ball else _bounding_centre(c, leaf_half) for c, ball in clusters]
+    ).reshape(-1, 2)
     points, residuals = refine_candidate(eps[owner], seeds, _LEAF_HALF_WIDTH)
 
     # leaf bounds are exact and rounding monotone: a point in a closed leaf
     # computes within leaf_half of its centre
     accepted = [[] for _ in eps]
-    for k, (cells, balls), point, res in zip(owner, clusters, points, residuals):
-        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, leaf_half, balls))
+    for k, (cells, ball), point, res in zip(owner, clusters, points, residuals):
+        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, leaf_half, ball))
         accepted[k].append(point)
     return [
         np.array(sorted(pts, key=lambda p: (p[0], p[1]))) if pts and not bad else np.empty((0, 2))
@@ -557,7 +522,8 @@ def closed_form_minimizer(epsilon: float):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if epsilon <= 0.5:
         return (2.0 * epsilon) ** (-1.0 / 3.0), 3.0 * (epsilon / 32.0) ** (1.0 / 3.0)
-    return 1.0 / (2.0 * epsilon), 1.0 - 1.0 / (8.0 * epsilon)
+    # 0.5/eps is 1/(2 eps) rounded once, and stays positive where 2 eps overflows
+    return 0.5 / epsilon, 1.0 - 0.125 / epsilon
 
 
 def label_flip_balance(ds, h, sigma: float):

@@ -424,7 +424,7 @@ def _cmd_certify(args) -> int:
 
     models = [analytic.UniformModel(float(eps)) for eps in epsilons]
     box = analytic.root_half_width(epsilons)
-    d_plus, d_minus = analytic.origin_directional_derivatives(models[0])
+    d_plus, d_minus = analytic.origin_directional_derivatives()
     origin = {
         "along_plus_e1": {"value": d_plus, "error": abs(d_plus + 0.5), "pass": abs(d_plus + 0.5) <= 1e-4},
         "along_minus_e1": {"value": d_minus, "error": abs(d_minus), "pass": abs(d_minus) <= 1e-6},

@@ -75,7 +75,7 @@ def test_criterion_01_closed_form_minimizer():
 
 
 def test_criterion_02_origin_directional_derivatives():
-    d_plus, d_minus = origin_directional_derivatives(UniformModel(0.1))
+    d_plus, d_minus = origin_directional_derivatives()
     ok = abs(d_plus + 0.5) <= 1e-4 and abs(d_minus) <= 1e-6
     _criterion(2, "origin derivatives -1/2 along +e1 and 0 along -e1", ok,
                f"d+={d_plus:.8f}, d-={d_minus:.2e}")

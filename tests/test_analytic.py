@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ def test_residual_rejects_origin():
 
 
 def test_origin_directional_derivatives():
-    d_plus, d_minus = origin_directional_derivatives(UniformModel(0.1))
+    d_plus, d_minus = origin_directional_derivatives()
     assert abs(d_plus + 0.5) <= 1e-4
     assert abs(d_minus) <= 1e-6
 
@@ -138,13 +139,13 @@ def test_origin_derivative_along_e2():
     a = 1e-6
     quotient = (f_epsilon_quadrature(model, (0.0, a), 4000) - 1.0) / a
     assert quotient == pytest.approx(-0.25, abs=1e-3)
-    d = origin_directional_derivative(model, (0.0, 1.0))
+    d = origin_directional_derivative((0.0, 1.0))
     assert d == pytest.approx(-0.25, abs=1e-4)
 
 
 def test_origin_derivatives_are_exact():
     # +e1 reads the whole rectangle's moment (1, 0), -e1 an empty half-plane
-    d_plus, d_minus = origin_directional_derivatives(UniformModel(0.1))
+    d_plus, d_minus = origin_directional_derivatives()
     assert d_plus == -0.5
     assert d_minus == 0.0 and math.copysign(1.0, d_minus) == 1.0
 
@@ -153,15 +154,16 @@ def test_origin_derivatives_are_exact():
 def test_origin_derivative_matches_richardson(k):
     angle = k * math.pi / 4.0
     direction = (0.5 + 0.25 * k) * np.array([math.cos(angle), math.sin(angle)])
+    # the closed form does not depend on eps; the difference quotients do
+    closed = origin_directional_derivative(direction)
     for eps in (0.1, 2.0):
-        closed = origin_directional_derivative(UniformModel(eps), direction)
         assert abs(closed - origin_derivative_richardson(eps, direction)) <= 1e-6
 
 
 @pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)])
 def test_origin_derivative_rejects_degenerate_direction(direction):
     with pytest.raises(ValueError):
-        origin_directional_derivative(UniformModel(0.1), direction)
+        origin_directional_derivative(direction)
 
 
 def _moment(w1, w2):
@@ -189,21 +191,40 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
     assert np.hypot(*(res_b - res_a)) <= (eps + 2.0 * math.sqrt(5.0) / r_min) * length
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi / 2, math.pi / 2))
-def test_angle_bounds_hold(a, b):
-    # g = e_perp.m and e.m are 2 sqrt(2)-Lipschitz in theta, m itself
-    # 2 sqrt(2)/3-Lipschitz; slack 1e-14 for rounding at tiny steps
-    def parts(theta):
-        e = np.array([math.cos(theta), math.sin(theta)])
-        m = _moment(*(0.5 * e))
-        return m, m @ np.array([-e[1], e[0]]), m @ e
+def _half_plane_moment(theta):
+    # the lemma's closed form of m(theta), theta in (-pi/2, pi/2), with
+    # c = cot |theta| and the reflection v -> -v for theta < 0
+    if theta == 0.0:
+        return 1.0, 0.0
+    c = 1.0 / math.tan(abs(theta))
+    if c >= 1.0:
+        mu, mv = 1.0 - 1.0 / (6.0 * c * c), 1.0 / (3.0 * c)
+    else:
+        mu, mv = 0.5 + c / 3.0, 0.5 - c * c / 6.0
+    return mu, math.copysign(mv, theta)
 
-    (m_a, g_a, em_a), (m_b, g_b, em_b) = parts(a), parts(b)
-    step = abs(a - b)
-    assert abs(g_a - g_b) <= 2.0 * math.sqrt(2.0) * step + 1e-14
-    assert abs(em_a - em_b) <= 2.0 * math.sqrt(2.0) * step + 1e-14
-    assert np.hypot(*(m_a - m_b)) <= 2.0 * math.sqrt(2.0) / 3.0 * step + 1e-14
+
+def test_half_plane_moment_at_zero_is_exact():
+    # the disk point m(0)/(2 eps) is formed as (0.5/eps, 0) on this
+    _, _, mu, mv = analytic._band_moments(0.5, 0.0)
+    assert (float(mu), float(mv)) == (1.0, 0.0)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True))
+@example(math.pi / 4)
+@example(-math.pi / 3)
+@example(5e-324)
+def test_inner_disk_lemma(theta):
+    # both branches of the closed form match the clipped moments at radius
+    # 1/2, where the band is the half-plane, and g = e_perp.m has the sign
+    # of -theta with |g| >= |sin theta|/3, so theta = 0 is its only root
+    _, _, mu, mv = analytic._band_moments(0.5 * math.cos(theta), 0.5 * math.sin(theta))
+    m_u, m_v = _half_plane_moment(theta)
+    assert abs(m_u - float(mu)) <= 4.0 * math.ulp(1.0)
+    assert abs(m_v - float(mv)) <= 4.0 * math.ulp(1.0)
+    g = math.cos(theta) * m_v - math.sin(theta) * m_u
+    assert math.copysign(1.0, theta) * g <= -abs(math.sin(theta)) / 3.0
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -274,7 +295,7 @@ def test_scan_finds_the_closed_form_point(eps):
 
 def test_scan_finds_small_disk_roots():
     # eps = 1e3, 1e5: the minimizer sits in the inner disk next to the
-    # origin, deep inside the inner disk, and comes from the angle analysis
+    # origin, deep inside the inner disk, and comes from the lemma
     found = scan_stationary_points([UniformModel(1e3), UniformModel(1e5)])
     for eps, pts in zip((1e3, 1e5), found):
         assert pts.shape == (1, 2)
@@ -283,8 +304,8 @@ def test_scan_finds_small_disk_roots():
 
 def test_disk_root_merges_with_annulus_cluster(monkeypatch):
     # at eps = 1/sqrt(2) the minimizer lies on the inner disk's edge: leaf
-    # cells survive around it and the angle root's point region touches
-    # them, so the two make one cluster, one seed and one point
+    # cells survive around it and the disk point's disk touches them, so
+    # the two make one cluster, one seed and one point
     leaves, seeds = [], []
     quadtree, refine = analytic._quadtree_leaves, analytic.refine_candidate
 
@@ -306,20 +327,21 @@ def test_disk_root_merges_with_annulus_cluster(monkeypatch):
     assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
 
 
-def test_disk_point_region_keeps_its_radius_at_the_largest_epsilon(monkeypatch):
-    # 3 * eps overflows beyond eps ~ 6e307, which would shrink the region
-    # around the angle root's point to that point alone
-    balls = []
-    inside = analytic._inside
-
-    def recording_inside(point, cells, reach, disks):
-        balls.extend(disks)
-        return inside(point, cells, reach, disks)
-
-    monkeypatch.setattr(analytic, "_inside", recording_inside)
-    (pts,) = scan_stationary_points([UniformModel(8.98e307)])
-    assert pts.shape == (1, 2)
-    assert len(balls) == 1 and balls[0][1] > 0.0
+def test_disk_point_is_certified_at_the_largest_epsilon_and_the_disk_edge():
+    # at 8.98e307 the disk point (1/(2 eps), 0) is subnormal and its disk is
+    # one ulp wide; one ulp below, at and above 1/sqrt(2) it meets the
+    # annulus cells at the disk's edge.  Up to about 8.5e-7 above the edge
+    # the point's own leaf lies wholly inside the disk and is dropped, while
+    # leaves reaching into the disk beside it survive and must merge with it
+    edge = math.sqrt(0.5)
+    epsilons = [8.98e307, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    epsilons += [0.7071069, 0.707107] + [edge + k * 1e-7 for k in range(1, 10)]
+    found = scan_stationary_points([UniformModel(e) for e in epsilons])
+    for eps, pts in zip(epsilons, found):
+        assert pts.shape == (1, 2)
+        assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
+    assert 0.0 < found[0][0, 0] < sys.float_info.min
+    assert found[0][0, 0] == 0.5 / epsilons[0] and found[0][0, 1] == 0.0
 
 
 def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
@@ -411,6 +433,17 @@ def test_closed_form_minimizer_branches_meet_at_half():
 def test_closed_form_minimizer_rejects_infinite_epsilon():
     with pytest.raises(ValueError):
         closed_form_minimizer(math.inf)
+
+
+@pytest.mark.parametrize("eps", [0.7, 3.0, 1e300, 1e308, 1.7e308, sys.float_info.max])
+def test_closed_forms_where_two_epsilon_overflows(eps):
+    # 1/(2 eps), 1/(8 eps) and sqrt(5)/(2 eps) rounded once from the exact
+    # rationals; 2 eps overflows for the last three eps, whose w1 is subnormal
+    exact = Fraction(eps)
+    w1, value = closed_form_minimizer(eps)
+    assert w1 == float(1 / (2 * exact)) > 0.0
+    assert value == 1.0 - float(1 / (8 * exact))
+    assert outer_radius(eps) == float(Fraction(math.sqrt(5.0)) / (2 * exact)) ** (1.0 / 3.0) > 0.0
 
 
 def test_label_flip_balance_separable():

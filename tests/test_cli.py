@@ -396,8 +396,7 @@ def test_certify_huge_epsilons_beside_the_origin(tmp_path, eps):
 
 def test_certify_near_the_largest_epsilon_raises_no_overflow_warning(tmp_path):
     # eps * w overflows on the coarse cells of the root that eps = 0.1 sets:
-    # such a residual exceeds every finite bound, and the disk point's radius
-    # must not round to 0 (3 * eps overflows here)
+    # such a residual exceeds every finite bound; the disk point is subnormal
     result = _certify(tmp_path, "--epsilons", "0.1,8.98e307")
     assert result["all_pass"] is True
     assert [e["n_points"] for e in result["per_epsilon"]] == [1, 1]
@@ -423,7 +422,7 @@ def test_certify_rejects_epsilon_whose_double_overflows(tmp_path, capsys):
 
 
 def test_certify_on_the_inner_disk_edge(tmp_path):
-    # eps = 1/sqrt(2): annulus survivors and the angle root meet
+    # eps = 1/sqrt(2): annulus survivors and the disk point meet
     result = _certify(tmp_path, "--epsilons", repr(math.sqrt(0.5)))
     assert result["all_pass"] is True
     assert result["per_epsilon"][0]["n_points"] == 1
