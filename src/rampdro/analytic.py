@@ -19,8 +19,7 @@ only as an independent cross-check.
 
 Away from the origin the gradient of F is the residual eps*w - m(w)/2, where
 m(w) is the integral of x = (u, v) over the band {0 <= w.x <= 1} of the
-rectangle (x has density 1/2 there).  The band moments do not depend on eps,
-so every moment evaluation serves every eps being certified.
+rectangle (x has density 1/2 there).
 
 The stationary-point scan is an exclusion certificate.  For each eps it
 proves that every stationary point of F in the plane lies in one of the
@@ -28,14 +27,15 @@ survivor clusters it reports.  Four facts, derived in
 ``scan_stationary_points``, carry the proof: no stationary point has
 w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
-exactly when eps >= 1/sqrt(2); and elsewhere a quadtree, whose root spans
-every R(eps), drops every cell on which a proved bound shows the residual
-cannot vanish.  Each cluster is then refined to a point.  What is not
-proved: the bounds are applied to residuals computed in floating point
-(about 1e-15 absolute error) without interval arithmetic, and that a
-cluster with leaf cells holds only one stationary point, since no Jacobian
-argument rules out a second root among its cells, which are 2^-23 (about
-1.2e-7) wide.  A cluster that is the disk point alone holds exactly one.
+exactly when eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root
+square [-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a
+proved bound shows the residual cannot vanish.  Each cluster is then refined
+to a point.  What is not proved: the bounds are applied to residuals computed
+in floating point (about 1e-15 absolute error) without interval arithmetic,
+and that a cluster with leaf cells holds only one stationary point, since no
+Jacobian argument rules out a second root among its cells, which are 2^-23
+(about 1.2e-7) wide.  A cluster that is the disk point alone holds exactly
+one.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -102,13 +102,8 @@ class UniformModel:
     epsilon: float
 
     def __post_init__(self):
-        # the stationary points sit at |w| ~ 1/(2 eps), so 2 eps must be finite;
-        # doubled as a Python float, a numpy scalar overflows without a warning
-        eps = float(self.epsilon)
-        if not 0.0 < 2.0 * eps < math.inf:
-            raise ValueError(
-                f"epsilon must be positive with 2 * epsilon finite, got {self.epsilon}"
-            )
+        if not 0.0 < float(self.epsilon) < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def _clip(p, q, a, b, c):
@@ -276,66 +271,59 @@ def refine_candidate(epsilons, seeds, half_width: float):
     return best, best_res
 
 
-def _quadtree_leaves(eps, root, levels):
-    """Leaf cells of the annulus exclusion tree (see ``scan_stationary_points``).
+def _quadtree_leaves(eps: float):
+    """Leaf cells of one eps's annulus exclusion tree (see ``scan_stationary_points``).
 
-    The root cell, level 0, is [-root, root]^2.  A cell at level l is an
-    integer pair (i, j) with centre (i + 1/2, j + 1/2) * 2 root / 2^l - root.
-    i and j are held as float64, exact below 2^52, so that no step casts
-    integers to floats (each cast takes a 64 KB buffer, which shows in peak
-    memory).  Returns the leaf cells' i and j, a (n, k) mask of the eps each
-    may still hold a stationary point for, and a (k,) mask of the eps given
-    up at the live-cell cap.
+    The root cell is eps's own square [-B, B]^2, B = ``root_half_width([eps])``,
+    and each level halves the cells' half-width h while h > 1e-7.  A cell of
+    half-width h is an integer pair (i, j) with centre (i + 1/2, j + 1/2) * 2h
+    - B.  i and j are held as float64, exact below 2^52, so that no step
+    casts integers to floats (each cast takes a 64 KB buffer, which shows in
+    peak memory).  Returns the leaf cells' i and j and their half-width, or
+    None once the live cells of one level exceed ``_MAX_LIVE_CELLS``.
     """
-    radius = np.array([outer_radius(e) for e in eps])
-    active = np.ones(eps.size, dtype=bool)
-    live = np.zeros(eps.size, dtype=np.int64)
-    empty = (np.empty(0), np.empty(0), np.empty((0, eps.size), dtype=bool))
+    root = root_half_width([eps])
+    radius = outer_radius(eps)
 
-    def evaluate(i, j, mask, level):
-        # at most _CHUNK_CELLS cells: drop the half-plane w1 <= 0 and the
-        # inner disk for every eps, each eps beyond its R(eps), then each eps
-        # whose residual bound excludes the cell
-        h = root * 0.5**level
+    def survivors(i, j, h):
+        # at most _CHUNK_CELLS cells: drop the half-plane w1 <= 0, the inner
+        # disk and the cells beyond R(eps), then those whose residual bound
+        # excludes them
         c1, c2 = (i + 0.5) * (2.0 * h) - root, (j + 0.5) * (2.0 * h) - root
         a1, a2 = np.abs(c1), np.abs(c2)
         r_min = np.hypot(np.maximum(a1 - h, 0.0), np.maximum(a2 - h, 0.0))
-        mask = mask & active & (r_min[:, None] <= radius)
-        mask &= ((c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > _INNER_RADIUS))[:, None]
-        rows = mask.any(axis=1)
-        if not rows.any():
-            return empty
-        i, j, c1, c2, r_min, mask = i[rows], j[rows], c1[rows], c2[rows], r_min[rows], mask[rows]
+        keep = (r_min <= radius) & (c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > _INNER_RADIUS)
+        i, j, c1, c2, r_min = i[keep], j[keep], c1[keep], c2[keep], r_min[keep]
         _, _, mu, mv = _band_moments(c1, c2)
-        # a cell touching the origin is never excluded; an overflowed residual
-        # truly exceeds any finite bound, and an overflowed bound excludes nothing
-        with np.errstate(divide="ignore", over="ignore"):
-            res = np.hypot(eps * c1[:, None] - 0.5 * mu[:, None], eps * c2[:, None] - 0.5 * mv[:, None])
-            bound = (eps + 2.0 * _RECT_DIAMETER / r_min[:, None]) * (h * math.sqrt(2.0))
-        mask &= ~(res > bound)
-        rows = mask.any(axis=1)
-        live[:] += np.count_nonzero(mask, axis=0)
-        active[live > _MAX_LIVE_CELLS] = False
-        return i[rows], j[rows], mask[rows]
+        # a cell touching the origin (r_min = 0) is never excluded.  Nothing
+        # overflows: eps * B(eps) is below 2.1 eps^(2/3), and r_min is 0 or
+        # at least 2h
+        with np.errstate(divide="ignore"):
+            res = np.hypot(eps * c1 - 0.5 * mu, eps * c2 - 0.5 * mv)
+            bound = (eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
+        keep = ~(res > bound)
+        return i[keep], j[keep]
 
-    i, j, mask = evaluate(np.zeros(1), np.zeros(1), np.ones((1, eps.size), dtype=bool), 0)
+    h = root
+    i, j = survivors(np.zeros(1), np.zeros(1), h)
     step = _CHUNK_CELLS // 4
-    for level in range(1, levels + 1):
-        live[:] = 0
-        parts = [empty]
+    while h > _LEAF_HALF_WIDTH:
+        h *= 0.5
+        kept_i, kept_j, live = [np.empty(0)], [np.empty(0)], 0
         for start in range(0, i.size, step):
             parents = slice(start, start + step)
-            parts.append(evaluate(
+            child_i, child_j = survivors(
                 (2.0 * i[parents, None] + _CHILD_I).ravel(),
                 (2.0 * j[parents, None] + _CHILD_J).ravel(),
-                np.repeat(mask[parents], 4, axis=0),
-                level,
-            ))
-        i, j, mask = (np.concatenate(a) for a in zip(*parts))
-        mask &= active
-        rows = mask.any(axis=1)
-        i, j, mask = i[rows], j[rows], mask[rows]
-    return i, j, mask, ~active
+                h,
+            )
+            live += child_i.size
+            if live > _MAX_LIVE_CELLS:
+                return None
+            kept_i.append(child_i)
+            kept_j.append(child_j)
+        i, j = np.concatenate(kept_i), np.concatenate(kept_j)
+    return i, j, h
 
 
 def _components(i, j):
@@ -389,8 +377,7 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     cells at one level) gets an empty array; one too small for
     ``root_half_width`` raises ``ValueError``.  What is not proved: that a
     cluster with leaf cells holds only one stationary point, and rounding in
-    the computed residuals (see the module docstring).  The exclusions below
-    share one moment evaluation per cell across all eps.
+    the computed residuals (see the module docstring).
 
     Write x = (u, v) on the rectangle [0,1] x [-1,1] and the residual
     res(w) = eps w - m(w)/2 with m(w) the integral of x over the band
@@ -433,15 +420,14 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     exactly when it lies in the closed disk: eps >= 1/sqrt(2).  The scan
     gives it a disk whose radius covers only the rounding of 1/(2 eps).
 
-    Annulus.  The quadtree's root cell is [-B, B]^2, B = ``root_half_width``;
-    each surviving cell splits into four, evaluated in chunks of at most 512,
-    down to half-width 2^-24.  As B is a power of two at most 2^28, the leaves
-    lie on one origin-aligned lattice with exact centres and edges, and an
-    eps keeps its leaves in a batch: cells no wider than its own root
-    coincide, and wider ones touch the origin.  Cells wholly inside the inner
-    disk are left to the lemma.  Where it is smooth, m has
-    derivative Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral over the
-    chord {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
+    Annulus.  Each eps has its own quadtree, whose root cell is
+    [-B(eps), B(eps)]^2, B(eps) = ``root_half_width([eps])``; each surviving
+    cell splits into four, evaluated in chunks of at most 512, down to
+    half-width 2^-24.  As B(eps) is a power of two at most 2^28, the leaves
+    lie on one origin-aligned lattice with exact centres and edges.  Cells
+    wholly inside the inner disk are left to the lemma.  Where it is smooth,
+    m has derivative Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral
+    over the chord {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
     <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
     ||Dm(w)|| <= 4 sqrt(5)/||w||.  m is continuous away from 0, so
     integrating along the segment from a cell's centre c gives
@@ -458,22 +444,23 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     ``refine_candidate`` call starts, at half-width 1e-7, from the disk point
     in its cluster and from the bounding-box centre of each other cluster.
     """
-    eps = np.array([model.epsilon for model in models], dtype=float)
-    root = root_half_width(eps.tolist())
-    levels, leaf_half = 0, root
-    while leaf_half > _LEAF_HALF_WIDTH:
-        levels, leaf_half = levels + 1, 0.5 * leaf_half
-    leaf_i, leaf_j, leaf_mask, failed = _quadtree_leaves(eps, root, levels)
+    eps = [float(model.epsilon) for model in models]
+    root_half_width(eps)  # every eps must fit the leaf lattice; the error names the smallest
 
-    # a cluster is its leaf cells (n, 2) and at most one disk (centre, radius)
-    clusters, owner = [], []
-    for k, e in enumerate(eps.tolist()):
-        if failed[k]:
+    # every tree is built before any cluster: objects made while clustering
+    # between two trees fragment the heap, and peak memory rose by 0.15 MB
+    trees = [_quadtree_leaves(e) for e in eps]
+
+    # a cluster is its leaf cells (n, 2), their half-width and at most one
+    # disk (centre, radius)
+    clusters, owner, failed = [], [], [tree is None for tree in trees]
+    for k, (e, tree) in enumerate(zip(eps, trees)):
+        if tree is None:
             continue
-        sel = leaf_mask[:, k]
-        cells = (np.column_stack([leaf_i[sel], leaf_j[sel]]) + 0.5) * (2.0 * leaf_half) - root
-        labels, count = _components(leaf_i[sel], leaf_j[sel])
-        groups = [(cells[labels == n], None) for n in range(count)]
+        leaf_i, leaf_j, h = tree
+        cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root_half_width([e])
+        labels, count = _components(leaf_i, leaf_j)
+        groups = [(cells[labels == n], h, None) for n in range(count)]
         # the disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly.
         # The division rounds once to nearest, so the true w1 lies within half
         # the spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and
@@ -487,24 +474,24 @@ def scan_stationary_points(models) -> list[np.ndarray]:
             # the point are those reaching into the disk: each cluster with
             # one merges with the point
             ball = (np.array([w1, 0.0]), math.ulp(w1))
-            touched = [_touches((np.zeros(2), _INNER_RADIUS), c, leaf_half) for c, _ in groups]
-            merged = [c for (c, _), t in zip(groups, touched) if t]
+            touched = [_touches((np.zeros(2), _INNER_RADIUS), c, h) for c, _, _ in groups]
+            merged = [c for (c, _, _), t in zip(groups, touched) if t]
             groups = [g for g, t in zip(groups, touched) if not t]
-            groups.append((np.concatenate([np.empty((0, 2))] + merged), ball))
+            groups.append((np.concatenate([np.empty((0, 2))] + merged), h, ball))
         clusters += groups
         owner += [k] * len(groups)
 
     # a cluster with the disk point starts from it: its residual is rounding only
     seeds = np.array(
-        [ball[0] if ball else _bounding_centre(c, leaf_half) for c, ball in clusters]
+        [ball[0] if ball else _bounding_centre(c, h) for c, h, ball in clusters]
     ).reshape(-1, 2)
-    points, residuals = refine_candidate(eps[owner], seeds, _LEAF_HALF_WIDTH)
+    points, residuals = refine_candidate([eps[k] for k in owner], seeds, _LEAF_HALF_WIDTH)
 
     # leaf bounds are exact and rounding monotone: a point in a closed leaf
-    # computes within leaf_half of its centre
+    # computes within h of its centre
     accepted = [[] for _ in eps]
-    for k, (cells, ball), point, res in zip(owner, clusters, points, residuals):
-        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, leaf_half, ball))
+    for k, (cells, h, ball), point, res in zip(owner, clusters, points, residuals):
+        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, h, ball))
         accepted[k].append(point)
     return [
         np.array(sorted(pts, key=lambda p: (p[0], p[1]))) if pts and not bad else np.empty((0, 2))

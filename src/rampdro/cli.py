@@ -466,8 +466,8 @@ def _cmd_certify(args) -> int:
     payload = {
         "command": "certify-analytic",
         "timestamp": _timestamp(),
-        # one root cell: the square [-box, box]^2
-        "config": {"epsilons": epsilons, "grid": 1, "box": box},
+        # the largest root square, the smallest eps's: [-box, box]^2
+        "config": {"epsilons": epsilons, "box": box},
         "result": {"origin": origin, "per_epsilon": per_eps, "all_pass": all_pass},
     }
     _write_json(_resolve_out(args.out), payload)

@@ -32,11 +32,16 @@ def test_model_validation():
         UniformModel(0.0)
 
 
-@pytest.mark.parametrize("eps", [1e308, np.float64(1e308), np.inf, np.float64(np.nan)])
-def test_model_rejects_epsilon_whose_double_overflows(eps):
-    # a numpy scalar must fail validation, not overflow while being checked
-    with pytest.raises(ValueError, match="2 \\* epsilon finite"):
+@pytest.mark.parametrize("eps", [0.0, -1.0, -np.inf, np.inf, np.float64(np.nan)])
+def test_model_rejects_epsilon_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite, got "):
         UniformModel(eps)
+
+
+@pytest.mark.parametrize("eps", [1e308, np.float64(1e308), sys.float_info.max])
+def test_model_accepts_epsilon_whose_double_overflows(eps):
+    # no formula forms 2 eps, so every finite eps > 0 is a model
+    assert UniformModel(eps).epsilon == eps
 
 
 @pytest.mark.parametrize(
@@ -267,7 +272,8 @@ def test_scan_minimum_matches_closed_form_values():
     st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
 )
-# alone their roots are 4 and 2, and 4 and 1; batched, both take 4
+# their roots are 4 and 2, and 4 and 1: each eps has its own tree, and a
+# batch shares only the lockstep refinement
 @example([0.1, 0.5], random.Random(0))
 @example([0.05, 2.0], random.Random(0))
 def test_batched_scan_equals_per_model_scans(epsilons, rnd):
@@ -321,27 +327,30 @@ def test_disk_root_merges_with_annulus_cluster(monkeypatch):
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
     eps = math.sqrt(0.5)
     (pts,) = scan_stationary_points([UniformModel(eps)])
-    assert leaves[0][2].sum() > 0
+    assert len(leaves) == 1 and leaves[0][0].size > 0
     assert len(seeds) == 1 and seeds[0].shape == (1, 2)
     assert pts.shape == (1, 2)
     assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
 
 
 def test_disk_point_is_certified_at_the_largest_epsilon_and_the_disk_edge():
-    # at 8.98e307 the disk point (1/(2 eps), 0) is subnormal and its disk is
-    # one ulp wide; one ulp below, at and above 1/sqrt(2) it meets the
-    # annulus cells at the disk's edge.  Up to about 8.5e-7 above the edge
-    # the point's own leaf lies wholly inside the disk and is dropped, while
-    # leaves reaching into the disk beside it survive and must merge with it
+    # at 8.98e307, 1e308 and the largest double, where 2 eps overflows, the
+    # disk point (1/(2 eps), 0) is subnormal and its disk is one ulp wide;
+    # one ulp below, at and above 1/sqrt(2) it meets the annulus cells at
+    # the disk's edge.  Up to about 8.5e-7 above the edge the point's own
+    # leaf lies wholly inside the disk and is dropped, while leaves reaching
+    # into the disk beside it survive and must merge with it
     edge = math.sqrt(0.5)
-    epsilons = [8.98e307, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    huge = [8.98e307, 1e308, sys.float_info.max]
+    epsilons = huge + [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
     epsilons += [0.7071069, 0.707107] + [edge + k * 1e-7 for k in range(1, 10)]
     found = scan_stationary_points([UniformModel(e) for e in epsilons])
     for eps, pts in zip(epsilons, found):
         assert pts.shape == (1, 2)
         assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
-    assert 0.0 < found[0][0, 0] < sys.float_info.min
-    assert found[0][0, 0] == 0.5 / epsilons[0] and found[0][0, 1] == 0.0
+    for eps, pts in zip(huge, found):
+        assert 0.0 < pts[0, 0] < sys.float_info.min
+        assert pts[0, 0] == 0.5 / eps and pts[0, 1] == 0.0
 
 
 def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
@@ -360,12 +369,37 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
 
 
 def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
-    # eps = 0.1 keeps about 200 leaf cells, eps = 2 none
-    monkeypatch.setattr(analytic, "_MAX_LIVE_CELLS", 100)
+    # eps = 0.1 keeps about 200 leaf cells, eps = 2 none.  Capped at 100 live
+    # cells, eps = 0.1's tree stops at the first level that passes the cap
+    # (about 200 cells reach the band moments, not 17,000), while eps = 2 in
+    # the same scan builds its whole tree
+    band_moments, quadtree = analytic._band_moments, analytic._quadtree_leaves
+    counts, current = {}, []
+
+    def counted_band_moments(w1, w2):
+        if current:
+            counts[current[-1]] = counts.get(current[-1], 0) + np.size(w1)
+        return band_moments(w1, w2)
+
+    def tracked_quadtree(eps):
+        current.append(eps)
+        try:
+            return quadtree(eps)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(analytic, "_band_moments", counted_band_moments)
+    monkeypatch.setattr(analytic, "_quadtree_leaves", tracked_quadtree)
     models = [UniformModel(0.1), UniformModel(2.0)]
+    assert scan_stationary_points(models)[0].shape == (1, 2)
+    uncapped = dict(counts)
+    counts.clear()
+    monkeypatch.setattr(analytic, "_MAX_LIVE_CELLS", 100)
     found = scan_stationary_points(models)
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
+    assert counts[0.1] < uncapped[0.1] / 10
+    assert counts[2.0] == uncapped[2.0] > 0
     assert _same_bits(found[1], scan_stationary_points(models[1:])[0])
 
 

@@ -353,7 +353,7 @@ def test_certify_analytic_small(tmp_path):
     assert rc == 0
     payload = _read_json(out)
     _validate(payload, "certify_report.schema.json")
-    assert payload["config"]["grid"] == 1  # one root cell: [-box, box]^2
+    assert payload["config"].keys() == {"epsilons", "box"}
     assert payload["config"]["box"] == 2.0  # R(0.5) = 1.31
     assert payload["result"]["all_pass"] is True
     entry = payload["result"]["per_epsilon"][0]
@@ -395,8 +395,8 @@ def test_certify_huge_epsilons_beside_the_origin(tmp_path, eps):
 
 
 def test_certify_near_the_largest_epsilon_raises_no_overflow_warning(tmp_path):
-    # eps * w overflows on the coarse cells of the root that eps = 0.1 sets:
-    # such a residual exceeds every finite bound; the disk point is subnormal
+    # eps * w would overflow on the coarse cells of the root that eps = 0.1
+    # sets, but each eps has its own root; the disk point is subnormal
     result = _certify(tmp_path, "--epsilons", "0.1,8.98e307")
     assert result["all_pass"] is True
     assert [e["n_points"] for e in result["per_epsilon"]] == [1, 1]
@@ -412,13 +412,21 @@ def test_certify_no_longer_takes_grid(tmp_path):
         assert not (tmp_path / "c.json").exists()
 
 
-def test_certify_rejects_epsilon_whose_double_overflows(tmp_path, capsys):
-    rc = cli.main(["certify-analytic", "--epsilons", "1e308", "--out", str(tmp_path / "c.json")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err.strip())["error"]
-    assert err["type"] == "validation"
-    assert err["message"] == "epsilon must be positive with 2 * epsilon finite, got 1e+308"
-    assert not (tmp_path / "c.json").exists()
+def test_certify_accepts_epsilon_whose_double_overflows(tmp_path, capsys):
+    # every finite eps > 0 certifies; the huge eps's one point is (0.5/eps, 0)
+    for epsilons in ("1e308", "1.7976931348623157e308", "0.1,1e308"):
+        result = _certify(tmp_path, "--epsilons", epsilons)
+        assert result["all_pass"] is True
+        entry = result["per_epsilon"][-1]
+        assert entry["n_points"] == 1
+        assert entry["points"][0] == [0.5 / entry["epsilon"], 0.0]
+    for eps in ("inf", "nan"):
+        rc = cli.main(["certify-analytic", "--epsilons", eps, "--out", str(tmp_path / "c.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "validation"
+        assert err["message"] == f"epsilon must be positive and finite, got {eps}"
+        assert not (tmp_path / "c.json").exists()
 
 
 def test_certify_on_the_inner_disk_edge(tmp_path):

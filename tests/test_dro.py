@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from dataclasses import astuple
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,6 +401,49 @@ def test_breakpoints_one_ulp_beyond_the_cut_keep_their_answers():
                     assert _same_answer(_stable_answer("dual", ref, eps, rho), astuple(profile.dual(eps)))
                     assert _same_answer(_stable_answer("cvar", ref, eps, rho), profile.cvar(rho))
     assert hits >= 100
+
+
+def _profile_covering_a_fifth_of_the_mass():
+    # n = 4000 positive distances, grown until its mass P exceeds rho = 0.2;
+    # the cut is finite, so both stop bounds apply
+    rng = np.random.default_rng(17)
+    d = rng.exponential(1.0, 4000)
+    p = rng.uniform(0.5, 1.5, d.size)
+    p /= p.sum()
+    profile = dro._build(d, p)
+    profile.cover(rho=0.2)
+    assert not profile.complete and 0.0 < profile.cut < math.inf
+    return profile
+
+
+def test_cvar_ceiling_needs_mass_beyond_rho_to_outrun_rounding():
+    # with P/rho - 1 at 1e-15, far below _tol, g beyond the cut may rise by
+    # its rounding error faster than the bound falls: there is no ceiling
+    profile = _profile_covering_a_fifth_of_the_mass()
+    total = float(profile.cum_p[-1])
+    assert profile._cvar_ceiling(total / (1.0 + 1e-15)) == math.inf
+    assert profile._cvar_ceiling(0.2) < math.inf
+
+
+def test_stop_bounds_lie_beyond_their_unmargined_values_by_the_tol_terms():
+    # each bound is its unmargined value moved outward by the _tol terms of
+    # the class docstring; only its own final rounding may take off an ulp
+    profile = _profile_covering_a_fifth_of_the_mass()
+    c, tol, mass = profile.cut, profile._tol, profile._mass
+    total, cost = float(profile.cum_p[-1]), float(profile.cum_pd[-1])
+    for eps in (0.5 * cost, cost, 2.0 * cost):
+        unmargined = total - max(0.0, cost - eps) / c
+        floor = profile._dual_floor(eps)
+        margin = tol * (2.0 * mass + (cost + eps) / c)
+        assert floor < unmargined
+        assert Fraction(unmargined) - Fraction(floor) >= Fraction(margin) - Fraction(math.ulp(floor))
+    for rho in (0.1, 0.15, 0.2):
+        scale, excess, scaled_cost = 1.0 + mass / rho, total / rho - 1.0, cost / rho
+        unmargined = scaled_cost - c * excess
+        ceiling = profile._cvar_ceiling(rho)
+        margin = tol * (scaled_cost + c * scale)
+        assert unmargined < ceiling < math.inf
+        assert Fraction(ceiling) - Fraction(unmargined) >= Fraction(margin) - Fraction(math.ulp(ceiling))
 
 
 class _SortCounter:
