@@ -11,10 +11,8 @@ the loss is constant 1 below the first line, affine in between, and 0 above
 the second.  Clipping the rectangle against those half-planes and applying
 the shoelace moment formulas integrates each piece exactly, which is what
 lets the stationarity residuals be resolved to 1e-8 and beyond (Monte Carlo
-or fixed quadrature cannot get close).  The clip works on arrays of w: a
-polygon is its set of directed boundary segments, so a clip trims each
-segment and adds one closing segment, the rectangle's 4 segments become 5
-and then 6, and w = 0 needs no special case.  Midpoint quadrature remains
+or fixed quadrature cannot get close).  The clip works on arrays of w, and
+w = 0 needs no special case (see ``_clip``).  Midpoint quadrature remains
 only as an independent cross-check.
 
 Away from the origin the gradient of F is the residual eps*w - m(w)/2, where
@@ -29,13 +27,13 @@ w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
 exactly when eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root
 square [-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a
-proved bound shows the residual cannot vanish.  Each cluster is then refined
-to a point.  What is not proved: the bounds are applied to residuals computed
-in floating point (about 1e-15 absolute error) without interval arithmetic,
-and that a cluster with leaf cells holds only one stationary point, since no
-Jacobian argument rules out a second root among its cells, which are 2^-23
-(about 1.2e-7) wide.  A cluster that is the disk point alone holds exactly
-one.
+proved bound shows the residual cannot vanish.  A few Newton steps refine
+each cluster to a point.  What is not proved: the bounds are applied to
+residuals computed in floating point (about 1e-15 absolute error) without
+interval arithmetic, and that a cluster with leaf cells holds only one
+stationary point, since no Jacobian argument rules out a second root among
+its cells, which are 2^-23 (about 1.2e-7) wide.  A cluster that is the disk
+point alone holds exactly one.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -89,12 +87,11 @@ _CHILD_J = np.array([0.0, 0.0, 1.0, 1.0])
 # a refined cluster counts as a point when its residual essentially vanishes
 _ACCEPT_RESIDUAL = 1e-8
 
-# compass directions of the refinement, in tie-breaking order, and its
-# round cap
-_COMPASS = np.array(
-    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
-)
-_MAX_ROUNDS = 500
+# the refinement's Newton steps, its stencil (the iterate, then +-e1 and +-e2
+# at the half-width), and the share of a step that bounds the next half-width
+_NEWTON_STEPS = 5
+_STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], dtype=float)
+_STENCIL_SHRINK = 0.01
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,16 @@ def _residual(epsilon, w1, w2):
     return epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv
 
 
-def _residual_norm(epsilon, w1, w2):
-    r1, r2 = _residual(epsilon, w1, w2)
-    return np.maximum(np.abs(r1), np.abs(r2))
+def _finite_point(w):
+    w1, w2 = float(w[0]), float(w[1])
+    if not (math.isfinite(w1) and math.isfinite(w2)):
+        raise ValueError(f"w must be finite, got ({w1}, {w2})")
+    return w1, w2
 
 
 def f_epsilon(model: UniformModel, w) -> float:
-    """Population objective by exact piecewise integration."""
-    w1, w2 = float(w[0]), float(w[1])
+    """Population objective by exact piecewise integration, at a finite w."""
+    w1, w2 = _finite_point(w)
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
     area_upper, area_band, mu, mv = _band_moments(w1, w2)
     expected = 0.5 * (2.0 - area_upper + area_band - w1 * mu - w2 * mv)
@@ -165,8 +164,10 @@ def f_epsilon(model: UniformModel, w) -> float:
 
 
 def f_epsilon_quadrature(model: UniformModel, w, grid: int) -> float:
-    """Composite-midpoint evaluation of the same objective (cross-check path)."""
-    w1, w2 = float(w[0]), float(w[1])
+    """Composite-midpoint evaluation of the same objective, grid >= 1 cells a side (cross-check path)."""
+    if not grid >= 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    w1, w2 = _finite_point(w)
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
     r = (np.arange(grid) + 0.5) / grid
     x2 = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
@@ -181,9 +182,9 @@ def stationarity_residual(model: UniformModel, w) -> np.ndarray:
 
     Components: (eps*w1 - E[1(0 < s < 1) r], eps*w2 - E[1(0 < s < 1) x2])
     where s = w1*r + w2*x2.  The origin is rejected: the population loss is
-    not differentiable there.
+    not differentiable there.  So is a non-finite w.
     """
-    w1, w2 = float(w[0]), float(w[1])
+    w1, w2 = _finite_point(w)
     if w1 == 0.0 and w2 == 0.0:
         raise ValueError("stationarity residual is undefined at w = 0")
     return np.array(_residual(model.epsilon, w1, w2), dtype=float)
@@ -235,39 +236,39 @@ def root_half_width(epsilons) -> float:
 
 
 def refine_candidate(epsilons, seeds, half_width: float):
-    """Compass-shrink minimization of the residual norm from seed cells.
+    """Newton refinement of the residual from seeds, one eps per seed.
 
-    ``epsilons`` holds one ε per seed, shape (k,), and ``seeds`` the seed
-    points, shape (k, 2).  All seeds advance in lockstep, with one band-moment
-    evaluation per round, but each keeps its own trajectory: a round
-    evaluates the eight compass points at its distance h and moves to the
-    best one (ties in ``_COMPASS`` order) that improves, or halves h when
-    none does, until h <= 1e-13 or 500 rounds.  The result for a seed does
-    not depend on the others.  Returns the refined points, shape (k, 2), and
-    their residual norms, shape (k,).  Genuine roots collapse to residuals
-    near machine precision; spurious seeds stall at a positive residual or
-    slide toward the origin, where the gradient formula does not apply.
+    ``epsilons`` has shape (k,) and ``seeds`` (k, 2).  Each of
+    ``_NEWTON_STEPS`` steps evaluates the residual at the iterates and a
+    stencil half-width along each axis, in one band-moment call, and solves
+    the central-difference 2 x 2 system.  The half-width starts at
+    ``half_width``, then is at most ``_STENCIL_SHRINK`` times the last step:
+    a fixed one straddles the kink at w = (1, 0), eps = 1/2's root, and
+    converges only linearly from beyond it.  A singular system, or one whose
+    determinant overflows, leaves a seed where it is.  Returns each seed's
+    point of least residual max-norm among itself and its iterates (an
+    iterate only if strictly better), shape (k, 2), and that norm, shape
+    (k,), independently of the other seeds.
     """
-    eps = np.asarray(epsilons, dtype=float).reshape(-1)
-    best = np.array(seeds, dtype=float).reshape(-1, 2)
-    if eps.shape[0] != best.shape[0]:
-        raise ValueError(f"need one epsilon per seed, got {eps.shape[0]} and {best.shape[0]}")
-    best_res = _residual_norm(eps, best[:, 0], best[:, 1])
-    h = np.full(eps.shape, float(half_width))
-    live = np.arange(eps.size)
-    for _ in range(_MAX_ROUNDS):
-        live = live[h[live] > 1e-13]
-        if live.size == 0:
-            break
-        cand = best[live, None, :] + h[live, None, None] * _COMPASS
-        res = _residual_norm(eps[live, None], cand[..., 0], cand[..., 1])
-        res[(cand[..., 0] == 0.0) & (cand[..., 1] == 0.0)] = np.inf
-        rows, k = np.arange(live.size), np.argmin(res, axis=1)
-        step = res[rows, k]
-        moved = step < best_res[live]
-        best[live[moved]] = cand[rows, k][moved]
-        best_res[live[moved]] = step[moved]
-        h[live[~moved]] *= 0.5
+    eps, x = np.asarray(epsilons, dtype=float).reshape(-1), np.array(seeds, dtype=float).reshape(-1, 2)
+    if eps.shape[0] != x.shape[0]:
+        raise ValueError(f"need one epsilon per seed, got {eps.shape[0]} and {x.shape[0]}")
+    best, best_res, h = x.copy(), np.full(eps.shape, np.inf), np.full(eps.shape, float(half_width))
+    for _ in range(_NEWTON_STEPS + 1):  # the last pass only scores the last iterate
+        points = x[:, None, :] + h[:, None, None] * _STENCIL
+        r1, r2 = _residual(eps[:, None], points[..., 0], points[..., 1])
+        f1, f2 = r1[:, 0], r2[:, 0]
+        res = np.maximum(np.abs(f1), np.abs(f2))
+        better = res < best_res
+        best[better], best_res[better] = x[better], res[better]
+        # the differences are 2h times the Jacobian.  Where the determinant
+        # vanishes, or overflows (eps above ~1e160), the step is 0 or not finite
+        a, b, c, d = r1[:, 1] - r1[:, 2], r1[:, 3] - r1[:, 4], r2[:, 1] - r2[:, 2], r2[:, 3] - r2[:, 4]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.column_stack([d * f1 - b * f2, a * f2 - c * f1]) * (2.0 * h / (a * d - b * c))[:, None]
+        finite = np.isfinite(step).all(axis=1)
+        x[finite] -= step[finite]
+        h[finite] = np.minimum(half_width, _STENCIL_SHRINK * np.abs(step[finite]).max(axis=1))
     return best, best_res
 
 
@@ -440,9 +441,9 @@ def scan_stationary_points(models) -> list[np.ndarray]:
 
     Survivors become points.  Connected leaf cells (sharing an edge or a
     corner) form a cluster, and the disk point merges into one cluster with
-    every cluster that has a leaf reaching into the inner disk.  One lockstep
-    ``refine_candidate`` call starts, at half-width 1e-7, from the disk point
-    in its cluster and from the bounding-box centre of each other cluster.
+    every cluster that has a leaf reaching into the inner disk.  One
+    ``refine_candidate`` call, from a 1e-7 stencil, takes Newton steps from
+    the disk point in its cluster and the bounding-box centre of the others.
     """
     eps = [float(model.epsilon) for model in models]
     root_half_width(eps)  # every eps must fit the leaf lattice; the error names the smallest
@@ -482,9 +483,7 @@ def scan_stationary_points(models) -> list[np.ndarray]:
         owner += [k] * len(groups)
 
     # a cluster with the disk point starts from it: its residual is rounding only
-    seeds = np.array(
-        [ball[0] if ball else _bounding_centre(c, h) for c, h, ball in clusters]
-    ).reshape(-1, 2)
+    seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, h, ball in clusters]).reshape(-1, 2)
     points, residuals = refine_candidate([eps[k] for k in owner], seeds, _LEAF_HALF_WIDTH)
 
     # leaf bounds are exact and rounding monotone: a point in a closed leaf

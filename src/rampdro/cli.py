@@ -179,7 +179,6 @@ def _cmd_train(args) -> int:
             "sigma": args.sigma,
             "epsilon_bar": args.epsilon_bar,
             "starts": args.starts,
-            "method": "lbfgs",
             "grad_tol": args.grad_tol,
             "max_iters": args.max_iters,
             "flip_fraction": args.flip_fraction,
@@ -408,7 +407,6 @@ def _cmd_reproduce(args) -> int:
             "starts": args.starts,
             "grad_tol": args.grad_tol,
             "max_iters": args.max_iters,
-            "method": "lbfgs",
         },
         "csv": str(out),
         "trends": trends,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Hyperplane
+from .geometry import Hyperplane, _margins
 from .losses import LossSpec
 
 __all__ = [
@@ -57,14 +57,6 @@ class DroVariables(NamedTuple):
     w0: np.ndarray
     b0: float
     t: float
-
-
-def _margins(ds, w: np.ndarray, b: float) -> np.ndarray:
-    # y * (X w + b), formed in place in the one array the product allocates
-    r = ds.points @ w
-    r += b
-    r *= ds.labels
-    return r
 
 
 def _reg_value(spec: ObjectiveSpec, w: np.ndarray) -> float:

@@ -4,12 +4,11 @@ These deliberately avoid the code paths they check: the knapsack LP is
 solved by enumerating polytope vertices or by HiGHS, the oracle answers
 are read off a profile built whole with a stable sort, gradients come
 from central finite differences, and expectations from dense midpoint
-quadrature.  The lockstep refinement is checked against its one-seed
-form, and the closed-form origin derivatives against Richardson-extrapolated
-difference quotients.  The training inner loop is checked bit for bit
-against its earlier, plainer form: a two-pass objective evaluation and an
-L-BFGS iteration written with ``float(a @ b)`` dots and a recomputed
-accepted point.
+quadrature.  The closed-form origin derivatives are checked against
+Richardson-extrapolated difference quotients.  The training inner loop is
+checked bit for bit against its earlier, plainer form: a two-pass objective
+evaluation and an L-BFGS iteration written with ``float(a @ b)`` dots and a
+recomputed accepted point.
 """
 
 import math
@@ -17,7 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from rampdro.analytic import UniformModel, _band_moments, f_epsilon
+from rampdro.analytic import UniformModel, f_epsilon
 from rampdro.losses import BAND_SIGMAS, LossKind
 from rampdro.objective import RegKind
 from rampdro.solve import LBFGS_MEMORY, MAX_LINESEARCH, WOLFE_C1, WOLFE_C2, SolveReport
@@ -238,40 +237,6 @@ def epsilon_star(dists, weights, rho):
     if j >= d.size:
         return float("inf")
     return float(cum_pd[j] + (rho - cum_p[j]) * d[j])
-
-
-_COMPASS = np.array(
-    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
-)
-
-
-def _residual_norm(epsilon, w1, w2):
-    _, _, mu, mv = _band_moments(w1, w2)
-    return np.maximum(np.abs(epsilon * w1 - 0.5 * mu), np.abs(epsilon * w2 - 0.5 * mv))
-
-
-def refine_one_seed(epsilon, seed, half_width):
-    """Compass-shrink refinement of one seed, one round per loop pass.
-
-    Moves to the best of the eight compass points at distance h (first in
-    compass order on ties) when it improves, else halves h, until
-    h <= 1e-13 or 500 rounds; the origin itself counts as inf.
-    """
-    best = np.array([float(seed[0]), float(seed[1])])
-    best_res = float(_residual_norm(epsilon, best[0], best[1]))
-    h = half_width
-    rounds = 0
-    while h > 1e-13 and rounds < 500:
-        rounds += 1
-        cand = best + h * _COMPASS
-        res = _residual_norm(epsilon, cand[:, 0], cand[:, 1])
-        res[(cand[:, 0] == 0.0) & (cand[:, 1] == 0.0)] = np.inf
-        k = int(np.argmin(res))
-        if res[k] < best_res:
-            best, best_res = cand[k], float(res[k])
-        else:
-            h *= 0.5
-    return best, best_res
 
 
 def origin_derivative_richardson(epsilon, direction, steps=(1e-3, 1e-4, 1e-5)):

@@ -1,13 +1,14 @@
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import central_difference_gradient, origin_derivative_richardson, refine_one_seed
+from oracles import central_difference_gradient, origin_derivative_richardson
 from rampdro import analytic
 from rampdro.analytic import (
     UniformModel,
@@ -129,6 +130,22 @@ def test_residual_away_from_root():
 def test_residual_rejects_origin():
     with pytest.raises(ValueError):
         stationarity_residual(UniformModel(0.1), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("w", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (0.5, -math.inf)])
+@pytest.mark.parametrize("fn", [stationarity_residual, f_epsilon, lambda m, w: f_epsilon_quadrature(m, w, 8)])
+def test_objective_and_residual_reject_non_finite_w(fn, w):
+    # NaN gave NaN, and inf a RuntimeWarning from the band moments
+    with pytest.raises(ValueError, match=r"^w must be finite, got \("):
+        fn(UniformModel(0.1), w)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_quadrature_requires_a_positive_grid(grid):
+    # 0 divided by zero, and -3 returned the regularizer alone
+    with pytest.raises(ValueError, match=f"^grid must be at least 1, got {grid}$"):
+        f_epsilon_quadrature(UniformModel(0.1), (1.0, 0.0), grid)
+    assert f_epsilon_quadrature(UniformModel(0.1), (1.0, 0.0), 1) == 0.05 + 0.5
 
 
 def test_origin_directional_derivatives():
@@ -431,9 +448,9 @@ def test_refine_rejects_mismatched_lengths():
 
 
 def test_lockstep_refinement_equals_one_seed_calls():
-    # mixed eps: roots, an off-axis stall, seeds that slide into the
-    # excluded origin, and the last two, grid cells of the default scan, run
-    # into the 500-round cap; each keeps its own trajectory
+    # mixed eps: roots, an off-axis stall, seeds near the origin and in the
+    # excluded half-plane, and two cells of a 300-point grid over [-3, 3]^2;
+    # each keeps its own iterates and stencil
     axis = np.linspace(-3.0, 3.0, 300)
     epsilons = np.array([0.1, 0.1, 2.0, 0.37, 0.5, 1.0, 0.05, 0.1, 2.0])
     seeds = np.array([(1.7, 0.02), (0.8, 1.2), (0.3, -0.01), (0.02, 0.02), (-1.5, 0.9),
@@ -443,8 +460,40 @@ def test_lockstep_refinement_equals_one_seed_calls():
     for eps, seed, point, res in zip(epsilons, seeds, points, residuals):
         one_point, one_res = refine_candidate([eps], [seed], 0.02)
         assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
-        ref_point, ref_res = refine_one_seed(eps, seed, 0.02)
-        assert _same_bits(point, ref_point) and res == ref_res
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.floats(1e-3, 10.0), st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5))
+# eps = 1/2 has its root at the kink w = (1, 0), where the Jacobian jumps;
+# seeds on its far side need the shrinking stencil.  1/sqrt(2) puts the
+# root on the inner disk's edge
+@example(0.5, 1e-5, 0.0)
+@example(0.5, 7e-6, -4e-6)
+@example(0.5, -1e-5, 1e-5)
+@example(math.sqrt(0.5), 1e-5, -1e-5)
+@example(math.sqrt(0.5), -6e-6, 2e-6)
+def test_newton_refinement_reaches_the_root_from_nearby_seeds(eps, d1, d2):
+    root = np.array([closed_form_minimizer(eps)[0], 0.0])
+    (point,), (res,) = refine_candidate([eps], [root + (d1, d2)], 1e-7)
+    assert res <= 1e-14
+    assert res == np.max(np.abs(stationarity_residual(UniformModel(eps), point)))
+    assert np.max(np.abs(point - root)) <= 1e-13
+
+
+def test_singular_jacobian_returns_the_seed_without_warnings(monkeypatch):
+    # a constant residual has a zero difference Jacobian: every step is 0/0,
+    # so each seed stays put, and the suite's error filter sees no warning
+    def constant_residual(epsilon, w1, w2):
+        shape = np.broadcast(epsilon, w1, w2).shape
+        return np.full(shape, 0.25), np.full(shape, -0.125)
+
+    monkeypatch.setattr(analytic, "_residual", constant_residual)
+    seeds = np.array([(1.2, 0.3), (0.5, 0.0), (2.0, -1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, residuals = refine_candidate([0.1, 1.0, 1e308], seeds, 1e-7)
+    assert _same_bits(points, seeds)
+    assert np.all(residuals == 0.25)
 
 
 def test_offaxis_candidates_fail_refinement():

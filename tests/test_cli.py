@@ -166,6 +166,7 @@ def test_train_with_corruptions_and_reference(tmp_path):
     payload = _read_json(out)
     assert payload["config"]["flip_fraction"] == 0.1
     assert payload["config"]["reference"] == [1.0, 0.0, 0.0]
+    assert "method" not in payload["config"]  # there is one solver, so no field names it
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
@@ -316,6 +317,9 @@ def test_reproduce_tables_small_scale(tmp_path, table, n_rows):
     trends = _read_json(out.with_suffix(".trends.json"))
     _validate(trends, "reproduce_trends.schema.json")
     assert trends["config"]["table"] == table
+    assert trends["config"].keys() == {
+        "table", "scale", "seed", "epsilon_bar", "sigma", "d", "starts", "grad_tol", "max_iters"
+    }
 
 
 def test_reproduce_t3_small_scale(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,6 +281,43 @@ def test_sin_angle_values(u, v, expected):
 def test_sin_angle_rejects_zero():
     with pytest.raises(ValueError):
         sin_angle(np.zeros(2), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sin_angle_rejects_non_finite(bad):
+    for u, v in (((bad, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.5, bad))):
+        with pytest.raises(ValueError, match="^sin_angle needs finite vectors$"):
+            sin_angle(np.array(u), np.array(v))
+
+
+def test_sin_angle_of_parallel_and_tiny_angles():
+    # sqrt(1 - cos^2) read up to 3e-8 on parallel pairs and 0 at a 1e-9 angle
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        u = rng.standard_normal(rng.integers(2, 12))
+        assert sin_angle(u, 3.0 * u) <= 1e-15
+        assert sin_angle(u, -u * rng.uniform(0.1, 10.0)) <= 1e-15
+    for angle in (1e-9, 1e-12, 1e-300):
+        s = sin_angle(np.array([1.0, 0.0]), np.array([math.cos(angle), math.sin(angle)]))
+        assert s == pytest.approx(angle, rel=1e-15)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 2),
+    st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 2),
+    st.floats(0.0, 1e-6),
+)
+def test_sin_angle_matches_exact_cross_product(u, v, nudge):
+    # in the plane |u x v| / (|u| |v|) is sin(theta), with the cross product
+    # exact in Fraction arithmetic; v drawn near u covers small angles, where
+    # rounding the unit vectors leaves an absolute error near 1e-16
+    u = np.array(u)
+    v = u + nudge * np.array(v) if nudge else np.array(v)
+    assume(np.linalg.norm(u) > 1e-3 and np.linalg.norm(v) > 1e-3)
+    cross = abs(Fraction(u[0]) * Fraction(v[1]) - Fraction(u[1]) * Fraction(v[0]))
+    expected = float(cross) / (math.hypot(*u) * math.hypot(*v))
+    assert sin_angle(u, v) == pytest.approx(min(expected, 1.0), rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
