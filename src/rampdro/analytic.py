@@ -27,13 +27,13 @@ w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
 exactly when eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root
 square [-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a
-proved bound shows the residual cannot vanish.  A few Newton steps refine
-each cluster to a point.  What is not proved: the bounds are applied to
-residuals computed in floating point (about 1e-15 absolute error) without
-interval arithmetic, and that a cluster with leaf cells holds only one
-stationary point, since no Jacobian argument rules out a second root among
-its cells, which are 2^-23 (about 1.2e-7) wide.  A cluster that is the disk
-point alone holds exactly one.
+proved bound shows the residual cannot vanish.  A few Newton steps on the
+closed-form Jacobian refine each cluster to a point.  What is not proved:
+the bounds are applied to residuals computed in floating point (about 1e-15
+absolute error) without interval arithmetic, and that a cluster with leaf
+cells holds only one stationary point, since no Jacobian argument rules out
+a second root among its cells, which are 2^-23 (about 1.2e-7) wide.  A
+cluster that is the disk point alone holds exactly one.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -87,11 +87,8 @@ _CHILD_J = np.array([0.0, 0.0, 1.0, 1.0])
 # a refined cluster counts as a point when its residual essentially vanishes
 _ACCEPT_RESIDUAL = 1e-8
 
-# the refinement's Newton steps, its stencil (the iterate, then +-e1 and +-e2
-# at the half-width), and the share of a step that bounds the next half-width
+# the refinement's Newton steps
 _NEWTON_STEPS = 5
-_STENCIL = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], dtype=float)
-_STENCIL_SHRINK = 0.01
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def _clip(p, q, a, b, c):
     # on axis -1).  Each segment is trimmed to the half-plane, to zero length
     # when wholly outside, and one closing segment runs along the line from
     # the exit to the entry point (zero length when nothing crosses).
-    a, b = a[..., None], b[..., None]
+    a, b, c = a[..., None], b[..., None], np.asarray(c)[..., None]
     sp = a * p[..., 0] + b * p[..., 1] - c
     sq = a * q[..., 0] + b * q[..., 1] - c
     p_in, q_in = (sp <= 0.0)[..., None], (sq <= 0.0)[..., None]
@@ -129,14 +126,26 @@ def _moments(p, q):
     return 0.5 * cross.sum(axis=-1), ((p + q) * cross[..., None]).sum(axis=-2) / 6.0
 
 
+def _band(w1, w2):
+    """The rectangle clipped to {s >= 0}, and that polygon clipped to the band
+    {0 <= s <= 1}, each as its segments; s = w1*u + w2*v, w1 and w2 broadcast
+    against each other.  The band polygon's last two segments are its chords
+    on s = 0 and s = 1.
+    """
+    # beyond 2^1000 the clip's sums could overflow, so (w, 1) is scaled by
+    # 2^-24 there: the same lines, exactly unless a product is subnormal
+    scale = np.where(np.maximum(np.abs(w1), np.abs(w2)) > 2.0**1000, 2.0**-24, 1.0)
+    upper = _clip(_RECT_P, _RECT_Q, -scale * w1, -scale * w2, 0.0)
+    return upper, _clip(*upper, scale * w1, scale * w2, scale)
+
+
 def _band_moments(w1, w2):
     """Area of {s >= 0}, and area, integral of u and integral of v over the
     band {0 <= s <= 1}, within the rectangle; s = w1*u + w2*v, w1 and w2
     broadcast against each other.
     """
-    w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=float), np.asarray(w2, dtype=float))
-    upper = _clip(_RECT_P, _RECT_Q, -w1, -w2, 0.0)
-    area_band, m = _moments(*_clip(*upper, w1, w2, 1.0))
+    upper, band = _band(w1, w2)
+    area_band, m = _moments(*band)
     return _moments(*upper)[0], area_band, m[..., 0], m[..., 1]
 
 
@@ -145,6 +154,32 @@ def _residual(epsilon, w1, w2):
     # against the moments, which do not depend on it
     _, _, mu, mv = _band_moments(w1, w2)
     return epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv
+
+
+def _newton_system(epsilon, w1, w2):
+    """Residual (f1, f2) at w = (w1, w2), arrays of shape (k,), and its
+    Jacobian eps I - Dm(w)/2 as entries (a, b, c, d) row by row, from one
+    band evaluation.
+
+    Dm(w) = (M_0 - M_1)/||w||, M_s the integral of x x^T along the band's
+    chord on w.x = s (see ``scan_stationary_points``).  Simpson's rule is
+    exact for x x^T: a chord p -> q of length l has
+    M = (l/6) [p p^T + q q^T + (p + q)(p + q)^T].  A chord that lies along
+    an edge of the rectangle is clipped to length 0.  At w = (1, 0), eps =
+    1/2's root, that gives the Jacobian from w1 < 1.  On the axis w2 = 0 the
+    chord on s = 0 lies along u = 0 and drops out of d; f2 is rounding only
+    there, so the step barely reads d.  At a subnormal ||w||, Dm overflows
+    to inf and the Newton step is not finite.
+    """
+    _, (p, q) = _band(w1, w2)
+    _, m = _moments(p, q)
+    p, q = p[:, -2:], q[:, -2:]
+    ends = np.stack([p, q, p + q], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Dm/2 = (M_0 - M_1)/(2 ||w||), each M by Simpson's rule on e = p, q, p + q
+        weight = np.linalg.norm(q - p, axis=-1) * ([1.0, -1.0] / (12.0 * np.hypot(w1, w2))[:, None])
+        jac = epsilon[:, None, None] * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
+    return (epsilon * w1 - 0.5 * m[:, 0], epsilon * w2 - 0.5 * m[:, 1]), jac.reshape(-1, 4).T
 
 
 def _finite_point(w):
@@ -235,40 +270,34 @@ def root_half_width(epsilons) -> float:
     return math.ldexp(1.0, math.frexp(radius)[1])
 
 
-def refine_candidate(epsilons, seeds, half_width: float):
+def refine_candidate(epsilons, seeds):
     """Newton refinement of the residual from seeds, one eps per seed.
 
     ``epsilons`` has shape (k,) and ``seeds`` (k, 2).  Each of
-    ``_NEWTON_STEPS`` steps evaluates the residual at the iterates and a
-    stencil half-width along each axis, in one band-moment call, and solves
-    the central-difference 2 x 2 system.  The half-width starts at
-    ``half_width``, then is at most ``_STENCIL_SHRINK`` times the last step:
-    a fixed one straddles the kink at w = (1, 0), eps = 1/2's root, and
-    converges only linearly from beyond it.  A singular system, or one whose
-    determinant overflows, leaves a seed where it is.  Returns each seed's
-    point of least residual max-norm among itself and its iterates (an
-    iterate only if strictly better), shape (k, 2), and that norm, shape
-    (k,), independently of the other seeds.
+    ``_NEWTON_STEPS`` steps evaluates the residual and its closed-form
+    Jacobian at the iterates, in one band evaluation, and solves the 2 x 2
+    system.  Each smooth piece of the residual vanishes at eps = 1/2's root
+    w = (1, 0), where the Jacobian jumps, so the one-sided Jacobians converge
+    from either side.  A singular system, or one whose determinant or
+    Jacobian overflows, leaves a seed where it is.  Returns each seed's point
+    of least residual max-norm among itself and its iterates (an iterate only
+    if strictly better), shape (k, 2), and that norm, shape (k,),
+    independently of the other seeds.
     """
     eps, x = np.asarray(epsilons, dtype=float).reshape(-1), np.array(seeds, dtype=float).reshape(-1, 2)
     if eps.shape[0] != x.shape[0]:
         raise ValueError(f"need one epsilon per seed, got {eps.shape[0]} and {x.shape[0]}")
-    best, best_res, h = x.copy(), np.full(eps.shape, np.inf), np.full(eps.shape, float(half_width))
+    best, best_res = x.copy(), np.full(eps.shape, np.inf)
     for _ in range(_NEWTON_STEPS + 1):  # the last pass only scores the last iterate
-        points = x[:, None, :] + h[:, None, None] * _STENCIL
-        r1, r2 = _residual(eps[:, None], points[..., 0], points[..., 1])
-        f1, f2 = r1[:, 0], r2[:, 0]
+        (f1, f2), (a, b, c, d) = _newton_system(eps, x[:, 0], x[:, 1])
         res = np.maximum(np.abs(f1), np.abs(f2))
         better = res < best_res
         best[better], best_res[better] = x[better], res[better]
-        # the differences are 2h times the Jacobian.  Where the determinant
-        # vanishes, or overflows (eps above ~1e160), the step is 0 or not finite
-        a, b, c, d = r1[:, 1] - r1[:, 2], r1[:, 3] - r1[:, 4], r2[:, 1] - r2[:, 2], r2[:, 3] - r2[:, 4]
+        # where the determinant vanishes, or overflows (eps above ~1e154),
+        # the step is 0 or not finite
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.column_stack([d * f1 - b * f2, a * f2 - c * f1]) * (2.0 * h / (a * d - b * c))[:, None]
-        finite = np.isfinite(step).all(axis=1)
-        x[finite] -= step[finite]
-        h[finite] = np.minimum(half_width, _STENCIL_SHRINK * np.abs(step[finite]).max(axis=1))
+            step = np.column_stack([d * f1 - b * f2, a * f2 - c * f1]) / (a * d - b * c)[:, None]
+        x -= np.where(np.isfinite(step).all(axis=1, keepdims=True), step, 0.0)
     return best, best_res
 
 
@@ -427,8 +456,8 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     half-width 2^-24.  As B(eps) is a power of two at most 2^28, the leaves
     lie on one origin-aligned lattice with exact centres and edges.  Cells
     wholly inside the inner disk are left to the lemma.  Where it is smooth,
-    m has derivative Dm(w) d = (1/||w||) [J_0 - J_1](d), J_s(d) = integral
-    over the chord {w.x = s} of x (d.x), by moving the two band edges; ||x (d.x)||
+    m has derivative Dm(w) = (M_0 - M_1)/||w||, M_s = integral over the
+    chord {w.x = s} of x x^T, by moving the two band edges; ||x x^T d||
     <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
     ||Dm(w)|| <= 4 sqrt(5)/||w||.  m is continuous away from 0, so
     integrating along the segment from a cell's centre c gives
@@ -442,7 +471,7 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     Survivors become points.  Connected leaf cells (sharing an edge or a
     corner) form a cluster, and the disk point merges into one cluster with
     every cluster that has a leaf reaching into the inner disk.  One
-    ``refine_candidate`` call, from a 1e-7 stencil, takes Newton steps from
+    ``refine_candidate`` call takes Newton steps on J = eps I - Dm/2 from
     the disk point in its cluster and the bounding-box centre of the others.
     """
     eps = [float(model.epsilon) for model in models]
@@ -484,7 +513,7 @@ def scan_stationary_points(models) -> list[np.ndarray]:
 
     # a cluster with the disk point starts from it: its residual is rounding only
     seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, h, ball in clusters]).reshape(-1, 2)
-    points, residuals = refine_candidate([eps[k] for k in owner], seeds, _LEAF_HALF_WIDTH)
+    points, residuals = refine_candidate([eps[k] for k in owner], seeds)
 
     # leaf bounds are exact and rounding monotone: a point in a closed leaf
     # computes within h of its centre

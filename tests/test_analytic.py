@@ -213,6 +213,78 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
     assert np.hypot(*(res_b - res_a)) <= (eps + 2.0 * math.sqrt(5.0) / r_min) * length
 
 
+def _system_at(eps, w):
+    # the residual and its closed-form Jacobian at one point, as a 2 x 2 array
+    (f1, f2), jac = analytic._newton_system(np.array([eps]), np.array([w[0]]), np.array([w[1]]))
+    return np.array([f1[0], f2[0]]), np.array(jac).reshape(2, 2)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(1e-3, 10.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+@example(0.5, 1.5, 0.5)
+@example(0.1, 0.3, -0.9)
+def test_closed_form_jacobian_matches_central_differences(eps, w1, w2):
+    # away from the lines where a band edge w.x = 0 or 1 passes a corner of
+    # the rectangle (the axis w2 = 0 among them), the residual is smooth and
+    # its Jacobian eps I - Dm/2 agrees with central differences of _residual.
+    # Corners c have ||c|| <= sqrt(2), so w lies 1e-3 or more from each line
+    w = np.array([w1, w2])
+    assume(np.hypot(*w) >= 0.1)
+    assume(min(np.min(np.abs(analytic._RECT_P @ w - s)) for s in (0.0, 1.0)) >= 1e-3 * math.sqrt(2.0))
+    residual, jac = _system_at(eps, w)
+    assert _same_bits(residual, np.array(analytic._residual(eps, w1, w2), dtype=float))
+    h = 1e-6
+    for j, step in enumerate(h * np.eye(2)):
+        plus = np.array(analytic._residual(eps, *(w + step)), dtype=float)
+        minus = np.array(analytic._residual(eps, *(w - step)), dtype=float)
+        assert np.max(np.abs((plus - minus) / (2.0 * h) - jac[:, j])) <= 1e-7
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0))
+@example(0.0, 0.0)
+@example(0.0, 0.5)
+@example(math.pi / 4, 0.0)
+@example(math.pi / 2, 0.0)
+def test_closed_form_jacobian_obeys_the_exclusion_bound(angle, log_radius):
+    # ||Dm(w)||_2 <= 4 sqrt(5)/||w||, the constant the scan's exclusion bound
+    # uses, on and off the kink lines; at eps = 0 the Jacobian is -Dm/2
+    w = 10.0**log_radius * np.array([math.cos(angle), math.sin(angle)])
+    _, jac = _system_at(0.0, w)
+    assert np.linalg.norm(-2.0 * jac, 2) <= 4.0 * math.sqrt(5.0) / np.hypot(*w)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])
+def test_closed_form_jacobian_at_the_kink_is_the_left_hand_one(eps):
+    # at w = (1, 0), eps = 1/2's root, the band edge w.x = 1 lies on the
+    # rectangle's edge u = 1, where the clip leaves a chord of length 0.  So
+    # the closed form is the derivative along e1 from the left, where the
+    # band is the whole rectangle, and not from the right, where the chord
+    # u = 1/w1 adds 1 to its first entry
+    _, jac = _system_at(eps, np.array([1.0, 0.0]))
+    h = 2.0**-20
+    at = np.array(analytic._residual(eps, 1.0, 0.0), dtype=float)
+    left = (at - np.array(analytic._residual(eps, 1.0 - h, 0.0), dtype=float)) / h
+    right = (np.array(analytic._residual(eps, 1.0 + h, 0.0), dtype=float) - at) / h
+    assert np.max(np.abs(jac[:, 0] - left)) <= 1e-9
+    assert abs(right[0] - jac[0, 0] - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("w", [(1e308, 1e308), (1e308, -1e308), (-sys.float_info.max, sys.float_info.max),
+                               (2.0**1000, -(2.0**1000))])
+def test_residual_and_objective_at_huge_w_raise_no_overflow(w):
+    # beyond 2^1000 the band is clipped with (w, 1) scaled by a power of two.
+    # The band's true moments there are below 1e-300, so the residual is
+    # eps w, and eps/2 ||w||^2 exceeds the largest double
+    model = UniformModel(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = stationarity_residual(model, w)
+        value = f_epsilon(model, w)
+    assert list(residual) == [0.1 * w[0], 0.1 * w[1]]
+    assert value == math.inf
+
+
 def _half_plane_moment(theta):
     # the lemma's closed form of m(theta), theta in (-pi/2, pi/2), with
     # c = cot |theta| and the reflection v -> -v for theta < 0
@@ -336,9 +408,9 @@ def test_disk_root_merges_with_annulus_cluster(monkeypatch):
         leaves.append(quadtree(*args))
         return leaves[-1]
 
-    def recording_refine(epsilons, points, half_width):
+    def recording_refine(epsilons, points):
         seeds.append(np.asarray(points))
-        return refine(epsilons, points, half_width)
+        return refine(epsilons, points)
 
     monkeypatch.setattr(analytic, "_quadtree_leaves", recording_quadtree)
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
@@ -375,8 +447,8 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
     # the certificate does not close; eps = 2 has its cluster in the disk
     refine = analytic.refine_candidate
 
-    def stray_refine(epsilons, seeds, half_width):
-        points, residuals = refine(epsilons, seeds, half_width)
+    def stray_refine(epsilons, seeds):
+        points, residuals = refine(epsilons, seeds)
         return points + np.where(np.asarray(epsilons)[:, None] < 1.0, 1e-3, 0.0), residuals
 
     monkeypatch.setattr(analytic, "refine_candidate", stray_refine)
@@ -437,36 +509,36 @@ def test_root_half_width_is_the_next_power_of_two_above_the_outer_radius(eps):
 
 
 def test_refine_without_seeds_returns_empty_arrays():
-    points, residuals = refine_candidate(np.empty(0), np.empty((0, 2)), 0.02)
+    points, residuals = refine_candidate(np.empty(0), np.empty((0, 2)))
     assert points.shape == (0, 2)
     assert residuals.shape == (0,)
 
 
 def test_refine_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        refine_candidate([0.1, 0.2], [(1.0, 0.0)], 0.02)
+        refine_candidate([0.1, 0.2], [(1.0, 0.0)])
 
 
 def test_lockstep_refinement_equals_one_seed_calls():
     # mixed eps: roots, an off-axis stall, seeds near the origin and in the
     # excluded half-plane, and two cells of a 300-point grid over [-3, 3]^2;
-    # each keeps its own iterates and stencil
+    # each keeps its own iterates
     axis = np.linspace(-3.0, 3.0, 300)
     epsilons = np.array([0.1, 0.1, 2.0, 0.37, 0.5, 1.0, 0.05, 0.1, 2.0])
     seeds = np.array([(1.7, 0.02), (0.8, 1.2), (0.3, -0.01), (0.02, 0.02), (-1.5, 0.9),
                       (0.0, 0.04), (2.2, -0.8), (axis[143], axis[148]), (axis[148], axis[149])])
-    points, residuals = refine_candidate(epsilons, seeds, 0.02)
+    points, residuals = refine_candidate(epsilons, seeds)
     assert points.shape == (9, 2) and residuals.shape == (9,)
     for eps, seed, point, res in zip(epsilons, seeds, points, residuals):
-        one_point, one_res = refine_candidate([eps], [seed], 0.02)
+        one_point, one_res = refine_candidate([eps], [seed])
         assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.floats(1e-3, 10.0), st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5))
 # eps = 1/2 has its root at the kink w = (1, 0), where the Jacobian jumps;
-# seeds on its far side need the shrinking stencil.  1/sqrt(2) puts the
-# root on the inner disk's edge
+# seeds on either side take that side's exact Jacobian, and each smooth piece
+# vanishes at the root.  1/sqrt(2) puts the root on the inner disk's edge
 @example(0.5, 1e-5, 0.0)
 @example(0.5, 7e-6, -4e-6)
 @example(0.5, -1e-5, 1e-5)
@@ -474,33 +546,56 @@ def test_lockstep_refinement_equals_one_seed_calls():
 @example(math.sqrt(0.5), -6e-6, 2e-6)
 def test_newton_refinement_reaches_the_root_from_nearby_seeds(eps, d1, d2):
     root = np.array([closed_form_minimizer(eps)[0], 0.0])
-    (point,), (res,) = refine_candidate([eps], [root + (d1, d2)], 1e-7)
+    (point,), (res,) = refine_candidate([eps], [root + (d1, d2)])
     assert res <= 1e-14
     assert res == np.max(np.abs(stationarity_residual(UniformModel(eps), point)))
     assert np.max(np.abs(point - root)) <= 1e-13
 
 
 def test_singular_jacobian_returns_the_seed_without_warnings(monkeypatch):
-    # a constant residual has a zero difference Jacobian: every step is 0/0,
-    # so each seed stays put, and the suite's error filter sees no warning
-    def constant_residual(epsilon, w1, w2):
-        shape = np.broadcast(epsilon, w1, w2).shape
-        return np.full(shape, 0.25), np.full(shape, -0.125)
-
-    monkeypatch.setattr(analytic, "_residual", constant_residual)
+    # a constant residual with a zero or a rank-one Jacobian: every step is
+    # 0/0 or x/0, so each seed stays put, every pass evaluates the seeds
+    # themselves, and the suite's error filter sees no warning
     seeds = np.array([(1.2, 0.3), (0.5, 0.0), (2.0, -1.0)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        points, residuals = refine_candidate([0.1, 1.0, 1e308], seeds, 1e-7)
-    assert _same_bits(points, seeds)
-    assert np.all(residuals == 0.25)
+    for jacobian in ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 4.0)):
+        iterates = []
+
+        def singular_system(epsilon, w1, w2):
+            iterates.append(np.column_stack([w1, w2]))
+            zero = np.zeros(np.shape(w1))
+            return (zero + 0.25, zero - 0.125), tuple(zero + entry for entry in jacobian)
+
+        monkeypatch.setattr(analytic, "_newton_system", singular_system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, residuals = refine_candidate([0.1, 1.0, 1e308], seeds)
+        assert _same_bits(points, seeds)
+        assert np.all(residuals == 0.25)
+        assert len(iterates) == analytic._NEWTON_STEPS + 1
+        assert all(_same_bits(x, seeds) for x in iterates)
+
+
+def test_refinement_evaluates_the_band_once_per_step(monkeypatch):
+    # each of the Newton steps, and the pass that scores the last iterate,
+    # clips the rectangle once, at the k iterates alone
+    clip, shapes = analytic._clip, []
+
+    def counted_clip(p, q, a, b, c):
+        if p is analytic._RECT_P:
+            shapes.append(np.shape(a))
+        return clip(p, q, a, b, c)
+
+    monkeypatch.setattr(analytic, "_clip", counted_clip)
+    seeds = [(1.7, 0.02), (0.3, -0.01), (1.01, 0.0), (2.2, -0.8)]
+    refine_candidate([0.1, 2.0, 0.5, 0.1], seeds)
+    assert shapes == [(4,)] * (analytic._NEWTON_STEPS + 1)
 
 
 def test_offaxis_candidates_fail_refinement():
     # no stationary points exist with w2 != 0: refinement from off-axis
     # seeds must either return to the axis or stall at a real residual
     seeds = [(1.7, 0.5), (0.8, 1.2), (2.2, -0.8), (1.2, 0.06)]
-    points, residuals = refine_candidate(np.full(4, 0.1), seeds, 0.02)
+    points, residuals = refine_candidate(np.full(4, 0.1), seeds)
     for point, res in zip(points, residuals):
         assert abs(point[1]) <= 0.05 or res > 1e-8
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import stable_distance_profile
-from rampdro import cli, dro
+from rampdro import analytic, cli, dro
 
 
 def _load_schema(name):
@@ -404,6 +404,27 @@ def test_certify_near_the_largest_epsilon_raises_no_overflow_warning(tmp_path):
     result = _certify(tmp_path, "--epsilons", "0.1,8.98e307")
     assert result["all_pass"] is True
     assert [e["n_points"] for e in result["per_epsilon"]] == [1, 1]
+
+
+# the eps sets on which every change to the certificate is checked: the
+# default set, huge eps whose point is beside the origin or subnormal, the
+# inner disk's edge at 1/sqrt(2) and just beside it, eps = 1/2's kink, a
+# repeated eps, and small eps with many leaf cells
+REFERENCE_EPSILON_SETS = [
+    "0.1,0.3,0.5,1,2", "1e100", "8.98e307", "1e3,1e5", "0.05,7", "2,0.2,0.2,1.5,0.01",
+    "0.6,0.7,0.71,0.72,0.8", "0.001", "0.707107,0.7071069,0.7071068118654752", "0.01,0.1,1",
+    "0.1,8.98e307",
+]
+
+
+@pytest.mark.parametrize("epsilons", REFERENCE_EPSILON_SETS)
+def test_certify_reference_epsilon_sets(tmp_path, epsilons):
+    result = _certify(tmp_path, "--epsilons", epsilons)
+    assert result["all_pass"] is True
+    for entry in result["per_epsilon"]:
+        assert entry["n_points"] == 1
+        w1 = analytic.closed_form_minimizer(entry["epsilon"])[0]
+        assert np.max(np.abs(np.array(entry["points"][0]) - [w1, 0.0])) <= 1e-13
 
 
 def test_certify_no_longer_takes_grid(tmp_path):
