@@ -199,9 +199,9 @@ def f_epsilon(model: UniformModel, w) -> float:
 
 
 def f_epsilon_quadrature(model: UniformModel, w, grid: int) -> float:
-    """Composite-midpoint evaluation of the same objective, grid >= 1 cells a side (cross-check path)."""
-    if not grid >= 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
+    """Composite-midpoint evaluation of the same objective, integer grid >= 1 cells a side (cross-check path)."""
+    if not (grid >= 1 and float(grid).is_integer()):
+        raise ValueError(f"grid must be an integer of at least 1, got {grid}")
     w1, w2 = _finite_point(w)
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
     r = (np.arange(grid) + 0.5) / grid

@@ -7,8 +7,14 @@ Commands
     certify-analytic  certify the closed-form results for the uniform model
 
 Every command is a deterministic function of its arguments and seeds; reports
-are identical across reruns except for the ``timestamp`` field.  JSON report
-layouts are pinned by the schemas shipped under ``rampdro/schemas``.
+are identical across reruns except for the ``timestamp`` field.  Every JSON
+report is ``{command, timestamp, config, ...}``, written by one helper:
+``config`` echoes every parsed flag except ``--out`` under its argparse name,
+and lays the command's derived fields over it (``train``: n, d, the parsed
+reference, the start distribution and the Wolfe constants; ``oracle``: n, d
+and the parsed ``w``; ``certify-analytic``: the parsed ``epsilons`` and the
+root box).  JSON report layouts are pinned by the schemas shipped under
+``rampdro/schemas``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (``SolveAbort``,
 raised and caught here when no start of a training solve converges), 4 I/O
@@ -94,8 +100,17 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _report(path: Path, args, derived: dict, **body) -> int:
+    """Write ``{command, timestamp, config, **body}`` to ``path`` and return ``EXIT_OK``.
+
+    ``config`` is every parsed flag but ``--out``, with the command's derived
+    fields (a parsed vector, the dataset's n and d, fixed settings) laid over it.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")}
+    timestamp = datetime.now(timezone.utc).isoformat()
+    _write_json(path, {"command": args.command, "timestamp": timestamp,
+                       "config": {**config, **derived}, **body})
+    return EXIT_OK
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -167,28 +182,17 @@ def _cmd_train(args) -> int:
     )
     dro_vars = objective.to_dro_variables(h)
 
-    payload = {
-        "command": "train",
-        "timestamp": _timestamp(),
-        "config": {
-            "data": args.data,
+    return _report(
+        _resolve_out(args.out), args,
+        {
             "n": ds.n,
             "d": ds.d,
-            "seed": args.seed,
-            "loss": args.loss,
-            "sigma": args.sigma,
-            "epsilon_bar": args.epsilon_bar,
-            "starts": args.starts,
-            "grad_tol": args.grad_tol,
-            "max_iters": args.max_iters,
-            "flip_fraction": args.flip_fraction,
-            "adv_fraction": args.adv_fraction,
             "reference": reference if reference is not None else "e1",
             "start_distribution": "unit_sphere",
             "wolfe_c1": solve.WOLFE_C1,
             "wolfe_c2": solve.WOLFE_C2,
         },
-        "result": {
+        result={
             "minimizer": {"w": h.w, "b": h.b},
             "value": best_run.value,
             "grad_norm": best_run.grad_norm,
@@ -207,9 +211,7 @@ def _cmd_train(args) -> int:
                 for i in report.unconverged
             ],
         },
-    }
-    _write_json(_resolve_out(args.out), payload)
-    return EXIT_OK
+    )
 
 
 def _cmd_oracle(args) -> int:
@@ -241,25 +243,7 @@ def _cmd_oracle(args) -> int:
             result["chance_holds"] = chance
             result["cvar_holds"] = cvar_ok
 
-    payload = {
-        "command": "oracle",
-        "timestamp": _timestamp(),
-        "config": {
-            "data": args.data,
-            "n": ds.n,
-            "d": ds.d,
-            "seed": args.seed,
-            "w": w,
-            "b": args.b,
-            "epsilon": args.epsilon,
-            "rho": args.rho,
-            "flip_fraction": args.flip_fraction,
-            "adv_fraction": args.adv_fraction,
-        },
-        "result": result,
-    }
-    _write_json(_resolve_out(args.out), payload)
-    return EXIT_OK
+    return _report(_resolve_out(args.out), args, {"n": ds.n, "d": ds.d, "w": w}, result=result)
 
 
 def _monotone(values, direction: str) -> bool:
@@ -394,31 +378,13 @@ def _cmd_reproduce(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    trends_payload = {
-        "command": "reproduce",
-        "timestamp": _timestamp(),
-        "config": {
-            "table": args.table,
-            "scale": args.scale,
-            "seed": args.seed,
-            "epsilon_bar": args.epsilon_bar,
-            "sigma": args.sigma,
-            "d": args.d,
-            "starts": args.starts,
-            "grad_tol": args.grad_tol,
-            "max_iters": args.max_iters,
-        },
-        "csv": str(out),
-        "trends": trends,
-    }
-    _write_json(out.with_suffix(".trends.json"), trends_payload)
-    return EXIT_OK
+    return _report(out.with_suffix(".trends.json"), args, {}, csv=str(out), trends=trends)
 
 
 def _cmd_certify(args) -> int:
     epsilons = _parse_floats(args.epsilons)
     if epsilons.size == 0 or np.any(epsilons <= 0.0):
-        raise ValueError("--epsilons must be a non-empty list of positive values")
+        raise ValueError(f"--epsilons must be a non-empty list of positive values, got {args.epsilons!r}")
 
     models = [analytic.UniformModel(float(eps)) for eps in epsilons]
     box = analytic.root_half_width(epsilons)
@@ -461,15 +427,12 @@ def _cmd_certify(args) -> int:
         and origin["along_minus_e1"]["pass"]
         and all(all(e["checks"].values()) for e in per_eps)
     )
-    payload = {
-        "command": "certify-analytic",
-        "timestamp": _timestamp(),
+    return _report(
+        _resolve_out(args.out), args,
         # the largest root square, the smallest eps's: [-box, box]^2
-        "config": {"epsilons": epsilons, "box": box},
-        "result": {"origin": origin, "per_epsilon": per_eps, "all_pass": all_pass},
-    }
-    _write_json(_resolve_out(args.out), payload)
-    return EXIT_OK
+        {"epsilons": epsilons, "box": box},
+        result={"origin": origin, "per_epsilon": per_eps, "all_pass": all_pass},
+    )
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -482,6 +445,9 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_args(p: argparse.ArgumentParser, grad_tol: float) -> None:
+    p.add_argument("--sigma", type=float, default=0.02)
+    p.add_argument("--epsilon-bar", type=float, default=0.1)
+    p.add_argument("--starts", type=int, default=20)
     p.add_argument("--grad-tol", type=float, default=grad_tol)
     p.add_argument("--max-iters", type=int, default=10000)
 
@@ -497,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_solver_args(p, grad_tol=1e-8)
     p.add_argument("--loss", choices=["ramp", "sramp", "shinge"], default="sramp")
-    p.add_argument("--sigma", type=float, default=0.02)
-    p.add_argument("--epsilon-bar", type=float, default=0.1)
-    p.add_argument("--starts", type=int, default=20)
     p.add_argument("--reference", default=None, help="comma-separated reference direction (default e1)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
@@ -517,10 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", choices=["T1", "T2", "T3", "T4"], required=True)
     p.add_argument("--scale", type=float, default=1.0, help="shrink factor for n and starts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon-bar", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=0.02)
     p.add_argument("--d", type=int, default=10)
-    p.add_argument("--starts", type=int, default=20)
     _add_solver_args(p, grad_tol=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_reproduce)

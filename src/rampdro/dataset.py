@@ -224,6 +224,11 @@ def load_csv(path) -> Dataset:
                 values = [float(c) for c in row]
             except ValueError as exc:
                 raise CsvFormatError(f"{path}: line {lineno}: {exc}") from None
+            for j in range(feature_cols):
+                if not math.isfinite(values[j]):
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: feature x{j + 1} must be finite, got {row[j]}"
+                    )
             y = values[feature_cols]
             if y not in (1.0, -1.0):
                 raise CsvFormatError(
@@ -231,9 +236,9 @@ def load_csv(path) -> Dataset:
                 )
             if has_weights:
                 p = values[-1]
-                if not p > 0.0:
+                if not 0.0 < p < math.inf:
                     raise CsvFormatError(
-                        f"{path}: line {lineno}: weight must be positive, got {row[-1]}"
+                        f"{path}: line {lineno}: weight must be positive and finite, got {row[-1]}"
                     )
                 weights.append(p)
             points.append(values[:feature_cols])

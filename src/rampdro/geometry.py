@@ -188,9 +188,12 @@ def sin_angle(u, v) -> float:
     ||a + b|| = 2 cos(theta/2), so their product over 2 is sin(theta), with
     an absolute error near 1e-16 from rounding a and b.  sqrt(1 - cos^2) has
     an error floor near 3e-8 at small angles, and reads 0 at 1e-9.  A zero
-    or non-finite vector raises ``ValueError``.
+    or non-finite vector, or two vectors of different lengths, raise
+    ``ValueError``.
     """
     u, v = (np.asarray(x, dtype=float).ravel() for x in (u, v))
+    if u.size != v.size:
+        raise ValueError(f"sin_angle needs vectors of one length, got {u.size} and {v.size}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("sin_angle needs finite vectors")
     if not (u.any() and v.any()):

@@ -61,8 +61,10 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.grad_tol < math.inf or self.max_iters < 1:
-            raise ValueError("grad_tol must be positive and finite, max_iters positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass

@@ -140,10 +140,11 @@ def test_objective_and_residual_reject_non_finite_w(fn, w):
         fn(UniformModel(0.1), w)
 
 
-@pytest.mark.parametrize("grid", [0, -3])
+@pytest.mark.parametrize("grid", [0, -3, 2.5])
 def test_quadrature_requires_a_positive_grid(grid):
-    # 0 divided by zero, and -3 returned the regularizer alone
-    with pytest.raises(ValueError, match=f"^grid must be at least 1, got {grid}$"):
+    # 0 divided by zero, -3 returned the regularizer alone, and 2.5 built
+    # 3 cells a side but divided by 6.25 (0.6017 where f_epsilon gives 0.5545)
+    with pytest.raises(ValueError, match=f"^grid must be an integer of at least 1, got {grid}$"):
         f_epsilon_quadrature(UniformModel(0.1), (1.0, 0.0), grid)
     assert f_epsilon_quadrature(UniformModel(0.1), (1.0, 0.0), 1) == 0.05 + 0.5
 

@@ -488,10 +488,47 @@ def test_certify_rejects_epsilon_too_small_for_the_leaf_lattice(tmp_path, capsys
     assert not (tmp_path / "c.json").exists()
 
 
-def test_certify_rejects_nonpositive_epsilon(tmp_path):
-    rc = cli.main(["certify-analytic", "--epsilons", "0.1,-1",
-                   "--out", str(tmp_path / "c.json")])
-    assert rc == 2
+def test_certify_rejects_nonpositive_epsilon(tmp_path, capsys):
+    for epsilons in ("0.1,-1", ",,"):  # the message printed neither input
+        rc = cli.main(["certify-analytic", "--epsilons", epsilons,
+                       "--out", str(tmp_path / "c.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "validation", "message":
+                       f"--epsilons must be a non-empty list of positive values, got {epsilons!r}"}
+
+
+# config keys a command adds beyond its parsed flags
+_DERIVED = {
+    "train": {"n", "d", "reference", "start_distribution", "wolfe_c1", "wolfe_c2"},
+    "oracle": {"n", "d", "w"},
+    "reproduce": set(),
+    "certify-analytic": {"epsilons", "box"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--n", "40", "--d", "2", "--seed", "3", "--starts", "2", "--sigma", "0.05",
+     "--flip-fraction", "0.1", "--reference", "1,0.5", "--grad-tol", "1e-6"],
+    ["oracle", "--n", "30", "--d", "2", "--w", "1,0.5", "--b", "0.2", "--epsilon", "0.1",
+     "--rho", "0.3", "--adv-fraction", "0.1"],
+    ["reproduce", "--table", "T4", "--scale", "0.001", "--seed", "2", "--epsilon-bar", "0.2",
+     "--grad-tol", "1e-5"],
+    ["certify-analytic", "--epsilons", "0.5,2"],
+], ids=lambda argv: argv[0])
+def test_config_echoes_every_parsed_flag(tmp_path, argv):
+    out = tmp_path / ("r.csv" if argv[0] == "reproduce" else "r.json")
+    argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 0
+    config = _read_json(out.with_suffix(".trends.json") if argv[0] == "reproduce" else out)["config"]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    for key in ("command", "handler", "out"):
+        del parsed[key]
+    for key, value in parsed.items():
+        if key in ("reference", "w", "epsilons"):  # comma-separated vectors
+            value = [float(tok) for tok in value.split(",")]
+        assert config[key] == value, key
+    assert set(config) - set(parsed) <= _DERIVED[argv[0]]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

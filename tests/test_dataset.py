@@ -200,6 +200,15 @@ def test_csv_bad_label_names_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row,column", [("nan,2,-1", "x1"), ("inf,2,-1", "x1"), ("1,-inf,1", "x2")])
+def test_csv_non_finite_feature_names_line(tmp_path, row, column):
+    # the row parsed, and only Dataset rejected it, with no line number
+    path = tmp_path / "nan.csv"
+    path.write_text(f"x1,x2,y\n1,2,1\n{row}\n")
+    with pytest.raises(CsvFormatError, match=f"line 3: feature {column} must be finite"):
+        load_csv(path)
+
+
 def test_csv_inconsistent_columns(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("x1,x2,y\n1.0,2.0,1\n1.0,-1\n")
@@ -211,6 +220,14 @@ def test_csv_nonpositive_weight(tmp_path):
     path = tmp_path / "w0.csv"
     path.write_text("x1,y,p\n1.0,1,0.0\n")
     with pytest.raises(CsvFormatError, match="line 2"):
+        load_csv(path)
+
+
+def test_csv_infinite_weight_names_line(tmp_path):
+    # an infinite weight reached Dataset, which reported only the sum
+    path = tmp_path / "winf.csv"
+    path.write_text("x1,y,p\n1.0,1,0.5\n2.0,1,inf\n")
+    with pytest.raises(CsvFormatError, match="line 3: weight must be positive and finite, got inf"):
         load_csv(path)
 
 

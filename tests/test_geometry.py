@@ -290,6 +290,14 @@ def test_sin_angle_rejects_non_finite(bad):
             sin_angle(np.array(u), np.array(v))
 
 
+@pytest.mark.parametrize("u,v", [((1.0, 0.0, 0.0), (1.0,)), ((1.0, 0.0, 0.0), (0.0, 1.0))],
+                         ids=["3-vs-1", "3-vs-2"])
+def test_sin_angle_rejects_vectors_of_different_lengths(u, v):
+    # (3,) against (1,) broadcast and returned 1.0; (3,) against (2,) raised numpy's message
+    with pytest.raises(ValueError, match=f"^sin_angle needs vectors of one length, got 3 and {len(v)}$"):
+        sin_angle(np.array(u), np.array(v))
+
+
 def test_sin_angle_of_parallel_and_tiny_angles():
     # sqrt(1 - cos^2) read up to 3e-8 on parallel pairs and 0 at a 1e-9 angle
     rng = np.random.default_rng(8)

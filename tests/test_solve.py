@@ -41,11 +41,12 @@ def sramp_objective(n=200, d=3, seed=5, eps_bar=0.1, sigma=0.05):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
+    # one message served both settings, with neither value
+    with pytest.raises(ValueError, match="^grad_tol must be positive and finite, got 0.0$"):
         SolveOptions(grad_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_iters must be at least 1, got 0$"):
         SolveOptions(max_iters=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grad_tol must be positive and finite, got nan$"):
         SolveOptions(grad_tol=float("nan"))
 
 
