@@ -139,27 +139,16 @@ def _band(w1, w2):
     return upper, _clip(*upper, scale * w1, scale * w2, scale)
 
 
-def _band_moments(w1, w2):
-    """Area of {s >= 0}, and area, integral of u and integral of v over the
-    band {0 <= s <= 1}, within the rectangle; s = w1*u + w2*v, w1 and w2
-    broadcast against each other.
-    """
-    upper, band = _band(w1, w2)
-    area_band, m = _moments(*band)
-    return _moments(*upper)[0], area_band, m[..., 0], m[..., 1]
-
-
 def _residual(epsilon, w1, w2):
-    # gradient components of F away from the origin; epsilon broadcasts
-    # against the moments, which do not depend on it
-    _, _, mu, mv = _band_moments(w1, w2)
-    return epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv
+    # gradient components of F away from the origin, from the band's moments
+    m = _moments(*_band(w1, w2)[1])[1]
+    return epsilon * w1 - 0.5 * m[..., 0], epsilon * w2 - 0.5 * m[..., 1]
 
 
 def _newton_system(epsilon, w1, w2):
     """Residual (f1, f2) at w = (w1, w2), arrays of shape (k,), and its
     Jacobian eps I - Dm(w)/2 as entries (a, b, c, d) row by row, from one
-    band evaluation.
+    band evaluation; eps is one float.
 
     Dm(w) = (M_0 - M_1)/||w||, M_s the integral of x x^T along the band's
     chord on w.x = s (see ``scan_stationary_points``).  Simpson's rule is
@@ -178,7 +167,7 @@ def _newton_system(epsilon, w1, w2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Dm/2 = (M_0 - M_1)/(2 ||w||), each M by Simpson's rule on e = p, q, p + q
         weight = np.linalg.norm(q - p, axis=-1) * ([1.0, -1.0] / (12.0 * np.hypot(w1, w2))[:, None])
-        jac = epsilon[:, None, None] * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
+        jac = epsilon * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
     return (epsilon * w1 - 0.5 * m[:, 0], epsilon * w2 - 0.5 * m[:, 1]), jac.reshape(-1, 4).T
 
 
@@ -193,8 +182,9 @@ def f_epsilon(model: UniformModel, w) -> float:
     """Population objective by exact piecewise integration, at a finite w."""
     w1, w2 = _finite_point(w)
     reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
-    area_upper, area_band, mu, mv = _band_moments(w1, w2)
-    expected = 0.5 * (2.0 - area_upper + area_band - w1 * mu - w2 * mv)
+    upper, band = _band(w1, w2)
+    area_band, (mu, mv) = _moments(*band)
+    expected = 0.5 * (2.0 - _moments(*upper)[0] + area_band - w1 * mu - w2 * mv)
     return reg + float(expected)
 
 
@@ -240,7 +230,7 @@ def origin_directional_derivative(direction) -> float:
     norm = math.hypot(u1, u2)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction must be finite and nonzero, got ({u1}, {u2})")
-    _, _, mu, mv = _band_moments(0.5 * u1 / norm, 0.5 * u2 / norm)
+    _, (mu, mv) = _moments(*_band(0.5 * u1 / norm, 0.5 * u2 / norm)[1])
     # adding 0.0 turns the -0.0 of an empty half-plane into 0.0
     return -0.5 * (u1 * float(mu) + u2 * float(mv)) + 0.0
 
@@ -270,24 +260,21 @@ def root_half_width(epsilons) -> float:
     return math.ldexp(1.0, math.frexp(radius)[1])
 
 
-def refine_candidate(epsilons, seeds):
-    """Newton refinement of the residual from seeds, one eps per seed.
+def refine_candidate(epsilon: float, seeds):
+    """Newton refinement of the residual at one eps from seeds, shape (k, 2).
 
-    ``epsilons`` has shape (k,) and ``seeds`` (k, 2).  Each of
-    ``_NEWTON_STEPS`` steps evaluates the residual and its closed-form
-    Jacobian at the iterates, in one band evaluation, and solves the 2 x 2
-    system.  Each smooth piece of the residual vanishes at eps = 1/2's root
-    w = (1, 0), where the Jacobian jumps, so the one-sided Jacobians converge
-    from either side.  A singular system, or one whose determinant or
-    Jacobian overflows, leaves a seed where it is.  Returns each seed's point
-    of least residual max-norm among itself and its iterates (an iterate only
-    if strictly better), shape (k, 2), and that norm, shape (k,),
-    independently of the other seeds.
+    Each of ``_NEWTON_STEPS`` steps evaluates the residual and its
+    closed-form Jacobian at the iterates, in one band evaluation, and solves
+    the 2 x 2 system.  Each smooth piece of the residual vanishes at eps =
+    1/2's root w = (1, 0), where the Jacobian jumps, so the one-sided
+    Jacobians converge from either side.  A singular system, or one whose
+    determinant or Jacobian overflows, leaves a seed where it is.  Returns
+    each seed's point of least residual max-norm among itself and its
+    iterates (an iterate only if strictly better), shape (k, 2), and that
+    norm, shape (k,), independently of the other seeds.
     """
-    eps, x = np.asarray(epsilons, dtype=float).reshape(-1), np.array(seeds, dtype=float).reshape(-1, 2)
-    if eps.shape[0] != x.shape[0]:
-        raise ValueError(f"need one epsilon per seed, got {eps.shape[0]} and {x.shape[0]}")
-    best, best_res = x.copy(), np.full(eps.shape, np.inf)
+    eps, x = float(epsilon), np.array(seeds, dtype=float).reshape(-1, 2)
+    best, best_res = x.copy(), np.full(x.shape[0], np.inf)
     for _ in range(_NEWTON_STEPS + 1):  # the last pass only scores the last iterate
         (f1, f2), (a, b, c, d) = _newton_system(eps, x[:, 0], x[:, 1])
         res = np.maximum(np.abs(f1), np.abs(f2))
@@ -324,12 +311,11 @@ def _quadtree_leaves(eps: float):
         r_min = np.hypot(np.maximum(a1 - h, 0.0), np.maximum(a2 - h, 0.0))
         keep = (r_min <= radius) & (c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > _INNER_RADIUS)
         i, j, c1, c2, r_min = i[keep], j[keep], c1[keep], c2[keep], r_min[keep]
-        _, _, mu, mv = _band_moments(c1, c2)
         # a cell touching the origin (r_min = 0) is never excluded.  Nothing
         # overflows: eps * B(eps) is below 2.1 eps^(2/3), and r_min is 0 or
         # at least 2h
         with np.errstate(divide="ignore"):
-            res = np.hypot(eps * c1 - 0.5 * mu, eps * c2 - 0.5 * mv)
+            res = np.hypot(*_residual(eps, c1, c2))
             bound = (eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
         keep = ~(res > bound)
         return i[keep], j[keep]
@@ -393,6 +379,46 @@ def _bounding_centre(cells, h):
 def _inside(point, cells, reach, ball):
     # in a closed cell of half-width reach, or in the disk, if any
     return _touches((point, 0.0), cells, reach) or bool(ball and math.hypot(*(point - ball[0])) <= ball[1])
+
+
+def _certify(eps: float) -> np.ndarray:
+    """One eps's certified points, sorted by w1, or shape (0, 2) where its
+    certificate does not close (see ``scan_stationary_points``).
+    """
+    tree = _quadtree_leaves(eps)
+    if tree is None:
+        return np.empty((0, 2))
+    leaf_i, leaf_j, h = tree
+    cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root_half_width([eps])
+    labels, count = _components(leaf_i, leaf_j)
+    # a cluster is its leaf cells (n, 2) and at most one disk (centre, radius)
+    clusters = [(cells[labels == n], None) for n in range(count)]
+    # the disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly.  The
+    # division rounds once to nearest, so the true w1 lies within half the
+    # spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and w2 = 0
+    # is exact.  Rounding is monotone, so every eps >= 1/sqrt(2) passes the
+    # test below; an eps an ulp short of it may too, and its disk then only
+    # adds a region.
+    w1 = 0.5 / eps
+    if w1 <= _INNER_RADIUS:
+        # every leaf wholly inside the inner disk was dropped, the point's own
+        # leaf too unless it reaches the edge, so the leaves left around the
+        # point are those reaching into the disk: each cluster with one
+        # merges with the point
+        touched = [_touches((np.zeros(2), _INNER_RADIUS), c, h) for c, _ in clusters]
+        merged = [c for (c, _), t in zip(clusters, touched) if t]
+        clusters = [g for g, t in zip(clusters, touched) if not t]
+        clusters.append((np.concatenate([np.empty((0, 2))] + merged), (np.array([w1, 0.0]), math.ulp(w1))))
+
+    # a cluster with the disk point starts from it: its residual is rounding only
+    seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, ball in clusters]).reshape(-1, 2)
+    points, residuals = refine_candidate(eps, seeds)
+    # leaf bounds are exact and rounding monotone: a point in a closed leaf
+    # computes within h of its centre
+    for (c, ball), point, res in zip(clusters, points, residuals):
+        if not (res <= _ACCEPT_RESIDUAL and _inside(point, c, h, ball)):
+            return np.empty((0, 2))
+    return points[np.lexsort((points[:, 1], points[:, 0]))]
 
 
 def scan_stationary_points(models) -> list[np.ndarray]:
@@ -470,61 +496,14 @@ def scan_stationary_points(models) -> list[np.ndarray]:
 
     Survivors become points.  Connected leaf cells (sharing an edge or a
     corner) form a cluster, and the disk point merges into one cluster with
-    every cluster that has a leaf reaching into the inner disk.  One
-    ``refine_candidate`` call takes Newton steps on J = eps I - Dm/2 from
-    the disk point in its cluster and the bounding-box centre of the others.
+    every cluster that has a leaf reaching into the inner disk.  Each eps is
+    certified on its own: one ``refine_candidate`` call per eps takes Newton
+    steps on J = eps I - Dm/2 from the disk point in its cluster and the
+    bounding-box centre of the others.
     """
     eps = [float(model.epsilon) for model in models]
     root_half_width(eps)  # every eps must fit the leaf lattice; the error names the smallest
-
-    # every tree is built before any cluster: objects made while clustering
-    # between two trees fragment the heap, and peak memory rose by 0.15 MB
-    trees = [_quadtree_leaves(e) for e in eps]
-
-    # a cluster is its leaf cells (n, 2), their half-width and at most one
-    # disk (centre, radius)
-    clusters, owner, failed = [], [], [tree is None for tree in trees]
-    for k, (e, tree) in enumerate(zip(eps, trees)):
-        if tree is None:
-            continue
-        leaf_i, leaf_j, h = tree
-        cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root_half_width([e])
-        labels, count = _components(leaf_i, leaf_j)
-        groups = [(cells[labels == n], h, None) for n in range(count)]
-        # the disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly.
-        # The division rounds once to nearest, so the true w1 lies within half
-        # the spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and
-        # w2 = 0 is exact.  Rounding is monotone, so every eps >= 1/sqrt(2)
-        # passes the test below; an eps an ulp short of it may too, and its
-        # disk then only adds a region.
-        w1 = 0.5 / e
-        if w1 <= _INNER_RADIUS:
-            # every leaf wholly inside the inner disk was dropped, the point's
-            # own leaf too unless it reaches the edge, so the leaves left around
-            # the point are those reaching into the disk: each cluster with
-            # one merges with the point
-            ball = (np.array([w1, 0.0]), math.ulp(w1))
-            touched = [_touches((np.zeros(2), _INNER_RADIUS), c, h) for c, _, _ in groups]
-            merged = [c for (c, _, _), t in zip(groups, touched) if t]
-            groups = [g for g, t in zip(groups, touched) if not t]
-            groups.append((np.concatenate([np.empty((0, 2))] + merged), h, ball))
-        clusters += groups
-        owner += [k] * len(groups)
-
-    # a cluster with the disk point starts from it: its residual is rounding only
-    seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, h, ball in clusters]).reshape(-1, 2)
-    points, residuals = refine_candidate([eps[k] for k in owner], seeds)
-
-    # leaf bounds are exact and rounding monotone: a point in a closed leaf
-    # computes within h of its centre
-    accepted = [[] for _ in eps]
-    for k, (cells, h, ball), point, res in zip(owner, clusters, points, residuals):
-        failed[k] |= not (res <= _ACCEPT_RESIDUAL and _inside(point, cells, h, ball))
-        accepted[k].append(point)
-    return [
-        np.array(sorted(pts, key=lambda p: (p[0], p[1]))) if pts and not bad else np.empty((0, 2))
-        for pts, bad in zip(accepted, failed)
-    ]
+    return [_certify(e) for e in eps]
 
 
 def closed_form_minimizer(epsilon: float):

@@ -60,12 +60,19 @@ class Dataset:
             raise ValueError(f"labels shape {labels.shape} does not match n = {n}")
         if weights.shape != (n,):
             raise ValueError(f"weights shape {weights.shape} does not match n = {n}")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
-        if not np.all(np.isin(labels, (1.0, -1.0))):
-            raise ValueError("labels must be +1 or -1")
-        if not np.all(weights > 0.0):
-            raise ValueError("weights must be strictly positive")
+        # each check names its first bad entry, found only once the check fails
+        finite = np.isfinite(points)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"points must be finite, got {float(points[row, col])} at row {row}, column {col}")
+        signed = np.isin(labels, (1.0, -1.0))
+        if not signed.all():
+            k = np.argmin(signed)
+            raise ValueError(f"labels must be +1 or -1, got {float(labels[k])} at index {k}")
+        positive = weights > 0.0
+        if not positive.all():
+            k = np.argmin(positive)
+            raise ValueError(f"weights must be strictly positive, got {float(weights[k])} at index {k}")
         if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {float(weights.sum())!r}")
         for arr, name in ((points, "points"), (labels, "labels"), (weights, "weights")):

@@ -52,7 +52,9 @@ class Hyperplane:
         if w.size < 1:
             raise ValueError("w must have at least one component")
         if not (np.isfinite(w).all() and np.isfinite(self.b)):
-            raise ValueError("hyperplane entries must be finite")
+            bad = np.flatnonzero(~np.isfinite(w))
+            got = f"w[{bad[0]}] = {float(w[bad[0]])}" if bad.size else f"b = {float(self.b)}"
+            raise ValueError(f"hyperplane entries must be finite, got {got}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", float(self.b))
 

@@ -238,14 +238,19 @@ def multistart(
     whose least-value run it matches, or founds a new one.  ``runs`` holds
     one report per start; ``failures`` lists the runs with a non-finite
     start and ``unconverged`` those that stopped on the iteration cap or a
-    failed line search.
+    failed line search.  A ``dim`` below 2, or a ``reference`` of other than
+    dim - 1 entries, raises ``ValueError`` before the first start.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be positive, got {n_starts}")
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2 (weights and the intercept), got {dim}")
     if reference is None:
         reference = np.zeros(dim - 1)
         reference[0] = 1.0
     reference = np.asarray(reference, dtype=float)
+    if reference.size != dim - 1:
+        raise ValueError(f"reference must have dim - 1 = {dim - 1} entries, got {reference.size}")
 
     rng = np.random.default_rng(opts.seed)
     runs: list = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -216,7 +217,7 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
 
 def _system_at(eps, w):
     # the residual and its closed-form Jacobian at one point, as a 2 x 2 array
-    (f1, f2), jac = analytic._newton_system(np.array([eps]), np.array([w[0]]), np.array([w[1]]))
+    (f1, f2), jac = analytic._newton_system(eps, np.array([w[0]]), np.array([w[1]]))
     return np.array([f1[0], f2[0]]), np.array(jac).reshape(2, 2)
 
 
@@ -301,7 +302,7 @@ def _half_plane_moment(theta):
 
 def test_half_plane_moment_at_zero_is_exact():
     # the disk point m(0)/(2 eps) is formed as (0.5/eps, 0) on this
-    _, _, mu, mv = analytic._band_moments(0.5, 0.0)
+    _, (mu, mv) = analytic._moments(*analytic._band(0.5, 0.0)[1])
     assert (float(mu), float(mv)) == (1.0, 0.0)
 
 
@@ -314,7 +315,7 @@ def test_inner_disk_lemma(theta):
     # both branches of the closed form match the clipped moments at radius
     # 1/2, where the band is the half-plane, and g = e_perp.m has the sign
     # of -theta with |g| >= |sin theta|/3, so theta = 0 is its only root
-    _, _, mu, mv = analytic._band_moments(0.5 * math.cos(theta), 0.5 * math.sin(theta))
+    _, (mu, mv) = analytic._moments(*analytic._band(0.5 * math.cos(theta), 0.5 * math.sin(theta))[1])
     m_u, m_v = _half_plane_moment(theta)
     assert abs(m_u - float(mu)) <= 4.0 * math.ulp(1.0)
     assert abs(m_v - float(mv)) <= 4.0 * math.ulp(1.0)
@@ -362,8 +363,8 @@ def test_scan_minimum_matches_closed_form_values():
     st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
     st.randoms(use_true_random=False),
 )
-# their roots are 4 and 2, and 4 and 1: each eps has its own tree, and a
-# batch shares only the lockstep refinement
+# their roots are 4 and 2, and 4 and 1: each eps is certified on its own, so
+# a batch shares nothing
 @example([0.1, 0.5], random.Random(0))
 @example([0.05, 2.0], random.Random(0))
 def test_batched_scan_equals_per_model_scans(epsilons, rnd):
@@ -409,9 +410,9 @@ def test_disk_root_merges_with_annulus_cluster(monkeypatch):
         leaves.append(quadtree(*args))
         return leaves[-1]
 
-    def recording_refine(epsilons, points):
+    def recording_refine(epsilon, points):
         seeds.append(np.asarray(points))
-        return refine(epsilons, points)
+        return refine(epsilon, points)
 
     monkeypatch.setattr(analytic, "_quadtree_leaves", recording_quadtree)
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
@@ -448,11 +449,47 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
     # the certificate does not close; eps = 2 has its cluster in the disk
     refine = analytic.refine_candidate
 
-    def stray_refine(epsilons, seeds):
-        points, residuals = refine(epsilons, seeds)
-        return points + np.where(np.asarray(epsilons)[:, None] < 1.0, 1e-3, 0.0), residuals
+    def stray_refine(epsilon, seeds):
+        points, residuals = refine(epsilon, seeds)
+        return points + (1e-3 if epsilon < 1.0 else 0.0), residuals
 
     monkeypatch.setattr(analytic, "refine_candidate", stray_refine)
+    found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)])
+    assert found[0].shape == (0, 2)
+    assert found[1].shape == (1, 2)
+
+
+def test_scan_refines_each_epsilon_once_with_its_own_seeds(monkeypatch):
+    # on the default five eps, each eps makes one refine_candidate call with
+    # a float eps and one seed, its own cluster's, within 1e-6 of its root
+    calls, refine = [], analytic.refine_candidate
+
+    def recording_refine(epsilon, seeds):
+        calls.append((epsilon, np.array(seeds)))
+        return refine(epsilon, seeds)
+
+    monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
+    epsilons = [0.1, 0.3, 0.5, 1.0, 2.0]
+    found = scan_stationary_points([UniformModel(e) for e in epsilons])
+    assert [eps for eps, _ in calls] == epsilons
+    for eps, seeds in calls:
+        assert type(eps) is float
+        assert seeds.shape == (1, 2)
+        assert np.max(np.abs(seeds[0] - [closed_form_minimizer(eps)[0], 0.0])) <= 1e-6
+    assert [pts.shape for pts in found] == [(1, 2)] * 5
+
+
+def test_epsilon_without_a_cluster_finds_no_point(monkeypatch):
+    # eps = 0.1 has no disk point (1/(2 eps) = 5 lies outside the inner
+    # disk), so a tree with no leaves leaves it no cluster and no point; eps
+    # = 2 in the same scan is unaffected
+    quadtree = analytic._quadtree_leaves
+
+    def leafless_quadtree(eps):
+        i, j, h = quadtree(eps)
+        return (i[:0], j[:0], h) if eps == 0.1 else (i, j, h)
+
+    monkeypatch.setattr(analytic, "_quadtree_leaves", leafless_quadtree)
     found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)])
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
@@ -461,15 +498,15 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
 def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
     # eps = 0.1 keeps about 200 leaf cells, eps = 2 none.  Capped at 100 live
     # cells, eps = 0.1's tree stops at the first level that passes the cap
-    # (about 200 cells reach the band moments, not 17,000), while eps = 2 in
-    # the same scan builds its whole tree
-    band_moments, quadtree = analytic._band_moments, analytic._quadtree_leaves
+    # (about 200 cells reach the residual, not 17,000), while eps = 2 in the
+    # same scan builds its whole tree
+    residual, quadtree = analytic._residual, analytic._quadtree_leaves
     counts, current = {}, []
 
-    def counted_band_moments(w1, w2):
+    def counted_residual(epsilon, w1, w2):
         if current:
             counts[current[-1]] = counts.get(current[-1], 0) + np.size(w1)
-        return band_moments(w1, w2)
+        return residual(epsilon, w1, w2)
 
     def tracked_quadtree(eps):
         current.append(eps)
@@ -478,7 +515,7 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
         finally:
             current.pop()
 
-    monkeypatch.setattr(analytic, "_band_moments", counted_band_moments)
+    monkeypatch.setattr(analytic, "_residual", counted_residual)
     monkeypatch.setattr(analytic, "_quadtree_leaves", tracked_quadtree)
     models = [UniformModel(0.1), UniformModel(2.0)]
     assert scan_stationary_points(models)[0].shape == (1, 2)
@@ -510,29 +547,24 @@ def test_root_half_width_is_the_next_power_of_two_above_the_outer_radius(eps):
 
 
 def test_refine_without_seeds_returns_empty_arrays():
-    points, residuals = refine_candidate(np.empty(0), np.empty((0, 2)))
+    points, residuals = refine_candidate(0.1, np.empty((0, 2)))
     assert points.shape == (0, 2)
     assert residuals.shape == (0,)
 
 
-def test_refine_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        refine_candidate([0.1, 0.2], [(1.0, 0.0)])
-
-
 def test_lockstep_refinement_equals_one_seed_calls():
-    # mixed eps: roots, an off-axis stall, seeds near the origin and in the
-    # excluded half-plane, and two cells of a 300-point grid over [-3, 3]^2;
-    # each keeps its own iterates
+    # roots, an off-axis stall, seeds near the origin and in the excluded
+    # half-plane, and two cells of a 300-point grid over [-3, 3]^2, each
+    # refined at one eps after another; each keeps its own iterates
     axis = np.linspace(-3.0, 3.0, 300)
-    epsilons = np.array([0.1, 0.1, 2.0, 0.37, 0.5, 1.0, 0.05, 0.1, 2.0])
     seeds = np.array([(1.7, 0.02), (0.8, 1.2), (0.3, -0.01), (0.02, 0.02), (-1.5, 0.9),
                       (0.0, 0.04), (2.2, -0.8), (axis[143], axis[148]), (axis[148], axis[149])])
-    points, residuals = refine_candidate(epsilons, seeds)
-    assert points.shape == (9, 2) and residuals.shape == (9,)
-    for eps, seed, point, res in zip(epsilons, seeds, points, residuals):
-        one_point, one_res = refine_candidate([eps], [seed])
-        assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
+    for eps in (0.05, 0.1, 0.37, 0.5, 1.0, 2.0):
+        points, residuals = refine_candidate(eps, seeds)
+        assert points.shape == (9, 2) and residuals.shape == (9,)
+        for seed, point, res in zip(seeds, points, residuals):
+            one_point, one_res = refine_candidate(eps, [seed])
+            assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -547,7 +579,7 @@ def test_lockstep_refinement_equals_one_seed_calls():
 @example(math.sqrt(0.5), -6e-6, 2e-6)
 def test_newton_refinement_reaches_the_root_from_nearby_seeds(eps, d1, d2):
     root = np.array([closed_form_minimizer(eps)[0], 0.0])
-    (point,), (res,) = refine_candidate([eps], [root + (d1, d2)])
+    (point,), (res,) = refine_candidate(eps, [root + (d1, d2)])
     assert res <= 1e-14
     assert res == np.max(np.abs(stationarity_residual(UniformModel(eps), point)))
     assert np.max(np.abs(point - root)) <= 1e-13
@@ -558,7 +590,7 @@ def test_singular_jacobian_returns_the_seed_without_warnings(monkeypatch):
     # 0/0 or x/0, so each seed stays put, every pass evaluates the seeds
     # themselves, and the suite's error filter sees no warning
     seeds = np.array([(1.2, 0.3), (0.5, 0.0), (2.0, -1.0)])
-    for jacobian in ((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 4.0)):
+    for jacobian, eps in itertools.product(((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 4.0)), (0.1, 1.0, 1e308)):
         iterates = []
 
         def singular_system(epsilon, w1, w2):
@@ -569,7 +601,7 @@ def test_singular_jacobian_returns_the_seed_without_warnings(monkeypatch):
         monkeypatch.setattr(analytic, "_newton_system", singular_system)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            points, residuals = refine_candidate([0.1, 1.0, 1e308], seeds)
+            points, residuals = refine_candidate(eps, seeds)
         assert _same_bits(points, seeds)
         assert np.all(residuals == 0.25)
         assert len(iterates) == analytic._NEWTON_STEPS + 1
@@ -588,7 +620,7 @@ def test_refinement_evaluates_the_band_once_per_step(monkeypatch):
 
     monkeypatch.setattr(analytic, "_clip", counted_clip)
     seeds = [(1.7, 0.02), (0.3, -0.01), (1.01, 0.0), (2.2, -0.8)]
-    refine_candidate([0.1, 2.0, 0.5, 0.1], seeds)
+    refine_candidate(0.1, seeds)
     assert shapes == [(4,)] * (analytic._NEWTON_STEPS + 1)
 
 
@@ -596,7 +628,7 @@ def test_offaxis_candidates_fail_refinement():
     # no stationary points exist with w2 != 0: refinement from off-axis
     # seeds must either return to the axis or stall at a real residual
     seeds = [(1.7, 0.5), (0.8, 1.2), (2.2, -0.8), (1.2, 0.06)]
-    points, residuals = refine_candidate(np.full(4, 0.1), seeds)
+    points, residuals = refine_candidate(0.1, seeds)
     for point, res in zip(points, residuals):
         assert abs(point[1]) <= 0.05 or res > 1e-8
 

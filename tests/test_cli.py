@@ -298,6 +298,15 @@ def test_nan_settings_are_validation_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_oracle_non_finite_w_names_the_entry(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    rc = cli.main(["oracle", "--n", "10", "--d", "2", "--w", "nan,1", "--epsilon", "0.1", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == {"type": "validation", "message": "hyperplane entries must be finite, got w[0] = nan"}
+    assert not out.exists()
+
+
 def test_oracle_malformed_csv_is_validation_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,y\n1.0,7\n")

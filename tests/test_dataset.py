@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,19 @@ def test_dataset_validation():
         Dataset(pts, np.array([1.0, -1.0]), np.array([1.0, -0.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([[np.inf, 0.0]]), np.array([1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("points,labels,weights,message", [
+    ([[0.0, 1.0], [np.nan, 2.0]], [1.0, -1.0], [0.5, 0.5], "points must be finite, got nan at row 1, column 0"),
+    ([[0.0, 1.0], [3.0, -np.inf]], [1.0, -1.0], [0.5, 0.5], "points must be finite, got -inf at row 1, column 1"),
+    ([[0.0, 1.0], [2.0, 2.0]], [1.0, 0.5], [0.5, 0.5], "labels must be +1 or -1, got 0.5 at index 1"),
+    ([[0.0, 1.0], [2.0, 2.0]], [1.0, -1.0], [1.5, -0.5], "weights must be strictly positive, got -0.5 at index 1"),
+    ([[0.0, 1.0], [2.0, 2.0]], [1.0, -1.0], [np.nan, 1.0], "weights must be strictly positive, got nan at index 0"),
+], ids=["nan-point", "inf-point", "label", "weight", "nan-weight"])
+def test_dataset_validation_names_the_first_bad_entry(points, labels, weights, message):
+    # plain values, not numpy reprs, and the position of the first bad entry
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.array(points), np.array(labels), np.array(weights))
 
 
 def test_dataset_immutable():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,18 @@ def test_hyperplane_owns_its_w():
     owned = np.array([1.0, 2.0])
     owned.setflags(write=False)
     assert Hyperplane(owned, 0.0).w is owned
+
+
+@pytest.mark.parametrize("w,b,got", [
+    ([math.nan, 1.0], 0.0, "w[0] = nan"),
+    ([1.0, -math.inf, math.nan], 0.0, "w[1] = -inf"),
+    ([1.0, 2.0], math.inf, "b = inf"),
+    ([1.0, math.inf], math.nan, "w[1] = inf"),
+], ids=["w0-nan", "w1-inf", "b-inf", "w-before-b"])
+def test_hyperplane_rejects_non_finite_entry_by_name(w, b, got):
+    # the first bad entry, w before b, with its plain value
+    with pytest.raises(ValueError, match=rf"^hyperplane entries must be finite, got {re.escape(got)}$"):
+        Hyperplane(np.array(w), b)
 
 
 def test_distances_vector_matches_scalar():

@@ -281,6 +281,36 @@ def test_multistart_validates_n_starts():
         multistart(fun, dim, 0, SolveOptions())
 
 
+def _counted(fun):
+    # fun, and the list of points it was evaluated at
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("dim", [1, 0])
+def test_multistart_rejects_dim_below_two_before_any_start(dim):
+    # the default reference e1 has dim - 1 entries: at dim 1 it raised IndexError
+    fun, calls = _counted(quadratic([1.0], [0.0]))
+    with pytest.raises(ValueError, match=rf"^dim must be at least 2 \(weights and the intercept\), got {dim}$"):
+        multistart(fun, dim, 3, SolveOptions())
+    assert not calls
+
+
+@pytest.mark.parametrize("reference", [[1.0], [1.0, 0.0, 0.0, 0.0, 0.0]], ids=["short", "long"])
+def test_multistart_rejects_reference_of_wrong_length_before_any_start(reference):
+    # QUAD5 has dim 5, so a reference needs 4 entries; sin_angle raised only
+    # after every start had run
+    fun, calls = _counted(QUAD5)
+    with pytest.raises(ValueError, match=f"^reference must have dim - 1 = 4 entries, got {len(reference)}$"):
+        multistart(fun, 5, 3, SolveOptions(), reference)
+    assert not calls
+
+
 def _report_bits(rep):
     # every field of a SolveReport as comparable bits (NaN matches its own bits)
     trace = np.array(rep.trace, dtype=float).view(np.uint64)
