@@ -172,6 +172,9 @@ def _newton_system(epsilon, w1, w2):
 
 
 def _finite_point(w):
+    w = np.asarray(w, dtype=float).ravel()
+    if w.size != 2:
+        raise ValueError(f"w must have 2 entries, got {w.size}")
     w1, w2 = float(w[0]), float(w[1])
     if not (math.isfinite(w1) and math.isfinite(w2)):
         raise ValueError(f"w must be finite, got ({w1}, {w2})")

@@ -14,10 +14,11 @@ Both routes are computed exactly by breakpoint enumeration, which is what
 makes the tight dual-equals-primal equality tests possible.
 
 The dual, the knapsack and the CVaR of the distance all read one sorted
-distance profile: the finite distances in ascending order with prefix sums
-of p and p*d.  Only the positive distances are sorted: the zeros, the
-misclassified points, lead in input order.  The dual and the knapsack share
-that sort but not a formula, so their agreement remains an independent check.
+distance profile: the positive finite distances in ascending order with
+prefix sums of p and p*d.  The zeros, the misclassified points, enter every
+query only through their total mass, so the profile stores no zero and starts
+its prefix sums of p at that mass.  The dual and the knapsack share that sort
+but not a formula, so their agreement remains an independent check.
 
 A query at (epsilon, rho) reads the sorted distances only up to a crossing:
 where the cumulative p*d passes epsilon (dual, knapsack) or the cumulative p
@@ -93,28 +94,37 @@ _SAMPLE = 1024  # size of the strided sample that places a profile's cuts
 
 
 class _DistanceProfile:
-    """A prefix of the finite distances in ascending order, with prefix sums of p and p*d.
+    """A prefix of the positive finite distances in ascending order, with prefix sums of p and p*d.
 
-    ``cum_p[k]`` and ``cum_pd[k]`` sum p_i and p_i * d_i over the first k
-    sorted points; the first ``zeros`` of them are the misclassified points.
-    Infinite distances are dropped: no budget reaches them and they add
-    nothing to either dual.  The weights sum to 1 only up to rounding, so the
-    dual and the knapsack cap the probability they return at 1.
+    ``cum_p[k]`` and ``cum_pd[k]`` sum p_i and p_i * d_i over the
+    misclassified points (d_i = 0) and the first k sorted positive
+    distances.  Infinite distances are dropped: no budget reaches them and
+    they add nothing to either dual.  The weights sum to 1 only up to
+    rounding, so the dual and the knapsack cap the probability they return
+    at 1.
 
-    ``lower[k]`` is the first index tied with the positive distance
-    ``d[zeros + k]``: prefix sums there cover d_i < d_k only, and ties at d_k
-    add exactly zero to phi(1/d_k) and to g(d_k).
+    The misclassified points are one base mass, not entries: every query
+    reads them only through their total weight.  ``cum_p[0]`` is that
+    weight, summed left to right in input order, as a stable sort's leading
+    run of zeros sums it (a pairwise ``p.sum()`` may round otherwise).
+    ``cum_pd[0]`` is 0.0, where that run's cost is +0 or -0.  No answer reads
+    the sign: each reader adds the cost to, or subtracts it from, a positive
+    term or another zero.  (Weights of -0.0 are the one exception: a sum of
+    them alone may read +0.0 where the stable order's reads -0.0.)
+
+    ``lower[k]`` is the first index tied with ``d[k]``: prefix sums there
+    cover d_i < d_k only, and ties at d_k add exactly zero to phi(1/d_k) and
+    to g(d_k).
 
     Points are ordered as a stable sort orders them: by distance, ties in
     input order.  That fixes the summation order of every prefix sum.
 
-    The profile is built lazily.  It holds the zeros (in input order) and
-    every positive distance d <= ``cut``, and no other: so ``d``, ``cum_p``,
-    ``cum_pd`` and ``lower`` are always the first ``size`` entries of the
-    full profile's, bit for bit, and a tie run is never split.  A query that
-    needs more appends the next band, every point left with d <= the next
-    cut, sorted alone and summed on from the previous totals (``cumsum``
-    adds left to right).  The cuts come from a strided sample's estimated
+    The profile is built lazily.  It holds every positive distance d <=
+    ``cut``, and no other: so ``d``, ``cum_p``, ``cum_pd`` and ``lower`` are
+    always the first ``size`` entries of the full profile's, bit for bit,
+    and a tie run is never split.  A query that needs more appends the next
+    band, every point left with d <= the next cut, sorted alone and summed
+    on from the previous totals (``cumsum`` adds left to right).  The cuts come from a strided sample's estimated
     cost and mass; each band at least doubles the sample rank of the one
     before.  Once ``complete``, the prefix is the full profile.
 
@@ -131,11 +141,12 @@ class _DistanceProfile:
       once P > rho, since beyond-prefix points only lower g; and P > rho
       rules out both finite-mass branches.
 
-    Rounding: with N finite points and unit roundoff u, a computed phi_k or
-    g_k, like a computed prefix sum of nonnegative terms, is off its exact
-    value by at most gamma = (N+4)u / (1 - (N+4)u) times the sum of its
-    terms' magnitudes (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sec. 3.1 and 4.2).  Beyond the cut those magnitudes
+    Rounding: with N finite points (the zeros too, since the sums still add
+    their weights) and unit roundoff u, a computed phi_k or g_k, like a
+    computed prefix sum of nonnegative terms, is off its exact value by at
+    most gamma = (N+4)u / (1 - (N+4)u) times the sum of its terms'
+    magnitudes (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, sec. 3.1 and 4.2).  Beyond the cut those magnitudes
     are below epsilon/cut + 2M for phi and d (1 + 2M/rho) for g, with M the
     finite mass.  The latter grows with d, so the CVaR also needs P/rho - 1
     above gamma (1 + 3M/rho) for its bound to keep falling.  The margins of
@@ -158,21 +169,15 @@ class _DistanceProfile:
             d, p = d[finite], p[finite]
         n = d.size
         self._source = d, p  # the bands are drawn from these, in input order
-        at = np.flatnonzero(d == 0.0)
-        z = self.zeros = at.size
-        self._d = np.empty(n)
-        self._cum_p = np.empty(n + 1)
-        self._cum_pd = np.empty(n + 1)
-        self._lower = np.empty(n - z, dtype=np.intp)
-        self._cum_p[0] = self._cum_pd[0] = 0.0
-        # the zeros lead in input order, as a stable sort puts them
-        np.take(d, at, out=self._d[:z])  # 0.0 and -0.0 keep their bits
-        pz = p[at]
-        np.cumsum(pz, out=self._cum_p[1:z + 1])
-        pz *= self._d[:z]
-        np.cumsum(pz, out=self._cum_pd[1:z + 1])
-        del at, pz
-        self.size, self.cut, self._rank, self._sample = z, 0.0, -1, None
+        base = np.cumsum(p[np.flatnonzero(d == 0.0)])  # the zeros, left to right
+        m = n - base.size  # the positive distances
+        self._d = np.empty(m)
+        self._cum_p = np.empty(m + 1)
+        self._cum_pd = np.empty(m + 1)
+        self._lower = np.empty(m, dtype=np.intp)
+        self._cum_p[0] = base[-1] if base.size else 0.0
+        self._cum_pd[0] = 0.0
+        self.size, self.cut, self._rank, self._sample = 0, 0.0, -1, None
         self._top = float(d.max(initial=0.0))  # the largest finite distance
         mass = float(p.sum())
         self._mass = mass if mass * self._top < 2.0**1000 else math.inf
@@ -184,7 +189,7 @@ class _DistanceProfile:
         self.d = self._d[:k]
         self.cum_p = self._cum_p[:k + 1]
         self.cum_pd = self._cum_pd[:k + 1]
-        self.lower = self._lower[:k - self.zeros]
+        self.lower = self._lower[:k]
 
     @property
     def complete(self) -> bool:
@@ -202,7 +207,7 @@ class _DistanceProfile:
         sample_d, cost, mass = self._sample
         # the first sample rank whose estimated cost or mass meets the need,
         # plus slack for the sampling error, and at least double the last
-        need = max(np.searchsorted(cost, epsilon), np.searchsorted(mass, rho - self.cum_p[self.zeros]))
+        need = max(np.searchsorted(cost, epsilon), np.searchsorted(mass, rho - self.cum_p[0]))
         rank = max(int(need) + 4 + int(3.0 * math.sqrt(need)), 2 * self._rank + 1)
         if not self._mass < math.inf:
             rank = sample_d.size
@@ -223,7 +228,7 @@ class _DistanceProfile:
         keep = np.flatnonzero(d > 0.0)
         order = keep[np.argsort(d[keep])]
         d, p = d[order], p[order]
-        scale = (self._d.size - self.zeros) / max(1, d.size)
+        scale = self._d.size / max(1, d.size)
         return d, np.cumsum(p * d) * scale, np.cumsum(p) * scale
 
     def _append(self, d: np.ndarray, p: np.ndarray) -> None:
@@ -241,7 +246,7 @@ class _DistanceProfile:
         starts = np.ones(b + 1, dtype=bool)  # run starts, plus an end sentinel
         np.not_equal(sorted_d[1:], sorted_d[:-1], out=starts[1:-1])
         tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
-        lower = self._lower[k - self.zeros:end - self.zeros]
+        lower = self._lower[k:end]
         lower[:] = np.arange(k, end)
         if tied.size:
             key = np.cumsum(starts[tied], dtype=np.int64)
@@ -260,10 +265,9 @@ class _DistanceProfile:
         del rank
         pd = self._cum_pd[k + 1:end + 1]
         np.multiply(p, sorted_d, out=pd)
-        if k:
-            # continue both sums bit for bit: cumsum adds total + next
-            p[0] = self._cum_p[k] + p[0]
-            pd[0] = self._cum_pd[k] + pd[0]
+        # continue both sums bit for bit: cumsum adds total + next
+        p[0] = self._cum_p[k] + p[0]
+        pd[0] = self._cum_pd[k] + pd[0]
         np.cumsum(p, out=self._cum_p[k + 1:end + 1])
         np.cumsum(pd, out=pd)
         self.size = end
@@ -276,14 +280,13 @@ class _DistanceProfile:
         if epsilon == 0.0:
             # the ball degenerates to the nominal distribution; the infimum is
             # attained only in the limit t -> infinity
-            return WorstCaseResult(min(1.0, float(self.cum_p[self.zeros])), float("inf"))
+            return WorstCaseResult(min(1.0, float(self.cum_p[0])), float("inf"))
         self.cover(epsilon)
-        # a prefix of zeros alone covers no positive epsilon, so it is complete
-        if self.zeros == self.size:
-            return WorstCaseResult(min(1.0, float(self.cum_p[-1])), 0.0)
+        # an empty prefix covers no positive epsilon, so it is complete
+        if not self.size:
+            return WorstCaseResult(min(1.0, float(self.cum_p[0])), 0.0)
         while True:
-            d = self.d[self.zeros:]
-            lo = self.lower
+            d, lo = self.d, self.lower
             # phi(1/d_k), dividing by d_k: 1/d_k overflows for subnormal d_k,
             # and inf * 0 would be nan where epsilon / d_k is a correct +inf
             with np.errstate(over="ignore"):
@@ -308,16 +311,15 @@ class _DistanceProfile:
         """Fill whole items in increasing-distance order, then a fraction."""
         if not epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-        z = self.zeros
         if epsilon == 0.0:
             # p_i * d_i can round to 0 for subnormal d_i; no such item is free
-            return min(1.0, float(self.cum_p[z]))
+            return min(1.0, float(self.cum_p[0]))
         self.cover(epsilon)
-        cost = self.cum_pd[z + 1:]  # cumulative cost of the movable items
+        cost = self.cum_pd[1:]  # cumulative cost of the movable items
         k = int(np.searchsorted(cost, epsilon, side="right"))
-        value = float(self.cum_p[z + k])
+        value = float(self.cum_p[k])
         if k < cost.size:
-            value += (epsilon - float(self.cum_pd[z + k])) / self.d[z + k]
+            value += (epsilon - float(self.cum_pd[k])) / self.d[k]
         return min(1.0, value)
 
     def cvar(self, rho: float) -> float:
@@ -344,8 +346,7 @@ class _DistanceProfile:
     def _cvar_breakpoints(self, rho: float) -> float:
         # g(t) = t + (1/rho) * sum_{d_i < t} p_i (d_i - t), at t = each positive
         # breakpoint; the t -> 0+ limit contributes the baseline 0
-        t_vals = self.d[self.zeros:]
-        lo = self.lower
+        t_vals, lo = self.d, self.lower
         g = t_vals + (self.cum_pd[lo] - t_vals * self.cum_p[lo]) / rho
         return float(g.max(initial=0.0))
 
@@ -365,9 +366,10 @@ def _build(dists, weights) -> _DistanceProfile:
     d = np.asarray(dists, dtype=float).ravel()
     p = np.asarray(weights, dtype=float).ravel()
     if d.shape != p.shape:
-        raise ValueError("distances and weights must have matching shapes")
+        raise ValueError(f"distances and weights must have matching shapes, got {d.shape} and {p.shape}")
     if not (d >= 0.0).all():
-        raise ValueError("distances must be nonnegative")
+        at = int(np.flatnonzero(~(d >= 0.0))[0])
+        raise ValueError(f"distances must be nonnegative, got {float(d[at])} at index {at}")
     with np.errstate(over="ignore"):  # an overflowed sum is rejected here
         if not ((p >= 0.0).all() and p.sum() < math.inf):
             raise ValueError(f"weights must be nonnegative with a finite sum, got {p.min()} to {p.max()}")

@@ -60,7 +60,7 @@ class Hyperplane:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
+        return _norm(self.w)
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,16 @@ def _pow2_exponent(x: np.ndarray) -> int:
     norms and dot products can no longer overflow or underflow.
     """
     return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| with no overflow or underflow in its squares: formed on x scaled by 2^-k (see ``_pow2_exponent``).
+
+    It is inf only when ||x|| itself exceeds the largest float.
+    """
+    k = _pow2_exponent(x)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -k)), k))
 
 
 def sin_angle(u, v) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Hyperplane, _margins
+from .geometry import Hyperplane, _margins, _norm
 from .losses import LossSpec
 
 __all__ = [
@@ -59,16 +59,24 @@ class DroVariables(NamedTuple):
     t: float
 
 
-def _reg_value(spec: ObjectiveSpec, w: np.ndarray) -> float:
+def _regularize(spec: ObjectiveSpec, w: np.ndarray, grad_w: np.ndarray | None = None) -> float:
+    """The regularizer's value; given ``grad_w``, its gradient is added there."""
     if spec.reg_kind is RegKind.SQUARED_NORM:
+        if grad_w is not None:
+            grad_w += spec.reg_weight * w
         return 0.5 * spec.reg_weight * float(w.dot(w))
-    return spec.reg_weight * float(np.linalg.norm(w))
+    norm = _norm(w)
+    if grad_w is not None:
+        if norm == 0.0:
+            raise ValueError("norm regularizer is not differentiable at w = 0")
+        grad_w += spec.reg_weight * w / norm
+    return spec.reg_weight * norm
 
 
 def evaluate(spec: ObjectiveSpec, ds, h: Hyperplane) -> float:
     """Objective value; works for every loss, including the exact ramp."""
     risk = float(ds.weights.dot(spec.loss.value(_margins(ds, h.w, h.b))))
-    return _reg_value(spec, h.w) + risk
+    return _regularize(spec, h.w) + risk
 
 
 def evaluate_with_gradient(spec: ObjectiveSpec, ds, h: Hyperplane):
@@ -82,21 +90,14 @@ def evaluate_with_gradient(spec: ObjectiveSpec, ds, h: Hyperplane):
         raise ValueError("gradient requested for the non-smooth ramp loss")
     w = h.w
     loss, slope = spec.loss.value_and_slope(_margins(ds, w, h.b))
-    value = _reg_value(spec, w) + float(ds.weights.dot(loss))
+    risk = float(ds.weights.dot(loss))
 
     slope *= ds.weights
     slope *= ds.labels
     grad = np.empty(w.size + 1)  # filled in place: d/dw, then d/db
     grad_w = np.matmul(ds.points.T, slope, out=grad[:-1])
     grad[-1] = slope.sum()
-    if spec.reg_kind is RegKind.SQUARED_NORM:
-        grad_w += spec.reg_weight * w
-    else:
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise ValueError("norm regularizer is not differentiable at w = 0")
-        grad_w += spec.reg_weight * w / norm
-    return value, grad
+    return _regularize(spec, w, grad_w) + risk, grad
 
 
 class _Slices(NamedTuple):

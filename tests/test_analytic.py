@@ -141,6 +141,16 @@ def test_objective_and_residual_reject_non_finite_w(fn, w):
         fn(UniformModel(0.1), w)
 
 
+@pytest.mark.parametrize("w,size", [((1.0, 0.2, 5.0), 3), ((1.0,), 1), ([[1.0, 0.2, 0.3]], 3), ((), 0)])
+@pytest.mark.parametrize("fn", [stationarity_residual, f_epsilon, lambda m, w: f_epsilon_quadrature(m, w, 8)])
+def test_objective_and_residual_require_two_entries(fn, w, size):
+    # three entries were read as their first two, one raised IndexError
+    with pytest.raises(ValueError, match=rf"^w must have 2 entries, got {size}$"):
+        fn(UniformModel(0.1), w)
+    # two entries in any shape are read as origin_directional_derivative reads them
+    assert np.array_equal(fn(UniformModel(0.1), [[1.0, 0.2]]), fn(UniformModel(0.1), (1.0, 0.2)))
+
+
 @pytest.mark.parametrize("grid", [0, -3, 2.5])
 def test_quadrature_requires_a_positive_grid(grid):
     # 0 divided by zero, -3 returned the regularizer alone, and 2.5 built

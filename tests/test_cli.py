@@ -201,9 +201,13 @@ def test_oracle_report_equals_fresh_stable_profiles(tmp_path, monkeypatch, seed)
 
     def stable_profile(dists, weights):
         # a profile grown whole, its arrays replaced by the stable sort's
+        # from the first positive distance on
         profile = dro._build(dists, weights)
         profile.cover(math.inf)
-        vars(profile).update(stable_distance_profile(dists, weights))
+        ref = stable_distance_profile(dists, weights)
+        z = ref["zeros"]
+        vars(profile).update(d=ref["d"][z:], cum_p=ref["cum_p"][z:], cum_pd=ref["cum_pd"][z:],
+                             lower=ref["lower"] - z)
         return profile
 
     monkeypatch.setattr(dro, "_profile", stable_profile)

@@ -232,21 +232,31 @@ def _profile_input(draw):
     return d, rng.uniform(0.05, 1.0, n), rng.permutation(n)
 
 
+def _assert_is_stable_prefix(profile, ref):
+    # the profile's arrays are the stable reference's from its index zeros
+    # on, bit for bit, and lower is shifted by zeros; only cum_pd[0] is
+    # compared by value, since the reference's zero run may sum its costs
+    # to -0.0 where the profile stores 0.0
+    z, k = ref["zeros"], profile.size
+    assert profile.lower.dtype == ref["lower"].dtype
+    for name in ("d", "cum_p"):
+        got = getattr(profile, name)
+        assert np.array_equal(got.view(np.uint64), ref[name][z:z + got.size].view(np.uint64)), name
+    assert profile.cum_p.size == k + 1 and profile.cum_pd.size == k + 1
+    assert profile.cum_pd[0] == ref["cum_pd"][z] == 0.0
+    assert np.array_equal(profile.cum_pd[1:].view(np.uint64), ref["cum_pd"][z + 1:z + k + 1].view(np.uint64))
+    assert np.array_equal(profile.lower, ref["lower"][:k] - z)
+
+
 def _assert_profile_is_stable_sort(d, p):
     profile = dro._profile(d, p)
     ref = stable_distance_profile(d, p)
     # a prefix grown to a mid-range cost is the full profile's first entries
     profile.cover(0.5 * float(ref["cum_pd"][-1]))
-    for name in ("d", "cum_p", "cum_pd"):
-        assert np.array_equal(getattr(profile, name).view(np.uint64),
-                              ref[name][:getattr(profile, name).size].view(np.uint64)), name
-    assert np.array_equal(profile.lower, ref["lower"][:profile.lower.size])
+    _assert_is_stable_prefix(profile, ref)
     profile.cover(math.inf)  # grown whole
-    for name in ("d", "cum_p", "cum_pd", "lower"):
-        got, want = getattr(profile, name), ref[name]
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
-    assert profile.zeros == ref["zeros"]
+    assert profile.complete and profile.size == ref["d"].size - ref["zeros"]
+    _assert_is_stable_prefix(profile, ref)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -256,6 +266,41 @@ def test_profile_matches_stable_sort_bitwise(instance):
     d, p, perm = instance
     _assert_profile_is_stable_sort(d, p)
     _assert_profile_is_stable_sort(d[perm], p[perm])
+
+
+def test_misclassified_mass_is_the_stable_run_sum_and_no_stored_entry():
+    # zeros of both signs, some of zero weight, make up 60 % of the points;
+    # their mass is the base of cum_p, summed as the stable order's leading
+    # run sums it, which a pairwise np.sum does not reproduce here
+    rng = np.random.default_rng(25)
+    n = 5000
+    d = rng.uniform(0.0, 3.0, n)
+    zero = rng.random(n) < 0.6
+    d[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    d[rng.random(n) < 0.05] = math.inf
+    p = rng.uniform(0.0, 1.0, n)
+    p[zero & (rng.random(n) < 0.1)] = 0.0
+    p /= p.sum()
+    ref = stable_distance_profile(d, p)
+    z = ref["zeros"]
+    at = np.flatnonzero(d == 0.0)
+    assert z == at.size and np.signbit(d[at]).any() and not np.signbit(d[at]).all()
+    assert (p[at] == 0.0).any()
+    assert np.sum(p[at]) != np.cumsum(p[at])[-1] == ref["cum_p"][z]
+    total_cost = float(ref["cum_pd"][-1])
+    for eps in (0.0, 1e-6 * total_cost, 0.01 * total_cost, 0.3 * total_cost, 2.0 * total_cost):
+        assert _same_answer(astuple(dro._build(d, p).dual(eps)), _stable_answer("dual", ref, eps, 0.5))
+        assert _same_answer(dro._build(d, p).knapsack(eps), _stable_answer("knapsack", ref, eps, 0.5))
+    base = float(ref["cum_p"][z])
+    for rho in (float(np.nextafter(base, 1.0)), 0.5 * (base + 1.0), 0.9):
+        assert _same_answer(dro._build(d, p).cvar(rho), _stable_answer("cvar", ref, 0.1, rho))
+    profile = dro._build(d, p)
+    assert profile.cum_p[0].view(np.uint64) == ref["cum_p"][z].view(np.uint64)
+    assert profile.size == 0 and profile.cum_pd[0] == 0.0
+    profile.cover(math.inf)
+    assert not (profile.d == 0.0).any()
+    assert profile.size == np.count_nonzero((d > 0.0) & (d < math.inf))
+    _assert_is_stable_prefix(profile, ref)
 
 
 # zeros of both signs, a pool of ties heavy enough that tie runs straddle
@@ -326,8 +371,9 @@ def _tail_queries(draw):
 def _at_prefix(kind, cum, profile):
     if kind == _AT_PREFIX[0]:
         return float(np.nextafter(cum[-1], 0.0))
-    start = profile.lower[-1] if profile.lower.size else 0
-    return 0.5 * (float(cum[start]) + float(cum[-1]))
+    # an empty prefix ends on the zeros' run, whose sums start from 0
+    start = float(cum[profile.lower[-1]]) if profile.lower.size else 0.0
+    return 0.5 * (start + float(cum[-1]))
 
 
 def _stable_answer(op, ref, epsilon, rho):
@@ -365,11 +411,7 @@ def test_grown_profile_answers_match_stable_sort_bitwise(instance):
             got = _query(op, ds, h, eps, rho)
             assert _same_answer(got, _stable_answer(op, ref, eps, rho)), (op, eps, rho)
     # whatever it grew to, the prefix is the start of the whole profile
-    assert profile.zeros == ref["zeros"]
-    for name in ("d", "cum_p", "cum_pd"):
-        got = getattr(profile, name)
-        assert np.array_equal(got.view(np.uint64), ref[name][:got.size].view(np.uint64)), name
-    assert np.array_equal(profile.lower, ref["lower"][:profile.lower.size])
+    _assert_is_stable_prefix(profile, ref)
 
 
 def test_breakpoints_one_ulp_beyond_the_cut_keep_their_answers():
@@ -630,6 +672,28 @@ def test_profile_memo_rejects_nan_every_time():
                     kernel(bad)
     assert worst_case_dual_from_distances(d, p, 0.1) == expected
     assert worst_case_knapsack_from_distances([0.0, 1.0], [0.5, 0.5], 0.25) == 0.75
+
+
+def test_build_errors_print_their_values():
+    # the shapes after ravel, and the first distance that is not >= 0
+    cases = [
+        ([0.0, 1.0, 2.0], [0.2, 0.8], "distances and weights must have matching shapes, got (3,) and (2,)"),
+        ([[0.0, 1.0], [2.0, 3.0]], [0.5, 0.5, 0.0],
+         "distances and weights must have matching shapes, got (4,) and (3,)"),
+        ([0.0, math.nan, -1.0], [0.2, 0.3, 0.5], "distances must be nonnegative, got nan at index 1"),
+        ([0.0, 1.0, -1.5], [0.2, 0.3, 0.5], "distances must be nonnegative, got -1.5 at index 2"),
+        ([[1.0, -0.0], [-math.inf, 2.0]], [0.25] * 4, "distances must be nonnegative, got -inf at index 2"),
+    ]
+    kernels = [
+        lambda d, p: worst_case_dual_from_distances(d, p, 0.1),
+        lambda d, p: worst_case_knapsack_from_distances(d, p, 0.1),
+        lambda d, p: cvar_from_distances(d, p, 0.5),
+    ]
+    for d, p, message in cases:
+        for kernel in kernels:
+            with pytest.raises(ValueError) as err:
+                kernel(np.array(d), np.array(p))
+            assert str(err.value) == message
 
 
 @contextlib.contextmanager

@@ -82,6 +82,23 @@ def test_hyperplane_rejects_non_finite_entry_by_name(w, b, got):
         Hyperplane(np.array(w), b)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
+def test_hyperplane_norm_at_extreme_scales(scale):
+    # the squares of 1e200 overflowed, and those of 1e-200 underflowed to a
+    # zero norm
+    assert Hyperplane(np.array([scale, scale]), 0.0).norm == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+    assert Hyperplane(np.array([-scale, 0.0, 0.0]), 1.0).norm == scale
+
+
+def test_hyperplane_norm_keeps_its_bits_in_the_normal_range():
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        w = rng.standard_normal(int(rng.integers(1, 12))) * 10.0 ** rng.uniform(-100, 100)
+        assert Hyperplane(w, 0.0).norm == float(np.linalg.norm(w))
+    # a norm past the largest float is inf, with no warning
+    assert Hyperplane(np.array([1.5e308, 1.5e308]), 0.0).norm == math.inf
+
+
 def test_distances_vector_matches_scalar():
     ds = generate_separable(20, 3, 4)
     h = Hyperplane(np.array([1.0, -2.0, 0.5]), 0.3)

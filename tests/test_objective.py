@@ -177,6 +177,26 @@ def test_norm_gradient_rejects_origin():
         evaluate_with_gradient(spec, ds, Hyperplane(np.zeros(2), 0.3))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_norm_regularizer_at_extreme_scales(scale):
+    # ||w|| underflowed to 0 at 1e-170, so the gradient raised and
+    # to_dro_variables returned t = 0; at 1e200 its squares overflowed
+    ds = generate_separable(5, 2, 1)
+    h = Hyperplane(np.array([scale, scale]), 1.0)
+    norm = np.sqrt(2.0) * scale
+    w0, b0, t = to_dro_variables(h)
+    assert t == pytest.approx(norm, rel=1e-15)
+    assert np.allclose(w0, np.sqrt(0.5), rtol=1e-15, atol=0.0)
+    assert b0 == pytest.approx(1.0 / norm, rel=1e-15)
+    loss = LossSpec(LossKind.SMOOTHED_RAMP, 0.1)
+    value, grad = evaluate_with_gradient(ObjectiveSpec(loss, RegKind.NORM, 0.5), ds, h)
+    risk, risk_grad = evaluate_with_gradient(ObjectiveSpec(loss, RegKind.NORM, 0.0), ds, h)
+    assert value - risk == pytest.approx(0.5 * norm, rel=1e-15)
+    assert value == evaluate(ObjectiveSpec(loss, RegKind.NORM, 0.5), ds, h)
+    assert np.allclose(grad[:2] - risk_grad[:2], 0.5 * np.sqrt(0.5), rtol=1e-12, atol=0.0)
+    assert grad[2] == risk_grad[2]
+
+
 def test_intercept_never_regularized():
     ds = generate_separable(30, 2, 4)
     h1 = Hyperplane(np.array([0.5, 0.5]), 0.0)
