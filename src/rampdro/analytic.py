@@ -11,9 +11,11 @@ the loss is constant 1 below the first line, affine in between, and 0 above
 the second.  Clipping the rectangle against those half-planes and applying
 the shoelace moment formulas integrates each piece exactly, which is what
 lets the stationarity residuals be resolved to 1e-8 and beyond (Monte Carlo
-or fixed quadrature cannot get close).  The clip works on arrays of w, and
-w = 0 needs no special case (see ``_clip``).  Midpoint quadrature remains
-only as an independent cross-check.
+or fixed quadrature cannot get close).  The clip works on arrays of w:
+each polygon's segment ends are (u, v) pairs of arrays, one row per
+coordinate and one column per segment (see ``_clip``), and w = 0 needs no
+special case.  Midpoint quadrature remains only as an independent
+cross-check.
 
 Away from the origin the gradient of F is the residual eps*w - m(w)/2, where
 m(w) is the integral of x = (u, v) over the band {0 <= w.x <= 1} of the
@@ -66,9 +68,10 @@ __all__ = [
     "closed_form_minimizer",
 ]
 
-# the rectangle [0,1] x [-1,1] as its CCW boundary segments p -> q
-_RECT_P = np.array([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)])
-_RECT_Q = np.roll(_RECT_P, -1, axis=0)
+# the rectangle [0,1] x [-1,1] as its CCW boundary segments p -> q, each
+# end a (u, v) pair of rows (see ``_clip``)
+_RECT_P = np.array([(0.0, 1.0, 1.0, 0.0), (-1.0, -1.0, 1.0, 1.0)])
+_RECT_Q = np.roll(_RECT_P, -1, axis=1)
 
 # the rectangle's diameter (its longest chord), and the radius within which
 # w.x <= 1 on all of it, so that the band is a half-plane
@@ -102,35 +105,54 @@ class UniformModel:
 
 def _clip(p, q, a, b, c):
     # Keep the part of a convex polygon with a*u + b*v <= c.  The polygon is
-    # its directed boundary segments p -> q (segments on axis -2, the point
-    # on axis -1).  Each segment is trimmed to the half-plane, to zero length
-    # when wholly outside, and one closing segment runs along the line from
-    # the exit to the entry point (zero length when nothing crosses).
+    # its directed boundary segments p -> q.  Each of p and q is a (u, v)
+    # pair: one array of shape (2, ..., segments), or for the rectangle
+    # (2, segments), whose rows 0 and 1 are the u and the v coordinates.
+    # Arrays made here are stored segment-major (the segments axis varies
+    # slowest), so that a sum over the segments adds whole rows of cells.
+    # Each segment is trimmed to the half-plane, to zero length at the
+    # origin when wholly outside, and one closing segment, last, runs along
+    # the line from the exit to the entry point (zero length when nothing
+    # crosses).
     a, b, c = a[..., None], b[..., None], np.asarray(c)[..., None]
-    sp = a * p[..., 0] + b * p[..., 1] - c
-    sq = a * q[..., 0] + b * q[..., 1] - c
-    p_in, q_in = (sp <= 0.0)[..., None], (sq <= 0.0)[..., None]
+    cells, n = np.shape(a)[:-1], np.shape(p)[-1]
+    sp, sq = np.empty((2, n) + cells).swapaxes(1, -1)
+    np.multiply(a, p[0], out=sp)
+    sp += b * p[1]
+    sp -= c
+    np.multiply(a, q[0], out=sq)
+    sq += b * q[1]
+    sq -= c
+    p_in, q_in = sp <= 0.0, sq <= 0.0
+    # the rectangle's (2, segments) pair gains the cells' axes
+    grow = (slice(None),) + (None,) * (sp.ndim + 1 - np.ndim(p))
+    p, q = p[grow], q[grow]
     with np.errstate(divide="ignore", invalid="ignore"):  # x is used only where p_in != q_in
-        x = p + (sp / (sp - sq))[..., None] * (q - p)
-    exit_point = np.where(p_in & ~q_in, x, 0.0).sum(axis=-2, keepdims=True)
-    entry_point = np.where(q_in & ~p_in, x, 0.0).sum(axis=-2, keepdims=True)
-    return (
-        np.concatenate([np.where(p_in, p, np.where(q_in, x, 0.0)), exit_point], axis=-2),
-        np.concatenate([np.where(q_in, q, np.where(p_in, x, 0.0)), entry_point], axis=-2),
-    )
+        x = (q - p) * (sp / (sp - sq))
+        x += p
+    x_q, x_p = np.where(q_in, x, 0.0), np.where(p_in, x, 0.0)
+    clipped_p, clipped_q = np.empty((2, 2, n + 1) + cells).swapaxes(2, -1)
+    clipped_p[..., :n] = np.where(p_in, p, x_q)
+    clipped_q[..., :n] = np.where(q_in, q, x_p)
+    np.where(q_in, 0.0, x_p).sum(axis=-1, out=clipped_p[..., n])  # the exit point
+    np.where(p_in, 0.0, x_q).sum(axis=-1, out=clipped_q[..., n])  # the entry point
+    return clipped_p, clipped_q
 
 
 def _moments(p, q):
     # area and the integrals of (u, v) over a polygon given by its segments
-    cross = p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
-    return 0.5 * cross.sum(axis=-1), ((p + q) * cross[..., None]).sum(axis=-2) / 6.0
+    cross = p[0] * q[1]
+    cross -= q[0] * p[1]
+    m = p + q
+    m *= cross
+    return 0.5 * cross.sum(axis=-1), m.sum(axis=-1) / 6.0
 
 
 def _band(w1, w2):
     """The rectangle clipped to {s >= 0}, and that polygon clipped to the band
-    {0 <= s <= 1}, each as its segments; s = w1*u + w2*v, w1 and w2 broadcast
-    against each other.  The band polygon's last two segments are its chords
-    on s = 0 and s = 1.
+    {0 <= s <= 1}, each as its segments (see ``_clip``); s = w1*u + w2*v, w1
+    and w2 broadcast against each other.  The band polygon's last two
+    segments are its chords on s = 0 and s = 1.
     """
     # beyond 2^1000 the clip's sums could overflow, so (w, 1) is scaled by
     # 2^-24 there: the same lines, exactly unless a product is subnormal
@@ -141,8 +163,8 @@ def _band(w1, w2):
 
 def _residual(epsilon, w1, w2):
     # gradient components of F away from the origin, from the band's moments
-    m = _moments(*_band(w1, w2)[1])[1]
-    return epsilon * w1 - 0.5 * m[..., 0], epsilon * w2 - 0.5 * m[..., 1]
+    mu, mv = _moments(*_band(w1, w2)[1])[1]
+    return epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv
 
 
 def _newton_system(epsilon, w1, w2):
@@ -161,14 +183,17 @@ def _newton_system(epsilon, w1, w2):
     to inf and the Newton step is not finite.
     """
     _, (p, q) = _band(w1, w2)
-    _, m = _moments(p, q)
-    p, q = p[:, -2:], q[:, -2:]
+    _, (mu, mv) = _moments(p, q)
+    # the two chords' ends as C-ordered (k, chord, 2) arrays, x = (u, v) on
+    # the last axis: the einsum's order of summation follows its operands'
+    # memory layout
+    p, q = (e[..., -2:].transpose(1, 2, 0).copy() for e in (p, q))
     ends = np.stack([p, q, p + q], axis=-2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Dm/2 = (M_0 - M_1)/(2 ||w||), each M by Simpson's rule on e = p, q, p + q
         weight = np.linalg.norm(q - p, axis=-1) * ([1.0, -1.0] / (12.0 * np.hypot(w1, w2))[:, None])
         jac = epsilon * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
-    return (epsilon * w1 - 0.5 * m[:, 0], epsilon * w2 - 0.5 * m[:, 1]), jac.reshape(-1, 4).T
+    return (epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv), jac.reshape(-1, 4).T
 
 
 def _finite_point(w):
@@ -291,6 +316,14 @@ def refine_candidate(epsilon: float, seeds):
     return best, best_res
 
 
+def _exclusion_bound(eps, r_min, h):
+    """(eps + 2 sqrt(5)/r_min) h sqrt(2): no residual in a cell of half-width
+    h, whose nearest point to the origin lies at r_min > 0, is farther than
+    this from the residual at the cell's centre (see ``scan_stationary_points``).
+    """
+    return (eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
+
+
 def _quadtree_leaves(eps: float):
     """Leaf cells of one eps's annulus exclusion tree (see ``scan_stationary_points``).
 
@@ -318,9 +351,7 @@ def _quadtree_leaves(eps: float):
         # overflows: eps * B(eps) is below 2.1 eps^(2/3), and r_min is 0 or
         # at least 2h
         with np.errstate(divide="ignore"):
-            res = np.hypot(*_residual(eps, c1, c2))
-            bound = (eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
-        keep = ~(res > bound)
+            keep = ~(np.hypot(*_residual(eps, c1, c2)) > _exclusion_bound(eps, r_min, h))
         return i[keep], j[keep]
 
     h = root

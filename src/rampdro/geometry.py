@@ -32,10 +32,6 @@ __all__ = [
     "sin_angle",
 ]
 
-# a point counts as misclassified when its distance falls below this
-# scale-aware floor (floating-point ties on the boundary d = 0)
-MISCLASS_TOL = 1e-12
-
 # rho_bar enumerates all 2^n subset sums up to this n
 _EXHAUSTIVE_MAX_N = 20
 
@@ -110,8 +106,9 @@ def distances(h: Hyperplane, ds) -> np.ndarray:
 
 
 def margin_profile(h: Hyperplane, ds) -> MarginProfile:
+    """A point is misclassified exactly when its distance is 0, as the ``dro`` oracles count it."""
     dist = distances(h, ds)
-    bad = dist <= MISCLASS_TOL * (1.0 + np.linalg.norm(ds.points, axis=1))
+    bad = dist == 0.0
     eta = float(dist[~bad].min()) if not bad.all() else float("inf")
     return MarginProfile(
         misclassified=np.flatnonzero(bad),

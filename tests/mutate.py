@@ -1,0 +1,108 @@
+"""Mutation check: each listed mutant of the program must fail its tests.
+
+    python tests/mutate.py
+
+Each entry of ``MUTANTS`` names a file of the repository, a text that
+occurs in it exactly once, the text that replaces it, and the tests that
+must then fail.  Every mutant runs in a fresh copy of the repository under
+a temporary directory, so the working tree is never changed; so does each
+test selection on the unchanged program first, which must pass.  A mutant
+is killed when pytest reports failing tests (exit status 1).  The script
+exits nonzero when a mutant survives, when its text no longer occurs once,
+when a selection fails on the unchanged program, or when pytest ends in any
+other way (no tests collected, a usage error).
+
+It uses the standard library only, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+# the certificate's exclusion constants: the annulus bound
+# (eps + 2 sqrt(5)/r_min) h sqrt(2) and the outer radius R(eps).  Halving
+# 2 sqrt(5) alone is left out: ||Dm(w)|| ||w||/2 stays below about 0.95, so
+# that bound still holds, and no sound test can fail it
+ANALYTIC = "src/rampdro/analytic.py"
+BOUND = "(eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))"
+CORNERS = ("tests/test_analytic.py::test_exclusion_bound_holds_at_cell_corners",)
+MUTANTS = [
+    Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + 2.0 * _RECT_DIAMETER / r_min) * h", CORNERS),
+    Mutant("bound (eps + sqrt(5)/r_min) h", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
+    Mutant("bound without 2 sqrt(5)/r_min", ANALYTIC, BOUND, "eps * (h * math.sqrt(2.0))", CORNERS),
+    Mutant(
+        "bound with 2 sqrt(5) r_min", ANALYTIC, BOUND,
+        "(eps + 2.0 * _RECT_DIAMETER * r_min) * (h * math.sqrt(2.0))", CORNERS,
+    ),
+    Mutant("bound without eps", ANALYTIC, BOUND, "(2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))", CORNERS),
+    Mutant(
+        "R(eps) halved", ANALYTIC,
+        "return (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
+        "return 0.5 * (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
+        ("tests/test_analytic.py::test_exclusion_facts",),
+    ),
+]
+
+
+def _pytest(tree: Path, tests) -> int:
+    # the copy's own package comes first on the path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S,
+    )
+    if done.returncode not in (0, 1):
+        print(done.stdout[-2000:])
+    return done.returncode
+
+
+def main() -> int:
+    faults = []
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        clean = Path(tmp) / "clean"
+        shutil.copytree(ROOT, clean, ignore=COPY_IGNORE)
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+            code = _pytest(clean, tests)
+            print(f"unchanged program: exit {code} on {' '.join(tests)}")
+            if code != 0:
+                faults.append(f"unchanged program fails {' '.join(tests)} (exit {code})")
+        for n, mutant in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant-{n}"
+            shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+            target = tree / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                faults.append(f"{mutant.name}: its text occurs {text.count(mutant.old)} times in {mutant.path}")
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new))
+            code = _pytest(tree, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            print(f"{mutant.name}: {verdict}")
+            if code != 1:
+                faults.append(f"{mutant.name}: {verdict}")
+            shutil.rmtree(tree)
+    print("mutants that did not die:", faults or "none")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,9 @@ quadrature.  The closed-form origin derivatives are checked against
 Richardson-extrapolated difference quotients.  The training inner loop is
 checked bit for bit against its earlier, plainer form: a two-pass objective
 evaluation and an L-BFGS iteration written with ``float(a @ b)`` dots and a
-recomputed accepted point.
+recomputed accepted point.  So is the analytic band kernel, against its
+interleaved form: points as (..., segments, 2) arrays, trimmed with nested
+``np.where`` calls and closed with ``np.concatenate``.
 """
 
 import math
@@ -409,3 +411,71 @@ def minimize_reference(fun, x0, opts):
         gnorm = math.sqrt(float(g @ g))
         trace.append((k, f, gnorm))
     return SolveReport(minimizer=x, value=f, grad_norm=gnorm, iterations=k, stop=stop, trace=trace)
+
+
+# the uniform model's band kernel with the points interleaved: each polygon
+# is its segments p -> q as (..., segments, 2) arrays, x = (u, v) on the last
+# axis.  rampdro.analytic does the same flops in the same order on (u, v)
+# rows, so every result below must match it bit for bit
+_RECT_P_INTERLEAVED = np.array([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)])
+_RECT_Q_INTERLEAVED = np.roll(_RECT_P_INTERLEAVED, -1, axis=0)
+
+
+def _clip_interleaved(p, q, a, b, c):
+    a, b, c = a[..., None], b[..., None], np.asarray(c)[..., None]
+    sp = a * p[..., 0] + b * p[..., 1] - c
+    sq = a * q[..., 0] + b * q[..., 1] - c
+    p_in, q_in = (sp <= 0.0)[..., None], (sq <= 0.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x is used only where p_in != q_in
+        x = p + (sp / (sp - sq))[..., None] * (q - p)
+    exit_point = np.where(p_in & ~q_in, x, 0.0).sum(axis=-2, keepdims=True)
+    entry_point = np.where(q_in & ~p_in, x, 0.0).sum(axis=-2, keepdims=True)
+    return (
+        np.concatenate([np.where(p_in, p, np.where(q_in, x, 0.0)), exit_point], axis=-2),
+        np.concatenate([np.where(q_in, q, np.where(p_in, x, 0.0)), entry_point], axis=-2),
+    )
+
+
+def _moments_interleaved(p, q):
+    cross = p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
+    return 0.5 * cross.sum(axis=-1), ((p + q) * cross[..., None]).sum(axis=-2) / 6.0
+
+
+def _band_interleaved(w1, w2):
+    scale = np.where(np.maximum(np.abs(w1), np.abs(w2)) > 2.0**1000, 2.0**-24, 1.0)
+    upper = _clip_interleaved(_RECT_P_INTERLEAVED, _RECT_Q_INTERLEAVED, -scale * w1, -scale * w2, 0.0)
+    return upper, _clip_interleaved(*upper, scale * w1, scale * w2, scale)
+
+
+def residual_interleaved(epsilon, w1, w2):
+    """The stationarity residual (f1, f2) of the uniform model at w = (w1, w2)."""
+    m = _moments_interleaved(*_band_interleaved(w1, w2)[1])[1]
+    return epsilon * w1 - 0.5 * m[..., 0], epsilon * w2 - 0.5 * m[..., 1]
+
+
+def newton_system_interleaved(epsilon, w1, w2):
+    """The residual at w1, w2 of shape (k,) and its closed-form Jacobian entries (a, b, c, d)."""
+    _, (p, q) = _band_interleaved(w1, w2)
+    _, m = _moments_interleaved(p, q)
+    p, q = p[:, -2:], q[:, -2:]
+    ends = np.stack([p, q, p + q], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weight = np.linalg.norm(q - p, axis=-1) * ([1.0, -1.0] / (12.0 * np.hypot(w1, w2))[:, None])
+        jac = epsilon * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
+    return (epsilon * w1 - 0.5 * m[:, 0], epsilon * w2 - 0.5 * m[:, 1]), jac.reshape(-1, 4).T
+
+
+def f_epsilon_interleaved(epsilon, w1, w2):
+    """The uniform model's objective at a finite w = (w1, w2), two floats."""
+    reg = 0.5 * epsilon * (w1 * w1 + w2 * w2)
+    upper, band = _band_interleaved(w1, w2)
+    area_band, (mu, mv) = _moments_interleaved(*band)
+    expected = 0.5 * (2.0 - _moments_interleaved(*upper)[0] + area_band - w1 * mu - w2 * mv)
+    return reg + float(expected)
+
+
+def origin_directional_derivative_interleaved(u1, u2):
+    """The one-sided derivative at the origin along a finite nonzero (u1, u2), two floats."""
+    norm = math.hypot(u1, u2)
+    _, (mu, mv) = _moments_interleaved(*_band_interleaved(0.5 * u1 / norm, 0.5 * u2 / norm)[1])
+    return -0.5 * (u1 * float(mu) + u2 * float(mv)) + 0.0

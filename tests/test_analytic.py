@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import central_difference_gradient, origin_derivative_richardson
+from oracles import (
+    central_difference_gradient,
+    f_epsilon_interleaved,
+    newton_system_interleaved,
+    origin_derivative_richardson,
+    origin_directional_derivative_interleaved,
+    residual_interleaved,
+)
 from rampdro import analytic
 from rampdro.analytic import (
     UniformModel,
@@ -206,6 +213,39 @@ def _moment(w1, w2):
     return -2.0 * np.array([r1, r2], dtype=float)
 
 
+# a coordinate near the rectangle's scale, or anywhere up to 1e306, where
+# 10 w is still finite: subnormal and beyond 2^1000 among them
+_COORDINATE = st.floats(-4.0, 4.0) | st.floats(-1e306, 1e306)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(1e-3, 10.0), st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1, max_size=6))
+@example(0.1, [(1.0, 0.0), (2.5, 0.0), (0.3, 0.0), (0.0, 1.0), (0.0, -2.0), (0.0, 0.0)])  # the axes
+@example(0.5, [(1.0, 0.0)])  # eps = 1/2's root at the kink
+@example(0.1, [(2.0**1000, -(2.0**1000)), (2.0**1001, 3.0), (1e306, -1e306), (-0.5, 2.0**1000 * 1.5)])
+@example(2.0, [(5e-324, 0.0), (1e-310, -2e-310), (0.0, 5e-324), (2.2e-308, 1e-320)])  # subnormal w
+# a band edge w.x = 0 or 1 through a corner of the rectangle
+@example(0.37, [(1.0, 1.0), (0.5, 0.5), (1.0, -1.0), (2.0, 1.0), (0.25, 0.75), (0.5, -0.5), (3.0, 2.0)])
+def test_band_kernel_matches_the_interleaved_reference_bit_for_bit(eps, points):
+    # the kernel works on (u, v) rows; the reference interleaves x = (u, v)
+    # on the last axis.  The flops and their order are the same, so every
+    # residual, Jacobian entry, objective value and origin derivative keeps
+    # its bits, for one point and for several at once
+    w1, w2 = np.array(points).T
+    assert all(_same_bits(a, b) for a, b in zip(analytic._residual(eps, w1, w2), residual_interleaved(eps, w1, w2)))
+    (f, jac), (f_ref, jac_ref) = analytic._newton_system(eps, w1, w2), newton_system_interleaved(eps, w1, w2)
+    assert _same_bits(np.array(f), np.array(f_ref))
+    assert _same_bits(np.asarray(jac), np.asarray(jac_ref))
+    for u1, u2 in points:
+        one, one_ref = analytic._residual(eps, u1, u2), residual_interleaved(eps, u1, u2)
+        assert _same_bits(np.array(one), np.array(one_ref))
+        value = f_epsilon(UniformModel(eps), (u1, u2))
+        assert _same_bits(np.float64(value), np.float64(f_epsilon_interleaved(eps, u1, u2)))
+        if (u1, u2) != (0.0, 0.0):
+            derivative = origin_directional_derivative((u1, u2))
+            assert _same_bits(np.float64(derivative), np.float64(origin_directional_derivative_interleaved(u1, u2)))
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     st.floats(0.01, 10.0),
@@ -225,6 +265,33 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
     assert np.hypot(*(res_b - res_a)) <= (eps + 2.0 * math.sqrt(5.0) / r_min) * length
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.floats(1e-3, 10.0),
+    st.floats(-math.pi, math.pi), st.floats(-3.0, 1.2),
+    st.floats(-7.0, math.log10(0.3)),
+)
+# where eps r_min is well above 2 sqrt(5), the residual moves by nearly
+# eps h sqrt(2) to a corner: beyond the bound without its sqrt(2), or
+# without eps.  At small eps the moment term 2 sqrt(5)/r_min carries it
+@example(10.0, 0.2, math.log10(3.0), -1.0)
+@example(10.0, -0.1, math.log10(2.0), -7.0)
+@example(1e-3, 0.3, 0.0, -2.0)
+def test_exclusion_bound_holds_at_cell_corners(eps, angle, log_radius, log_h):
+    # the scan drops a cell when ||res(c)|| exceeds _exclusion_bound at its
+    # centre c; that is sound only if every point of the cell, its corners
+    # among them, lies within the bound of res(c).  Ranges as in the scan's
+    # docstring: eps in [1e-3, 10], h in [1e-7, 0.3] and r_min > 1e-3
+    h = 10.0**log_h
+    c = 10.0**log_radius * np.array([math.cos(angle), math.sin(angle)])
+    r_min = math.hypot(max(abs(c[0]) - h, 0.0), max(abs(c[1]) - h, 0.0))
+    assume(r_min > 1e-3)
+    w = c + h * np.array([(0.0, 0.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)])
+    f1, f2 = analytic._residual(eps, w[:, 0], w[:, 1])
+    moved = np.hypot(f1[1:] - f1[0], f2[1:] - f2[0])
+    assert np.all(moved <= analytic._exclusion_bound(eps, r_min, h))
+
+
 def _system_at(eps, w):
     # the residual and its closed-form Jacobian at one point, as a 2 x 2 array
     (f1, f2), jac = analytic._newton_system(eps, np.array([w[0]]), np.array([w[1]]))
@@ -242,7 +309,7 @@ def test_closed_form_jacobian_matches_central_differences(eps, w1, w2):
     # Corners c have ||c|| <= sqrt(2), so w lies 1e-3 or more from each line
     w = np.array([w1, w2])
     assume(np.hypot(*w) >= 0.1)
-    assume(min(np.min(np.abs(analytic._RECT_P @ w - s)) for s in (0.0, 1.0)) >= 1e-3 * math.sqrt(2.0))
+    assume(min(np.min(np.abs(w @ analytic._RECT_P - s)) for s in (0.0, 1.0)) >= 1e-3 * math.sqrt(2.0))
     residual, jac = _system_at(eps, w)
     assert _same_bits(residual, np.array(analytic._residual(eps, w1, w2), dtype=float))
     h = 1e-6

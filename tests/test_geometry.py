@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import distances_reference
 from rampdro.dataset import Dataset, flip_labels, generate_separable
-from rampdro.dro import cvar_radius, worst_case_prob_knapsack
+from rampdro.dro import cvar_radius, worst_case_prob_dual, worst_case_prob_knapsack
 from rampdro.geometry import (
     Hyperplane,
     distances,
@@ -199,6 +199,28 @@ def test_margin_profile_separable_pair():
     assert prof.misclassified.size == 0
     assert prof.eta == 1.0
     assert prof.misclass_mass == 0.0
+
+
+def test_margin_profile_counts_a_point_misclassified_exactly_at_distance_zero():
+    # x = 1e-14 is on the correct side of w = 1, b = 0, at distance 1e-14,
+    # so no mass is misclassified, as the dual and the knapsack count it (a
+    # floor of 1e-12 (1 + ||x||) gave mass 0.5 and eta 1); x = 0 lies on the
+    # hyperplane, at distance 0, and is misclassified
+    h = Hyperplane(np.array([1.0]), 0.0)
+    ds = Dataset(np.array([[1e-14], [1.0]]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+    prof = margin_profile(h, ds)
+    assert prof.misclassified.size == 0
+    assert prof.misclass_mass == 0.0
+    assert prof.eta == 1e-14
+    assert worst_case_prob_dual(ds, h, 0.0).value == 0.0
+    assert worst_case_prob_knapsack(ds, h, 0.0) == 0.0
+    on_plane = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+    prof = margin_profile(h, on_plane)
+    assert prof.misclassified.tolist() == [0]
+    assert prof.misclass_mass == 0.5
+    assert prof.eta == 1.0
+    assert worst_case_prob_dual(on_plane, h, 0.0).value == 0.5
+    assert worst_case_prob_knapsack(on_plane, h, 0.0) == 0.5
 
 
 def test_margin_profile_zero_hyperplane():
