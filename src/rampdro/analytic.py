@@ -317,11 +317,12 @@ def refine_candidate(epsilon: float, seeds):
 
 
 def _exclusion_bound(eps, r_min, h):
-    """(eps + 2 sqrt(5)/r_min) h sqrt(2): no residual in a cell of half-width
+    """(eps + sqrt(5)/r_min) h sqrt(2): no residual in a cell of half-width
     h, whose nearest point to the origin lies at r_min > 0, is farther than
-    this from the residual at the cell's centre (see ``scan_stationary_points``).
+    this from the residual at the cell's centre.  eps bounds the derivative
+    of eps w, and sqrt(5)/||w|| that of m(w)/2 (see ``scan_stationary_points``).
     """
-    return (eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
+    return (eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
 
 
 def _quadtree_leaves(eps: float):
@@ -517,16 +518,21 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     lie on one origin-aligned lattice with exact centres and edges.  Cells
     wholly inside the inner disk are left to the lemma.  Where it is smooth,
     m has derivative Dm(w) = (M_0 - M_1)/||w||, M_s = integral over the
-    chord {w.x = s} of x x^T, by moving the two band edges; ||x x^T d||
-    <= ||x||^2 ||d|| <= 2 ||d|| and chords are at most sqrt(5) long, so
-    ||Dm(w)|| <= 4 sqrt(5)/||w||.  m is continuous away from 0, so
+    chord {w.x = s} of x x^T, by moving the two band edges.  Each M_s is
+    positive semidefinite, and ||M_s||_2 <= integral over the chord of
+    ||x||^2 <= 2 sqrt(5), as ||x||^2 <= 2 on the rectangle and chords are at
+    most sqrt(5) long.  For positive semidefinite A and B, -B <= A - B <= A
+    in the Loewner order, so ||A - B||_2 <= max(||A||_2, ||B||_2); hence
+    ||Dm(w)/2|| <= sqrt(5)/||w||.  m is continuous away from 0, so
     integrating along the segment from a cell's centre c gives
-    ||res(w) - res(c)|| <= (eps + 2 sqrt(5)/r_min) ||w - c|| in the cell,
-    r_min the cell's smallest ||w||.  A cell is dropped for eps when
-    ||res(c)||_2 > (eps + 2 sqrt(5)/r_min) * half-diagonal.  On 800k random
-    (cell, point) pairs, eps in [1e-3, 10] and cells of half-width 1e-7 to
-    0.3 at r_min > 1e-3, ||res(w) - res(c)|| reached at most 0.93 of
-    (eps + 2 sqrt(5)/r_min) ||w - c||: the bound is tight to within 8 %.
+    ||res(w) - res(c)|| <= (eps + sqrt(5)/r_min) ||w - c|| in the cell, r_min
+    the cell's smallest ||w||.  A cell is dropped for eps when ||res(c)||_2 >
+    (eps + sqrt(5)/r_min) * half-diagonal (``_exclusion_bound``).  On 1.7M
+    random (cell, point) pairs, eps in [1e-3, 10] and cells of half-width
+    1e-7 to 0.3 at r_min > 1e-3, ||res(w) - res(c)|| reached at most 0.98 of
+    (eps + sqrt(5)/r_min) ||w - c||: the bound is tight to within 2 %, where
+    eps r_min is large.  The moment part alone, ||m(w) - m(c)||/2, reached
+    at most 0.44 of its term sqrt(5) ||w - c||/r_min.
 
     Survivors become points.  Connected leaf cells (sharing an edge or a
     corner) form a cluster, and the disk point merges into one cluster with

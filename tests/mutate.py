@@ -39,26 +39,46 @@ class Mutant(NamedTuple):
 
 
 # the certificate's exclusion constants: the annulus bound
-# (eps + 2 sqrt(5)/r_min) h sqrt(2) and the outer radius R(eps).  Halving
-# 2 sqrt(5) alone is left out: ||Dm(w)|| ||w||/2 stays below about 0.95, so
-# that bound still holds, and no sound test can fail it
+# (eps + sqrt(5)/r_min) h sqrt(2) and the outer radius R(eps).  Halving
+# sqrt(5) alone is left out: ||Dm(w)/2|| ||w|| stays at or below about 1.0
+# (its largest value, just right of eps = 1/2's kink), under sqrt(5)/2 =
+# 1.12, so that bound still holds, and no sound test can fail it
 ANALYTIC = "src/rampdro/analytic.py"
-BOUND = "(eps + 2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))"
+BOUND = "(eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))"
 CORNERS = ("tests/test_analytic.py::test_exclusion_bound_holds_at_cell_corners",)
+# the oracles' rounding margins, which stop a profile's growth early only
+# when no unseen distance can change the answer
+DRO = "src/rampdro/dro.py"
+MARGINS = ("tests/test_dro.py::test_stop_bounds_lie_beyond_their_unmargined_values_by_the_tol_terms",)
 MUTANTS = [
-    Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + 2.0 * _RECT_DIAMETER / r_min) * h", CORNERS),
-    Mutant("bound (eps + sqrt(5)/r_min) h", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
-    Mutant("bound without 2 sqrt(5)/r_min", ANALYTIC, BOUND, "eps * (h * math.sqrt(2.0))", CORNERS),
+    Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
     Mutant(
-        "bound with 2 sqrt(5) r_min", ANALYTIC, BOUND,
-        "(eps + 2.0 * _RECT_DIAMETER * r_min) * (h * math.sqrt(2.0))", CORNERS,
+        "bound (eps + sqrt(5)/(2 r_min)) h", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / (2.0 * r_min)) * h", CORNERS,
     ),
-    Mutant("bound without eps", ANALYTIC, BOUND, "(2.0 * _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))", CORNERS),
+    Mutant("bound without sqrt(5)/r_min", ANALYTIC, BOUND, "eps * (h * math.sqrt(2.0))", CORNERS),
+    Mutant(
+        "bound with sqrt(5) r_min", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER * r_min) * (h * math.sqrt(2.0))", CORNERS,
+    ),
+    Mutant("bound without eps", ANALYTIC, BOUND, "(_RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))", CORNERS),
     Mutant(
         "R(eps) halved", ANALYTIC,
         "return (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
         "return 0.5 * (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
         ("tests/test_analytic.py::test_exclusion_facts",),
+    ),
+    Mutant(
+        "dual floor without its margin", DRO,
+        "margin = self._tol * (2.0 * self._mass + (cost + epsilon) / c)", "margin = 0.0", MARGINS,
+    ),
+    Mutant(
+        "CVaR ceiling without its margin", DRO,
+        "return cost - c * excess + self._tol * (cost + c * scale)", "return cost - c * excess", MARGINS,
+    ),
+    # the loss band: outside 36 sigma of a kink the exact kernels are within
+    # e^-36 of their asymptotes, and a narrower band is not
+    Mutant(
+        "loss band at 18 sigma", "src/rampdro/losses.py", "BAND_SIGMAS = 36.0", "BAND_SIGMAS = 18.0",
+        ("tests/test_losses.py::test_banded_spec_within_bound_of_exact",),
     ),
 ]
 

@@ -253,7 +253,7 @@ def test_band_kernel_matches_the_interleaved_reference_bit_for_bit(eps, points):
     st.floats(0.0, 2.0 * math.pi), st.floats(1e-7, 0.5),
 )
 def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
-    # ||res(b) - res(a)|| <= (eps + 2 sqrt(5)/r_min) ||b - a||, r_min the
+    # ||res(b) - res(a)|| <= (eps + sqrt(5)/r_min) ||b - a||, r_min the
     # segment's distance to the origin
     a = np.array([w1, w2])
     d = length * np.array([math.cos(angle), math.sin(angle)])
@@ -262,7 +262,7 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
     assume(r_min > 1e-3)
     res_a = np.array(analytic._residual(eps, *a), dtype=float)
     res_b = np.array(analytic._residual(eps, *(a + d)), dtype=float)
-    assert np.hypot(*(res_b - res_a)) <= (eps + 2.0 * math.sqrt(5.0) / r_min) * length
+    assert np.hypot(*(res_b - res_a)) <= (eps + math.sqrt(5.0) / r_min) * length
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -271,9 +271,9 @@ def test_annulus_bound_holds_on_segments(eps, w1, w2, angle, length):
     st.floats(-math.pi, math.pi), st.floats(-3.0, 1.2),
     st.floats(-7.0, math.log10(0.3)),
 )
-# where eps r_min is well above 2 sqrt(5), the residual moves by nearly
+# where eps r_min is well above sqrt(5), the residual moves by nearly
 # eps h sqrt(2) to a corner: beyond the bound without its sqrt(2), or
-# without eps.  At small eps the moment term 2 sqrt(5)/r_min carries it
+# without eps.  At small eps the moment term sqrt(5)/r_min carries it
 @example(10.0, 0.2, math.log10(3.0), -1.0)
 @example(10.0, -0.1, math.log10(2.0), -7.0)
 @example(1e-3, 0.3, 0.0, -2.0)
@@ -319,18 +319,38 @@ def test_closed_form_jacobian_matches_central_differences(eps, w1, w2):
         assert np.max(np.abs((plus - minus) / (2.0 * h) - jac[:, j])) <= 1e-7
 
 
+_POINTS = st.builds(
+    lambda angle, log_radius: (10.0**log_radius * math.cos(angle), 10.0**log_radius * math.sin(angle)),
+    st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0),
+)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
-@given(st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0))
-@example(0.0, 0.0)
-@example(0.0, 0.5)
-@example(math.pi / 4, 0.0)
-@example(math.pi / 2, 0.0)
-def test_closed_form_jacobian_obeys_the_exclusion_bound(angle, log_radius):
-    # ||Dm(w)||_2 <= 4 sqrt(5)/||w||, the constant the scan's exclusion bound
-    # uses, on and off the kink lines; at eps = 0 the Jacobian is -Dm/2
-    w = 10.0**log_radius * np.array([math.cos(angle), math.sin(angle)])
-    _, jac = _system_at(0.0, w)
-    assert np.linalg.norm(-2.0 * jac, 2) <= 4.0 * math.sqrt(5.0) / np.hypot(*w)
+@given(st.floats(1e-3, 10.0), _POINTS)
+# on the axis w2 = 0, on both sides of eps = 1/2's kink (1, 0), on the
+# diagonal, at w1 = cos(pi/2) ~ 6e-17, and where a band edge runs through a
+# rectangle corner: w.x = 1 through (0, 1) and w.x = 0 through (1, -1) at
+# (1, 1); w.x = 1 through (0, 1) and (1, -1) at (2, 1); w.x = 1 through
+# (1, 1) at (1/2, 1/2)
+@example(0.0, (math.sqrt(10.0), 0.0))
+@example(0.5, (1.0, 0.0))
+@example(0.5, (1.0 - 2.0**-20, 0.0))
+@example(0.5, (1.0 + 2.0**-20, 0.0))
+@example(0.1, (math.cos(math.pi / 4), math.sin(math.pi / 4)))
+@example(0.1, (math.cos(math.pi / 2), 1.0))
+@example(0.3, (1.0, 1.0))
+@example(2.0, (2.0, 1.0))
+@example(1e-3, (0.5, 0.5))
+def test_closed_form_jacobian_obeys_the_exclusion_bound(eps, w):
+    # the scan's exclusion bound takes sqrt(5)/||w|| for ||Dm(w)/2||_2: each
+    # chord moment M_s is positive semidefinite with ||M_s|| <= 2 sqrt(5), so
+    # ||M_0 - M_1|| <= 2 sqrt(5).  J from _newton_system is eps I - Dm/2.
+    # Every direction is drawn, w1 <= 0 too, which segments in cells that
+    # straddle the axis w1 = 0 cross.  The largest ||Dm/2|| ||w|| observed is
+    # about 1.0, just right of the kink (0.99999809 at w1 = 1 + 2^-20 on the
+    # axis); random draws elsewhere stayed below 0.99
+    _, jac = _system_at(eps, np.array(w))
+    assert np.linalg.norm(eps * np.eye(2) - jac, 2) * math.hypot(*w) <= math.sqrt(5.0)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])
@@ -573,9 +593,9 @@ def test_epsilon_without_a_cluster_finds_no_point(monkeypatch):
 
 
 def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
-    # eps = 0.1 keeps about 200 leaf cells, eps = 2 none.  Capped at 100 live
+    # eps = 0.1 keeps about 50 leaf cells, eps = 2 none.  Capped at 100 live
     # cells, eps = 0.1's tree stops at the first level that passes the cap
-    # (about 200 cells reach the residual, not 17,000), while eps = 2 in the
+    # (about 200 cells reach the residual, not 5,000), while eps = 2 in the
     # same scan builds its whole tree
     residual, quadtree = analytic._residual, analytic._quadtree_leaves
     counts, current = {}, []
