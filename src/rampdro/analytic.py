@@ -29,13 +29,18 @@ w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
 ||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
 exactly when eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root
 square [-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a
-proved bound shows the residual cannot vanish.  A few Newton steps on the
-closed-form Jacobian refine each cluster to a point.  What is not proved:
-the bounds are applied to residuals computed in floating point (about 1e-15
-absolute error) without interval arithmetic, and that a cluster with leaf
-cells holds only one stationary point, since no Jacobian argument rules out
-a second root among its cells, which are 2^-23 (about 1.2e-7) wide.  A
-cluster that is the disk point alone holds exactly one.
+proved bound shows the residual cannot vanish, allowing for a proved bound
+on the residual's rounding.  The tree stops as soon as one box around its
+live cells provably holds exactly one root: by Krawczyk's interval Newton
+test on a rigorous enclosure of the Jacobian over the box, or, where the
+residual is not smooth in the box (the kink at eps = 1/2's root), by strong
+monotonicity.  A few Newton steps on the closed-form Jacobian refine the
+root to a point, which must lie in the box.  So where a box test passes,
+F has exactly one stationary point, and the disk point alone is one by the
+lemma; where none passes, the leaf cells' clusters hold every root, but
+nothing proves that one holds only one.  What is not proved: rounding in
+the outer-radius and inner-disk cuts, which compare floats a few ulps from
+their real values.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -46,8 +51,10 @@ along -e1, which have a closed form of their own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +71,7 @@ __all__ = [
     "outer_radius",
     "root_half_width",
     "scan_stationary_points",
+    "ScanResult",
     "label_flip_balance",
     "closed_form_minimizer",
 ]
@@ -86,6 +94,12 @@ _CHUNK_CELLS = 512
 _MAX_LIVE_CELLS = 1_000_000
 _CHILD_I = np.array([0.0, 1.0, 0.0, 1.0])
 _CHILD_J = np.array([0.0, 0.0, 1.0, 1.0])
+
+# the rectangle's corners in counterclockwise order, as (u, v) floats
+_CORNERS = [(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)]
+
+# the unit roundoff of a double
+_UNIT_ROUNDOFF = 2.0**-53
 
 # a refined cluster counts as a point when its residual essentially vanishes
 _ACCEPT_RESIDUAL = 1e-8
@@ -321,20 +335,305 @@ def _exclusion_bound(eps, r_min, h):
     h, whose nearest point to the origin lies at r_min > 0, is farther than
     this from the residual at the cell's centre.  eps bounds the derivative
     of eps w, and sqrt(5)/||w|| that of m(w)/2 (see ``scan_stationary_points``).
+    The float is rounded up by 16 units of roundoff, which covers its own
+    seven roundings and those of the norm it is compared with.
     """
-    return (eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))
+    return (eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0)) * (1.0 + 16.0 * _UNIT_ROUNDOFF)
+
+
+def _residual_rounding(eps, r_max):
+    """delta = u (640 + 4 eps r_max), u = 2^-53: a bound on the 2-norm of
+    the rounding error of ``_residual`` at any float w with ||w|| <= r_max
+    and |w1|, |w2| <= 2^1000 (see "Rounding" in ``scan_stationary_points``).
+    The exclusion test and both box tests allow for it.
+    """
+    return _UNIT_ROUNDOFF * (640.0 + 4.0 * eps * r_max)
+
+
+_nextafter = math.nextafter
+
+
+class _Interval:
+    """A closed interval [lo, hi] of reals.  Each operation rounds its ends
+    outward by one ulp, which covers the half-ulp rounding of a float
+    operation, so the result holds every real result; a float operand is
+    the thin interval [x, x].  A divisor must exclude 0.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def __add__(self, other):
+        other = _thin(other)
+        return _Interval(_nextafter(self.lo + other.lo, -math.inf), _nextafter(self.hi + other.hi, math.inf))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Interval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + -_thin(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = _thin(other)
+        a, b, c, d = self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi
+        return _Interval(_nextafter(min(a, b, c, d), -math.inf), _nextafter(max(a, b, c, d), math.inf))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _thin(other)
+        a, b, c, d = self.lo / other.lo, self.lo / other.hi, self.hi / other.lo, self.hi / other.hi
+        return _Interval(_nextafter(min(a, b, c, d), -math.inf), _nextafter(max(a, b, c, d), math.inf))
+
+    def __rtruediv__(self, other):
+        return _thin(other) / self
+
+    def __abs__(self):
+        if self.lo >= 0.0:
+            return self
+        return -self if self.hi <= 0.0 else _Interval(0.0, max(-self.lo, self.hi))
+
+    def sq(self):
+        # x^2, which unlike x * x knows that both factors are one x
+        low = 0.0 if self.lo <= 0.0 <= self.hi else min(abs(self.lo), abs(self.hi))
+        high = max(abs(self.lo), abs(self.hi))
+        return _Interval(max(0.0, _nextafter(low * low, -math.inf)), _nextafter(high * high, math.inf))
+
+
+def _thin(x):
+    return x if type(x) is _Interval else _Interval(x, x)
+
+
+def _chord_edges(lo, hi):
+    """Where the band's chords end over the box [lo, hi] (each a (w1, w2)
+    pair), or None where that changes in the box or the box is not in
+    w1 > 0: whether the chord on s = 0 is shallow (|w2| < w1), and the
+    edges, as corner pairs, that hold the ends of the chord on s = 1 (none
+    where that line misses the rectangle).  The tests are exact.
+    """
+    if not lo[0] > 0.0:
+        return None
+    # the chord on s = 0 runs from the origin to the bottom or top edge
+    # while |w2| < w1, and to the right edge while |w2| > w1
+    shallow = max(abs(lo[1]), abs(hi[1])) < lo[0]
+    if not (shallow or lo[1] > hi[0] or -hi[1] > hi[0]):
+        return None
+    # the chord on s = 1 keeps its edges while w.x - 1 keeps its sign at
+    # every corner; w.x - 1 is linear in w, so its extremes over the box lie
+    # at the box's corners, and fsum gives their signs exactly
+    above = []
+    for u, v in _CORNERS:
+        w2_low, w2_high = (lo[1], hi[1]) if v > 0.0 else (hi[1], lo[1])
+        if math.fsum((u * lo[0], v * w2_low, -1.0)) > 0.0:
+            above.append(True)
+        elif math.fsum((u * hi[0], v * w2_high, -1.0)) < 0.0:
+            above.append(False)
+        else:
+            return None
+    corners = list(zip(_CORNERS, _CORNERS[1:] + _CORNERS[:1], above, above[1:] + above[:1]))
+    return shallow, [(a, b) for a, b, a_above, b_above in corners if a_above != b_above]
+
+
+def _band_jacobian(eps, lo, hi):
+    """J = eps I - Dm/2 over the box [lo, hi] (each a (w1, w2) pair) as
+    ``_Interval``s (J11, J12, J22) (J is symmetric), or None where
+    ``_chord_edges`` is None.
+
+    A chord from p to q adds (|v_q - v_p| / (12 w1)) [p p^T + q q^T +
+    (p + q)(p + q)^T] to Dm/2: Simpson's rule, with length/||w|| =
+    |v_q - v_p|/w1 (see "Uniqueness" in ``scan_stationary_points``).
+    """
+    edges = _chord_edges(lo, hi)
+    if edges is None:
+        return None
+    shallow, crossed = edges
+    w1, w2 = _Interval(lo[0], hi[0]), _Interval(lo[1], hi[1])
+    # the chord on s = 0 ends at the origin and at (|w2|/w1, -sign w2), one
+    # formula on both sides of the axis, or at (1, -w1/w2).  Each entry has
+    # w1 and w2 once, so that its interval is its range, to rounding
+    if shallow:
+        low = (w2.sq() / (w1 * w1 * w1), -w2 / w1.sq(), 1.0 / w1)
+    else:
+        a2 = abs(w2)
+        low = (1.0 / a2, -w1 / (w2 * a2), w1.sq() / (a2 * a2 * a2))
+    high = (0.0, 0.0, 0.0)
+    if crossed:
+        # on an edge v = v0, u = (1 - w2 v0)/w1; on an edge u = u0, v = (1 - w1 u0)/w2
+        (pu, pv), (qu, qv) = (
+            ((1.0 - w2 * v0) / w1, _thin(v0)) if v0 == v1 else (_thin(u0), (1.0 - w1 * u0) / w2)
+            for (u0, v0), (u1, v1) in crossed
+        )
+        weight = abs(qv - pv) / (12.0 * w1)
+        high = (
+            weight * (pu.sq() + qu.sq() + (pu + qu).sq()),
+            weight * (pu * pv + qu * qv + (pu + qu) * (pv + qv)),
+            weight * (pv.sq() + qv.sq() + (pv + qv).sq()),
+        )
+    return eps - low[0] / 6.0 + high[0], high[1] - low[1] / 6.0, eps - low[2] / 6.0 + high[2]
+
+
+def _jacobian_enclosure(eps, lo, hi):
+    """(mid, rad), 2 x 2 nested lists, with |J(w) - mid| <= rad entrywise
+    at every w in the box [lo, hi] (each a (w1, w2) pair), or None where
+    ``_chord_edges`` is None.  mid is the middle of J's enclosure over the
+    box, and rad, J's variation about it, covers the rounding too.
+    """
+    over = _band_jacobian(eps, lo, hi)
+    if over is None:
+        return None
+    mid, rad = [], []
+    for entry in over:
+        centre = min(max(0.5 * (entry.lo + entry.hi), entry.lo), entry.hi)
+        mid.append(centre)
+        rad.append(max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))
+    return [[mid[0], mid[1]], [mid[1], mid[2]]], [[rad[0], rad[1]], [rad[1], rad[2]]]
+
+
+def _krawczyk(lo, hi, f, delta, mid, rad):
+    """Krawczyk's test of the box [lo, hi] (each a (w1, w2) pair) for a map
+    whose value at the box's centre c is f to within delta in each
+    component, and whose Jacobian at every point of the box lies within rad
+    of mid entrywise (2 x 2 nested lists).
+
+    With Y = mid^-1 in floating point, K = c - Y f(c) + (I - Y J)(X - c),
+    over every J in the enclosure and X the box.  If K lies in the open
+    box, the map has exactly one zero in the box, and it lies in K
+    (Krawczyk, Computing 1969; Rump, "Verification methods", Acta Numerica
+    2010).  Returns an enclosure of K as (lo, hi), or None.
+    """
+    det = mid[0][0] * mid[1][1] - mid[0][1] * mid[1][0]
+    if not (math.isfinite(det) and det != 0.0):
+        return None
+    y = [[mid[1][1] / det, -mid[0][1] / det], [-mid[1][0] / det, mid[0][0] / det]]
+    mid, rad = [[_thin(x) for x in row] for row in mid], [[_thin(x) for x in row] for row in rad]
+    c = [0.5 * (lo[k] + hi[k]) for k in range(2)]
+    reach = [_thin(max((_thin(hi[k]) - c[k]).hi, (_thin(c[k]) - lo[k]).hi)) for k in range(2)]
+    # f(c), to within the rounding bound delta
+    values = [f[k] + _Interval(-delta, delta) for k in range(2)]
+    image_lo, image_hi = [], []
+    for i, (y0, y1) in enumerate(y):
+        step = y0 * values[0] + y1 * values[1]
+        # the contraction margin: |(I - Y J)(X - c)| <= (|I - Y mid| + |Y| rad) |X - c|
+        margin = 0.0
+        for j in range(2):
+            residue = abs(float(i == j) - (y0 * mid[0][j] + y1 * mid[1][j])).hi
+            spread = abs(y0) * rad[0][j] + abs(y1) * rad[1][j] + residue
+            margin = (spread.hi * reach[j] + margin).hi
+        image = c[i] - step + _Interval(-margin, margin)
+        if not (lo[i] < image.lo and image.hi < hi[i]):
+            return None
+        image_lo.append(image.lo)
+        image_hi.append(image.hi)
+    return tuple(image_lo), tuple(image_hi)
+
+
+def _monotonicity(eps, lo, hi):
+    """mu > 0 with (f(w) - f(w')).(w - w') >= mu ||w - w'||^2 for w and w'
+    in the box [lo, hi] (each a (w1, w2) pair), where it lies in |w2| < w1,
+    else None (see "Uniqueness" in ``scan_stationary_points``):
+    mu = eps - ||w||^2/(6 w1^3) at the box's corner of least w1 and
+    greatest |w2|, rounded down.
+    """
+    top = max(abs(lo[1]), abs(hi[1]))
+    if not top < lo[0]:
+        return None
+    w1 = _thin(lo[0])
+    mu = (eps - (w1.sq() + _thin(top).sq()) / (6.0 * (w1 * w1 * w1))).lo
+    return mu if mu > 0.0 else None
+
+
+def _monotone_image(eps, lo, hi, f, delta, mu):
+    """A box around the one root in the box [lo, hi] if strong monotonicity
+    with constant mu proves that it holds exactly one root, else None; f is
+    the residual at the box's centre c to within delta.
+
+    Every root w* in the box lies within rho = ||f(c)||/mu of c, as
+    mu ||w* - c||^2 <= (f(w*) - f(c)).(w* - c) <= ||f(c)|| ||w* - c||.  If
+    the disk of radius rho about c lies in the box, f(w).(w - c) >= 0 on
+    its edge, so the disk holds a root (the acute-angle lemma, a consequence
+    of Brouwer's fixed-point theorem; Ortega & Rheinboldt 1970, section 6.3).  The same bound about the Newton point from c,
+    on the middle of J(c)'s enclosure, then gives a box that shrinks
+    quadratically, as Krawczyk's does.
+    """
+
+    def around(point, value):
+        # the box of half-width ||f(point)||/mu about point, rounded outward
+        reach = ((_thin(_nextafter(math.hypot(*value), math.inf)) + delta) / mu).hi
+        return (
+            tuple((_thin(x) - reach).lo for x in point),
+            tuple((_thin(x) + reach).hi for x in point),
+        )
+
+    c = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+    box = around(c, f)
+    if not all(lo[k] < box[0][k] and box[1][k] < hi[k] for k in range(2)):
+        return None
+    jac = _band_jacobian(eps, c, c)
+    if jac is None:
+        return box
+    a, b, d = (0.5 * (entry.lo + entry.hi) for entry in jac)
+    det = a * d - b * b
+    if not (math.isfinite(det) and det != 0.0):
+        return box
+    point = (c[0] - (d * f[0] - b * f[1]) / det, c[1] - (a * f[1] - b * f[0]) / det)
+    if not all(lo[k] <= point[k] <= hi[k] for k in range(2)):
+        return box
+    tighter = around(point, tuple(float(x) for x in _residual(eps, *point)))
+    return tighter if tighter[1][0] - tighter[0][0] < box[1][0] - box[0][0] else box
+
+
+@functools.lru_cache(maxsize=1)
+def _one_root(eps, lo, hi):
+    """An enclosure (lo, hi) of the one root in the box [lo, hi] (each a
+    (w1, w2) pair of floats) if a test proves that the box holds exactly
+    one root of the residual, else None.  Krawczyk's test runs on J's
+    enclosure, and where it has none (the kink at eps = 1/2's root) or
+    fails, strong monotonicity (``_monotone_image``) may prove it.  Both
+    read the residual at the box's centre, to within
+    ``_residual_rounding``.  The last call is kept: the tree's last test,
+    which stops it, is the certificate's first.
+    """
+    enclosure = _jacobian_enclosure(eps, lo, hi)
+    mu = _monotonicity(eps, lo, hi)
+    if enclosure is None and mu is None:
+        return None
+    f = tuple(float(x) for x in _residual(eps, 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])))
+    # every point of the box has ||w|| <= hi1 + max |w2|
+    delta = _residual_rounding(eps, hi[0] + max(abs(lo[1]), abs(hi[1])))
+    image = _krawczyk(lo, hi, f, delta, *enclosure) if enclosure else None
+    if image is None and mu is not None:
+        image = _monotone_image(eps, lo, hi, f, delta, mu)
+    return image
+
+
+def _cell_box(i, j, h, root):
+    # the closed box around the lattice cells (i, j) of half-width h, whose
+    # ends are exact, as (lo, hi) pairs of floats
+    lo = (float(i.min()) * (2.0 * h) - root, float(j.min()) * (2.0 * h) - root)
+    hi = (float(i.max() + 1.0) * (2.0 * h) - root, float(j.max() + 1.0) * (2.0 * h) - root)
+    return lo, hi
 
 
 def _quadtree_leaves(eps: float):
     """Leaf cells of one eps's annulus exclusion tree (see ``scan_stationary_points``).
 
     The root cell is eps's own square [-B, B]^2, B = ``root_half_width([eps])``,
-    and each level halves the cells' half-width h while h > 1e-7.  A cell of
+    and each level halves the cells' half-width h while h > 1e-7, until the
+    box around the live cells passes ``_one_root`` (and holds the disk
+    point, where there is one; see "Uniqueness").  A cell of
     half-width h is an integer pair (i, j) with centre (i + 1/2, j + 1/2) * 2h
     - B.  i and j are held as float64, exact below 2^52, so that no step
     casts integers to floats (each cast takes a 64 KB buffer, which shows in
-    peak memory).  Returns the leaf cells' i and j and their half-width, or
-    None once the live cells of one level exceed ``_MAX_LIVE_CELLS``.
+    peak memory).  Returns the last level's live cells' i and j and their
+    half-width, or None once the live cells of one level exceed
+    ``_MAX_LIVE_CELLS``.
     """
     root = root_half_width([eps])
     radius = outer_radius(eps)
@@ -344,6 +643,8 @@ def _quadtree_leaves(eps: float):
         # disk and the cells beyond R(eps), then those whose residual bound
         # excludes them
         c1, c2 = (i + 0.5) * (2.0 * h) - root, (j + 0.5) * (2.0 * h) - root
+        # a kept cell has r_min <= R(eps), and its centre lies within h sqrt(2) of that
+        delta = _residual_rounding(eps, radius + h * math.sqrt(2.0))
         a1, a2 = np.abs(c1), np.abs(c2)
         r_min = np.hypot(np.maximum(a1 - h, 0.0), np.maximum(a2 - h, 0.0))
         keep = (r_min <= radius) & (c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > _INNER_RADIUS)
@@ -352,13 +653,20 @@ def _quadtree_leaves(eps: float):
         # overflows: eps * B(eps) is below 2.1 eps^(2/3), and r_min is 0 or
         # at least 2h
         with np.errstate(divide="ignore"):
-            keep = ~(np.hypot(*_residual(eps, c1, c2)) > _exclusion_bound(eps, r_min, h))
+            keep = ~(np.hypot(*_residual(eps, c1, c2)) - delta > _exclusion_bound(eps, r_min, h))
         return i[keep], j[keep]
 
     h = root
     i, j = survivors(np.zeros(1), np.zeros(1), h)
     step = _CHUNK_CELLS // 4
+    ball = _disk_ball(eps)
     while h > _LEAF_HALF_WIDTH:
+        # stop once one box around the live cells provably holds exactly one
+        # root; it stands for the certificate's one root only if it holds the
+        # disk point, where there is one
+        box = _cell_box(i, j, h, root) if i.size else None
+        if box and _holds(box, ball) and _one_root(eps, *box) is not None:
+            break
         h *= 0.5
         kept_i, kept_j, live = [np.empty(0)], [np.empty(0)], 0
         for start in range(0, i.size, step):
@@ -416,26 +724,82 @@ def _inside(point, cells, reach, ball):
     return _touches((point, 0.0), cells, reach) or bool(ball and math.hypot(*(point - ball[0])) <= ball[1])
 
 
-def _certify(eps: float) -> np.ndarray:
-    """One eps's certified points, sorted by w1, or shape (0, 2) where its
-    certificate does not close (see ``scan_stationary_points``).
+def _disk_ball(eps):
+    """The disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly, as
+    a disk (centre, radius ulp(w1)) that holds the true point, where it lies
+    in the inner disk, else None.
+
+    The division rounds once to nearest, so the true w1 lies within half the
+    spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and w2 = 0
+    is exact.  Rounding is monotone, so every eps >= 1/sqrt(2) has a disk
+    point; an eps an ulp short of it may too, and its disk then only adds a
+    region.
     """
+    w1 = 0.5 / eps
+    return (np.array([w1, 0.0]), math.ulp(w1)) if w1 <= _INNER_RADIUS else None
+
+
+def _holds(box, ball):
+    # whether the open box (lo, hi) holds the closed disk (centre, radius),
+    # if there is one; x - ulp(x) and x + ulp(x) are exact
+    if ball is None:
+        return True
+    (lo, hi), ((x, y), r) = box, ball
+    return lo[0] < x - r and x + r < hi[0] and lo[1] < y - r and y + r < hi[1]
+
+
+class _Certificate(NamedTuple):
+    # one eps's certified points, sorted by w1, and whether each of its
+    # clusters is proved to hold exactly one root; box is the proved box
+    # around the one root where a box test passed, else None
+    points: np.ndarray
+    unique_root: bool
+    box: tuple | None = None
+
+
+def _certify(eps: float) -> _Certificate:
+    """One eps's certificate (see ``scan_stationary_points``); its points
+    have shape (0, 2) where it does not close.
+    """
+    fails = _Certificate(np.empty((0, 2)), False)
     tree = _quadtree_leaves(eps)
     if tree is None:
-        return np.empty((0, 2))
+        return fails
     leaf_i, leaf_j, h = tree
-    cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root_half_width([eps])
+    root = root_half_width([eps])
+    ball = _disk_ball(eps)
+    box = _cell_box(leaf_i, leaf_j, h, root) if leaf_i.size else None
+    proof = _one_root(eps, *box) if box and _holds(box, ball) else None
+    if proof is not None:
+        # every root lies in the box, which holds exactly one, the disk point
+        # if there is one.  The proved enclosure of it, tested again, shrinks
+        # ever faster (quadratically) until rounding stalls it: go on while
+        # each test shrinks it by a smaller ratio than the last, down to the
+        # leaf width
+        def width(b):
+            return max(b[1][0] - b[0][0], b[1][1] - b[0][1])
+
+        ratio = 1.0
+        while width(proof) > 2.0 * _LEAF_HALF_WIDTH:
+            tighter = _one_root(eps, *proof)
+            if tighter is None:
+                break
+            last, ratio, proof = ratio, width(tighter) / width(proof), tighter
+            if ratio >= last:
+                break
+        (lo1, lo2), (hi1, hi2) = proof
+        seed = ball[0] if ball else np.array([0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)])
+        points, residuals = refine_candidate(eps, seed.reshape(1, 2))
+        (w1, w2), res = points[0], residuals[0]
+        if res <= _ACCEPT_RESIDUAL and lo1 <= w1 <= hi1 and lo2 <= w2 <= hi2:
+            return _Certificate(points, True, proof)
+        return fails
+
+    cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root
     labels, count = _components(leaf_i, leaf_j)
     # a cluster is its leaf cells (n, 2) and at most one disk (centre, radius)
     clusters = [(cells[labels == n], None) for n in range(count)]
-    # the disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly.  The
-    # division rounds once to nearest, so the true w1 lies within half the
-    # spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and w2 = 0
-    # is exact.  Rounding is monotone, so every eps >= 1/sqrt(2) passes the
-    # test below; an eps an ulp short of it may too, and its disk then only
-    # adds a region.
-    w1 = 0.5 / eps
-    if w1 <= _INNER_RADIUS:
+    if ball:
         # every leaf wholly inside the inner disk was dropped, the point's own
         # leaf too unless it reaches the edge, so the leaves left around the
         # point are those reaching into the disk: each cluster with one
@@ -443,7 +807,7 @@ def _certify(eps: float) -> np.ndarray:
         touched = [_touches((np.zeros(2), _INNER_RADIUS), c, h) for c, _ in clusters]
         merged = [c for (c, _), t in zip(clusters, touched) if t]
         clusters = [g for g, t in zip(clusters, touched) if not t]
-        clusters.append((np.concatenate([np.empty((0, 2))] + merged), (np.array([w1, 0.0]), math.ulp(w1))))
+        clusters.append((np.concatenate([np.empty((0, 2))] + merged), ball))
 
     # a cluster with the disk point starts from it: its residual is rounding only
     seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, ball in clusters]).reshape(-1, 2)
@@ -452,23 +816,38 @@ def _certify(eps: float) -> np.ndarray:
     # computes within h of its centre
     for (c, ball), point, res in zip(clusters, points, residuals):
         if not (res <= _ACCEPT_RESIDUAL and _inside(point, c, h, ball)):
-            return np.empty((0, 2))
-    return points[np.lexsort((points[:, 1], points[:, 0]))]
+            return fails
+    # the disk point alone is one root, by the lemma
+    return _Certificate(points[np.lexsort((points[:, 1], points[:, 0]))], not leaf_i.size)
 
 
-def scan_stationary_points(models) -> list[np.ndarray]:
+class ScanResult(list):
+    """What ``scan_stationary_points`` returns: one array of points per
+    model, as a list, and ``unique_root``, one bool per model: whether its
+    certificate proves that each of its clusters holds exactly one
+    stationary point.
+    """
+
+    def __init__(self, certificates):
+        super().__init__(c.points for c in certificates)
+        self.unique_root = [c.unique_root for c in certificates]
+
+
+def scan_stationary_points(models) -> ScanResult:
     """Locate every stationary point of F in the plane, for each model.
 
-    Takes a sequence of ``UniformModel`` and returns one array of shape
-    (k, 2), sorted by w1, per model and in the same order.  What is proved:
-    every stationary point lies in a survivor cluster, and each reported
-    point is a cluster's refined point, with residual <= 1e-8, inside its
-    cluster.  An eps whose certificate does not close (a cluster whose
-    refined point fails that test, or more than ``_MAX_LIVE_CELLS`` live
-    cells at one level) gets an empty array; one too small for
-    ``root_half_width`` raises ``ValueError``.  What is not proved: that a
-    cluster with leaf cells holds only one stationary point, and rounding in
-    the computed residuals (see the module docstring).
+    Takes a sequence of ``UniformModel`` and returns a ``ScanResult``: one
+    array of shape (k, 2), sorted by w1, per model and in the same order,
+    and per model ``unique_root``.  What is proved: every stationary point
+    lies in a survivor cluster, and each reported point is a cluster's
+    refined point, with residual <= 1e-8, inside its cluster.  Where
+    ``unique_root`` is true, each cluster also holds exactly one stationary
+    point: a box that passed a uniqueness test, or the disk point alone.  An
+    eps whose certificate does not close (a cluster whose refined point
+    fails that test, or more than ``_MAX_LIVE_CELLS`` live cells at one
+    level) gets an empty array; one too small for ``root_half_width``
+    raises ``ValueError``.  What is not proved: rounding in the outer-radius
+    and inner-disk cuts (see the module docstring).
 
     Write x = (u, v) on the rectangle [0,1] x [-1,1] and the residual
     res(w) = eps w - m(w)/2 with m(w) the integral of x over the band
@@ -514,8 +893,9 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     Annulus.  Each eps has its own quadtree, whose root cell is
     [-B(eps), B(eps)]^2, B(eps) = ``root_half_width([eps])``; each surviving
     cell splits into four, evaluated in chunks of at most 512, down to
-    half-width 2^-24.  As B(eps) is a power of two at most 2^28, the leaves
-    lie on one origin-aligned lattice with exact centres and edges.  Cells
+    half-width 2^-24 unless a box test stops it first (see "Uniqueness").
+    As B(eps) is a power of two at most 2^28, the cells lie on one
+    origin-aligned lattice with exact centres and edges.  Cells
     wholly inside the inner disk are left to the lemma.  Where it is smooth,
     m has derivative Dm(w) = (M_0 - M_1)/||w||, M_s = integral over the
     chord {w.x = s} of x x^T, by moving the two band edges.  Each M_s is
@@ -526,7 +906,8 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     ||Dm(w)/2|| <= sqrt(5)/||w||.  m is continuous away from 0, so
     integrating along the segment from a cell's centre c gives
     ||res(w) - res(c)|| <= (eps + sqrt(5)/r_min) ||w - c|| in the cell, r_min
-    the cell's smallest ||w||.  A cell is dropped for eps when ||res(c)||_2 >
+    the cell's smallest ||w||.  A cell is dropped for eps when ||res(c)||_2,
+    less its rounding bound (see "Rounding"), exceeds
     (eps + sqrt(5)/r_min) * half-diagonal (``_exclusion_bound``).  On 1.7M
     random (cell, point) pairs, eps in [1e-3, 10] and cells of half-width
     1e-7 to 0.3 at r_min > 1e-3, ||res(w) - res(c)|| reached at most 0.98 of
@@ -534,16 +915,111 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     eps r_min is large.  The moment part alone, ||m(w) - m(c)||/2, reached
     at most 0.44 of its term sqrt(5) ||w - c||/r_min.
 
-    Survivors become points.  Connected leaf cells (sharing an edge or a
-    corner) form a cluster, and the disk point merges into one cluster with
-    every cluster that has a leaf reaching into the inner disk.  Each eps is
-    certified on its own: one ``refine_candidate`` call per eps takes Newton
-    steps on J = eps I - Dm/2 from the disk point in its cluster and the
+    Rounding.  Cell centres are exact, so rounding is left in the computed
+    residual and in the bound.  ``_exclusion_bound`` is rounded up by
+    16 u (u = 2^-53), more than its own seven roundings and those of the
+    norm it meets, and a cell is dropped only when ||res(c)|| - delta
+    exceeds it, delta = u (640 + 4 eps ||w||) (``_residual_rounding``).
+    The clip against w.x >= 0 classifies the rectangle's corners exactly
+    (each level -w1 u - w2 v is one rounded sum), and places each crossing
+    on its edge within 10 u.  So the computed polygon differs from the exact
+    one by a sliver along the chord on s = 0 of width 10 u and length at
+    most sqrt(5).  The clip against w.x <= 1 can matter only where
+    ||w|| >= (1 - 1e-15)/sqrt(2), and computes each level w.x - 1 within
+    E = u (15 ||w|| + 2).  A corner it misplaces lies within E/||w|| of the
+    line; at most two corners of a rectangle can, and two only on one edge
+    or one diagonal, so the kept vertices stay one run, with one exit and
+    one entry.  Each crossing it computes lies on its segment, to 6 u,
+    where |w.x - 1| <= u (13.2 ||w|| + 3.1).  So the computed band differs
+    from the exact one by a region within u (13.2 + 4.4) of the line
+    w.x = 1, of area at most 79 u in the rectangle and of winding number at
+    most 4, plus two triangles of area 9 u.  With |x| <= sqrt(2), the
+    moment m is off by at most 32 u + 447 u + 50 u from the clips and 57 u
+    from the shoelace sums' roundings, and res = eps w - m/2 by half that
+    plus u (2 eps ||w|| + sqrt(2)) from eps w and the subtraction: under
+    u (297 + 2 eps ||w||), which delta doubles.  Underflow adds at most
+    2^-1074 per operation, within that margin; w larger than 2^1000, where
+    the clip rescales, lies outside every root square.  Against the same
+    residual in exact rational arithmetic (``tests/oracles.py``), on 20,000
+    lattice centres of the root squares B = 4 and 16 at half-widths 2^-24
+    to 1/2 and eps in [1e-3, 10], and on 20,000 points within 1e-9 of the
+    kink and within 1e-12 of the lines where a band edge passes a corner,
+    the error never exceeded u (2 + 2 eps ||w||), at most 0.17 of delta.
+    At the default five eps the smallest relative margin by which an
+    excluded cell clears its bound is 2.2e-5, far above delta's share.  On
+    the 11 reference eps sets delta leaves every tree's leaves as they were;
+    at eps = 1e-4 it keeps 2 more of 9,030 leaves, with the same report.
+
+    Uniqueness.  Where each chord keeps its edges over a box in w1 > 0 (no
+    band edge passes a corner of the rectangle there), the band polygon's
+    vertices are fixed corners and chord ends, rational in w, so m is
+    smooth and Dm = (M_0 - M_1)/||w||.  A chord from p to q of length l
+    lies along (-w2, w1)/||w||, so l/||w|| = |v_q - v_p|/w1 and, by
+    Simpson's rule, it adds (|v_q - v_p|/(12 w1)) [p p^T + q q^T +
+    (p + q)(p + q)^T] to Dm/2 (``_band_jacobian``).  The chord on s = 0
+    runs from the origin to (|w2|/w1, -sign w2) while |w2| < w1, so it
+    adds q q^T/(6 w1): one formula on both sides of the axis, where the
+    clip's zero-length chord is an artifact of the axis only (the band
+    loses a triangle of area |w2|/(2 w1) at the bottom left or top left,
+    whose v-moment is linear in w2).  An end on an edge v = v0 is
+    u = (s - w2 v0)/w1, and on an edge u = u0 is v = (s - w1 u0)/w2.
+    Written with w1 and w2 once, each entry of the s = 0 chord's term and
+    each end is evaluated in interval arithmetic with outward rounding
+    over the box, which gives its exact range; the rest are sums and
+    products of those intervals (``_Interval``).  The midpoint of J's
+    enclosure and its half-width, the variation term, bound J over the box
+    entrywise (``_jacobian_enclosure``).  Near the roots, on 1,463 boxes of
+    half-width 1e-6 to 0.1 about them (eps in [1e-3, 10], off the kink),
+    J's sampled half-range reached a median 0.74 of the half-width in J11,
+    0.24 in J12 and 0.33 in J22 (J22 = eps - 1/(6 w1) + 1/(3 w1) on the
+    axis: the two terms' intervals add), and at least 0.33 in one entry of
+    every box.  Krawczyk's test (``_krawczyk``) then forms, with
+    Y = mid^-1, K = c - Y f(c) + (I - Y J)(X - c) over the enclosure, the
+    residual at the centre taken to within delta.  If K lies in the open
+    box X, the box holds exactly one root, and it lies in K (Krawczyk,
+    Computing 1969; Rump, Acta Numerica 2010): f(x) - f(y) = integral of
+    J along the segment, and J lies in the enclosure.  Testing K again
+    shrinks it quadratically.
+
+    At eps = 1/2's root (1, 0) the band edge w.x = 1 passes both right
+    corners, J jumps, and no enclosure forms.  There each chord moment
+    M_s is positive semidefinite and M_1 enters J with a plus sign, so
+    J >= eps I - M_0/(2 ||w||) = eps I - q q^T/(6 w1) in the Loewner order,
+    wherever J exists: everywhere in 0 <= |w2| < w1 but at (1, 0), since
+    J is continuous across the lines where a chord passes a corner.  Hence
+    (f(w) - f(w')).(w - w') >= mu ||w - w'||^2 on the box, with mu = eps -
+    max ||w||^2/(6 w1^3) (``_monotonicity``), and for mu > 0 the box holds
+    at most one root, within ||f(c)||/mu of any of its points c; if the
+    disk of that radius about the centre lies in the box, it holds one
+    (``_monotone_image``).  mu is exact wherever the chord on s = 1 misses
+    the rectangle (the inner disk, left of the kink) and ignores that
+    chord elsewhere: on 1,460 boxes about the roots for eps in [0.1, 10],
+    it was a median 1.0 and at least 0.007 of the sampled least eigenvalue
+    of J's symmetric part.  It is positive about the axis roots for eps
+    above about 0.096.
+
+    The tree tries the box around its live cells at each level, once the
+    box holds the disk point if there is one, and stops at the first that
+    passes; failed tries are cheap where the box meets w1 <= 0 or a chord
+    changes edges.  At the default five eps the box passes at cell
+    half-width 2^-5 for eps = 0.1 and 0.3 and 2^-6 for eps = 1/2, where
+    the leaves were 2^-24; eps = 1 and 2 keep no cells.
+
+    Survivors become points.  Where a box passed, its cells are one
+    cluster: the box is tested again, while each test shrinks it by a
+    smaller ratio than the last, down to the leaf width, and the one
+    ``refine_candidate`` call starts from its centre, or from the disk point
+    if there is one; the point must lie in the box.  Elsewhere connected
+    cells (sharing an edge or a corner) form a cluster, and the disk point
+    merges into one cluster with every cluster that has a cell reaching into
+    the inner disk.  Each eps is certified on its own: one
+    ``refine_candidate`` call per eps takes Newton steps on
+    J = eps I - Dm/2 from the disk point in its cluster and the
     bounding-box centre of the others.
     """
     eps = [float(model.epsilon) for model in models]
     root_half_width(eps)  # every eps must fit the leaf lattice; the error names the smallest
-    return [_certify(e) for e in eps]
+    return ScanResult([_certify(e) for e in eps])
 
 
 def closed_form_minimizer(epsilon: float):

@@ -46,6 +46,21 @@ class Mutant(NamedTuple):
 ANALYTIC = "src/rampdro/analytic.py"
 BOUND = "(eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))"
 CORNERS = ("tests/test_analytic.py::test_exclusion_bound_holds_at_cell_corners",)
+# the uniqueness proof: the Jacobian's enclosure over a box (its variation
+# about the middle of its range) and Krawczyk's test (the residual's
+# rounding bound delta and the contraction margin |I - Y J| |X - c|),
+ENCLOSURE = ("tests/test_analytic.py::test_jacobian_enclosure_holds_the_closed_form_jacobian",)
+KRAWCZYK = (
+    "tests/test_analytic.py::test_krawczyk_proves_one_root_and_refuses_two",
+    "tests/test_analytic.py::test_krawczyk_allows_for_the_rounding_of_the_residual",
+)
+VARIATION = "rad.append(max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))"
+# and, where J jumps, strong monotonicity: mu from the chord on s = 0, and
+# the disk about the centre that the residual's rounding widens
+MONOTONE = (
+    "tests/test_analytic.py::test_monotonicity_bounds_the_symmetric_jacobian_from_below",
+    "tests/test_analytic.py::test_monotone_image_needs_the_disk_of_its_radius_in_the_box",
+)
 # the oracles' rounding margins, which stop a profile's growth early only
 # when no unseen distance can change the answer
 DRO = "src/rampdro/dro.py"
@@ -65,6 +80,29 @@ MUTANTS = [
         "return (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
         "return 0.5 * (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
         ("tests/test_analytic.py::test_exclusion_facts",),
+    ),
+    Mutant("enclosure without its variation term", ANALYTIC, VARIATION, "rad.append(0.0)", ENCLOSURE),
+    Mutant(
+        "enclosure's variation term halved", ANALYTIC, VARIATION,
+        "rad.append(0.5 * max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))", ENCLOSURE,
+    ),
+    Mutant(
+        "Krawczyk without delta", ANALYTIC,
+        "values = [f[k] + _Interval(-delta, delta) for k in range(2)]", "values = [_thin(f[k]) for k in range(2)]",
+        KRAWCZYK,
+    ),
+    Mutant(
+        "Krawczyk without its contraction margin", ANALYTIC,
+        "margin = (spread.hi * reach[j] + margin).hi", "margin = 0.0", KRAWCZYK,
+    ),
+    Mutant(
+        "monotonicity without the chord on s = 0", ANALYTIC,
+        "mu = (eps - (w1.sq() + _thin(top).sq()) / (6.0 * (w1 * w1 * w1))).lo", "mu = eps", MONOTONE,
+    ),
+    Mutant(
+        "monotone radius without delta", ANALYTIC,
+        "reach = ((_thin(_nextafter(math.hypot(*value), math.inf)) + delta) / mu).hi",
+        "reach = (_thin(_nextafter(math.hypot(*value), math.inf)) / mu).hi", MONOTONE,
     ),
     Mutant(
         "dual floor without its margin", DRO,

@@ -5,7 +5,8 @@ solved by enumerating polytope vertices or by HiGHS, the oracle answers
 are read off a profile built whole with a stable sort, gradients come
 from central finite differences, and expectations from dense midpoint
 quadrature.  The closed-form origin derivatives are checked against
-Richardson-extrapolated difference quotients.  The training inner loop is
+Richardson-extrapolated difference quotients, and the analytic residual's
+rounding against the same residual in exact rational arithmetic.  The training inner loop is
 checked bit for bit against its earlier, plainer form: a two-pass objective
 evaluation and an L-BFGS iteration written with ``float(a @ b)`` dots and a
 recomputed accepted point.  So is the analytic band kernel, against its
@@ -14,6 +15,7 @@ interleaved form: points as (..., segments, 2) arrays, trimmed with nested
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -479,3 +481,34 @@ def origin_directional_derivative_interleaved(u1, u2):
     norm = math.hypot(u1, u2)
     _, (mu, mv) = _moments_interleaved(*_band_interleaved(0.5 * u1 / norm, 0.5 * u2 / norm)[1])
     return -0.5 * (u1 * float(mu) + u2 * float(mv)) + 0.0
+
+
+def _clip_exact(polygon, a, b, c):
+    # the part of a convex polygon (a list of Fraction vertices, counter-
+    # clockwise) with a*u + b*v <= c, one pass of Sutherland-Hodgman
+    kept = []
+    for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+        sp, sq = a * p[0] + b * p[1] - c, a * q[0] + b * q[1] - c
+        if sp <= 0:
+            kept.append(p)
+        if (sp < 0 < sq) or (sq < 0 < sp):
+            t = sp / (sp - sq)
+            kept.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return kept
+
+
+def residual_exact(epsilon, w1, w2):
+    """The stationarity residual eps w - m(w)/2 at float w = (w1, w2), as two
+    Fractions: the band {0 <= w.x <= 1} of the rectangle [0,1] x [-1,1]
+    clipped and integrated in exact rational arithmetic (x has density 1/2).
+    """
+    eps, w1, w2 = Fraction(epsilon), Fraction(w1), Fraction(w2)
+    rectangle = [(Fraction(0), Fraction(-1)), (Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
+    band = _clip_exact(_clip_exact(rectangle, -w1, -w2, 0), w1, w2, 1)
+    mu = mv = Fraction(0)
+    for p, q in zip(band, band[1:] + band[:1]):
+        cross = p[0] * q[1] - q[0] * p[1]
+        mu += (p[0] + q[0]) * cross
+        mv += (p[1] + q[1]) * cross
+    # the moments are (1/6) sum (p + q) cross; m(w) halves them for the density
+    return eps * w1 - mu / 12, eps * w2 - mv / 12

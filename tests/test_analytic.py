@@ -15,6 +15,7 @@ from oracles import (
     newton_system_interleaved,
     origin_derivative_richardson,
     origin_directional_derivative_interleaved,
+    residual_exact,
     residual_interleaved,
 )
 from rampdro import analytic
@@ -369,6 +370,183 @@ def test_closed_form_jacobian_at_the_kink_is_the_left_hand_one(eps):
     assert abs(right[0] - jac[0, 0] - 1.0) <= 1e-5
 
 
+def _jacobian_off_the_clip_artifact(eps, w):
+    # J at w from _newton_system.  On the axis w2 = 0 the clip gives the
+    # chord on s = 0 length 0, though the derivative is its limit from
+    # either side, where that chord runs from the origin to (0, -+1): its
+    # Simpson moment adds 1/(6 w1) to Dm/2's (2, 2) entry, which J subtracts
+    _, jac = _system_at(eps, np.array(w))
+    if w[1] == 0.0:
+        jac[1, 1] -= 1.0 / (6.0 * w[0])
+    return jac
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.floats(1e-3, 10.0),
+    st.floats(-math.pi / 2, math.pi / 2), st.floats(-0.5, 1.2),
+    st.floats(-6.0, -0.5), st.floats(-6.0, -0.5),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+)
+# boxes across the axis w2 = 0 (sampled on it too); beside eps = 1/2's
+# kink (1, 0), left of it, where the band misses the edge u = 1, and right
+# of it, where its chord runs from the bottom edge to the top; where the
+# chord on s = 1 nears the corner (1, 1), (0, 1) or (1, -1); and in the
+# inner disk, where there is no chord on s = 1 and the enclosure is J's
+# exact range: its corners reach it
+@example(0.1, 0.0, math.log10(1.71), -2.0, -2.0, [(0.0, 0.0)])
+@example(0.5, 0.0, math.log10(1.0 - 2.0**-20), -6.5, -6.5, [(0.5, 0.5)])
+@example(0.5, 0.0, math.log10(1.0 + 2.0**-20), -6.5, -6.5, [(-0.5, 0.5)])
+@example(0.3, math.pi / 4 - 1e-3, math.log10(0.7), -4.0, -4.0, [(0.0, 0.0)])
+@example(0.3, math.atan2(1.0 - 1e-3, 2.0), math.log10(math.hypot(2.0, 1.0 - 1e-3)), -4.0, -4.0, [(0.0, 0.0)])
+@example(1.0, 0.2, math.log10(0.5), -1.5, -1.5, [(0.0, 0.0)])
+def test_jacobian_enclosure_holds_the_closed_form_jacobian(eps, angle, log_radius, log_h1, log_h2, offsets):
+    # wherever the enclosure claims validity, J at the box's corners, at
+    # drawn points and on the axis lies within rad of mid, entrywise
+    centre = 10.0**log_radius * np.array([math.cos(angle), math.sin(angle)])
+    h = np.array([10.0**log_h1, 10.0**log_h2])
+    lo, hi = tuple(centre - h), tuple(centre + h)
+    enclosure = analytic._jacobian_enclosure(eps, lo, hi)
+    assume(enclosure is not None)
+    mid, rad = (np.array(e) for e in enclosure)
+    points = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+    points += [tuple(np.clip(centre + np.array(o) * h, lo, hi)) for o in offsets]
+    if lo[1] <= 0.0 <= hi[1]:
+        points.append((float(centre[0]), 0.0))
+    for w in points:
+        # the enclosure is rigorous; the float J and |J - mid| round, by a
+        # few dozen units of roundoff of eps + 1/||w|| at most
+        slack = 2.0**-44 * (1.0 + eps + 1.0 / math.hypot(*w))
+        assert np.all(np.abs(_jacobian_off_the_clip_artifact(eps, w) - mid) <= rad + slack), w
+
+
+def test_jacobian_enclosure_refuses_boxes_where_a_chord_changes_edges():
+    # a box must lie in w1 > 0, and no band edge may pass a corner of the
+    # rectangle in it: at eps = 1/2's kink (1, 0) the edge w.x = 1 passes
+    # (1, -1) and (1, 1); where |w2| = w1 the edge w.x = 0 passes one
+    for lo, hi in [((-0.1, 0.2), (0.1, 0.3)), ((0.99, -0.01), (1.01, 0.01)), ((0.5, 0.45), (0.6, 0.55))]:
+        assert analytic._jacobian_enclosure(0.5, lo, hi) is None
+
+
+def _krawczyk_square(lo, hi, f_at_centre, delta, jac_range):
+    # Krawczyk's test for a map of (x, y) whose Jacobian is diag(J11, 1),
+    # with J11 in jac_range over the box
+    low, high = jac_range
+    mid = [[0.5 * (low + high), 0.0], [0.0, 1.0]]
+    rad = [[0.5 * (high - low), 0.0], [0.0, 0.0]]
+    return analytic._krawczyk(lo, hi, f_at_centre, delta, mid, rad)
+
+
+def test_krawczyk_proves_one_root_and_refuses_two():
+    # f(x, y) = (x^2 - 1, y) has roots (-1, 0) and (1, 0), and J11 = 2x
+    # over the box.  From the centre (0.5, 0) of [-1.5, 2.5] x [-0.5, 0.5],
+    # which holds both, Newton's step lands inside at (1.25, 0); only the
+    # contraction margin, |1 - J11/mid| |X - c| <= 4 * 2, shows that the box
+    # may hold more than one root
+    assert _krawczyk_square((-1.5, -0.5), (2.5, 0.5), (-0.75, 0.0), 0.0, (-3.0, 5.0)) is None
+    # [0.8, 1.3] x [-0.3, 0.2] holds (1, 0) alone; its centre is (1.05, -0.05)
+    lo, hi = (0.8, -0.3), (1.3, 0.2)
+    image = _krawczyk_square(lo, hi, (1.05**2 - 1.0, -0.05), 0.0, (1.6, 2.6))
+    assert image is not None
+    (k1, k2), (l1, l2) = image
+    assert lo[0] < k1 <= 1.0 <= l1 < hi[0] and lo[1] < k2 <= 0.0 <= l2 < hi[1]
+
+
+def test_krawczyk_allows_for_the_rounding_of_the_residual():
+    # f(x, y) = (x - a, y) on [-1, 1]^2, computed at the centre as (-0.9, 0):
+    # the root a = 0.9 lies inside, but if that value is only known to
+    # within 0.2, a may be 1.1, outside, so the box proves nothing
+    lo, hi = (-1.0, -1.0), (1.0, 1.0)
+    assert _krawczyk_square(lo, hi, (-0.9, 0.0), 0.2, (1.0, 1.0)) is None
+    image = _krawczyk_square(lo, hi, (-0.9, 0.0), 0.05, (1.0, 1.0))
+    assert image is not None and image[0][0] <= 0.85 and 0.95 <= image[1][0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.floats(0.05, 10.0), st.floats(-0.2, 0.2), st.floats(-6.0, -1.0),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+)
+# about eps = 1/2's kink (1, 0), where J jumps, sampled on both sides and
+# at the kink, whose closed form is the left-hand Jacobian; in the inner
+# disk, where mu is J's least eigenvalue; across the axis
+@example(0.5, 0.0, -3.0, [(0.0, 0.0), (0.5, 0.0), (-0.5, 0.0), (0.5, 0.5), (0.5, -0.25)])
+@example(1.0, 0.0, -1.5, [(0.0, 0.0)])
+@example(0.3, 0.0, -2.0, [(0.0, 0.0)])
+def test_monotonicity_bounds_the_symmetric_jacobian_from_below(eps, angle, log_h, offsets):
+    # wherever _monotonicity gives mu, the symmetric part of J at every
+    # point of the box, the box's corners too, has no eigenvalue below mu:
+    # the chord on s = 1 only adds to J.  Boxes sit about the root's w1
+    h = 10.0**log_h
+    w1 = closed_form_minimizer(eps)[0]
+    centre = w1 * np.array([math.cos(angle), math.sin(angle)])
+    lo, hi = tuple(centre - h), tuple(centre + h)
+    mu = analytic._monotonicity(eps, lo, hi)
+    assume(mu is not None)
+    points = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+    points += [tuple(np.clip(centre + np.array(o) * h, lo, hi)) for o in offsets]
+    if lo[1] <= 0.0 <= hi[1]:
+        points.append((float(centre[0]), 0.0))
+    for w in points:
+        jac = _jacobian_off_the_clip_artifact(eps, w)
+        least = np.linalg.eigvalsh(0.5 * (jac + jac.T))[0]
+        assert least >= mu - 2.0**-44 * (1.0 + eps + 1.0 / math.hypot(*w)), w
+
+
+def test_monotone_image_needs_the_disk_of_its_radius_in_the_box():
+    # about eps = 1/2's root (1, 0), where no Jacobian enclosure forms: the
+    # residual at the centre is rounding only, so with the rounding bound
+    # the box holds one root, in the box returned; if the residual were
+    # known only to within 0.01, the root could lie 0.03 away, beyond the
+    # box.  A box beside the root fails too
+    eps, lo, hi = 0.5, (0.99, -0.01), (1.01, 0.01)
+    assert analytic._jacobian_enclosure(eps, lo, hi) is None
+    mu = analytic._monotonicity(eps, lo, hi)
+    assert 0.33 < mu < 1.0 / 3.0
+    f = tuple(float(x) for x in analytic._residual(eps, 1.0, 0.0))
+    image = analytic._monotone_image(eps, lo, hi, f, analytic._residual_rounding(eps, 2.0), mu)
+    assert image is not None
+    assert image[0][0] <= 1.0 <= image[1][0] and image[0][1] <= 0.0 <= image[1][1]
+    assert analytic._monotone_image(eps, lo, hi, f, 0.01, mu) is None
+    lo, hi = (1.01, -0.01), (1.03, 0.01)
+    f = tuple(float(x) for x in analytic._residual(eps, 1.02, 0.0))
+    assert analytic._monotone_image(eps, lo, hi, f, 0.0, analytic._monotonicity(eps, lo, hi)) is None
+
+
+def _assert_within_residual_rounding(eps, w):
+    # _residual at w against the same residual in exact rational arithmetic
+    exact = residual_exact(eps, *w)
+    computed = analytic._residual(eps, *w)
+    error = math.hypot(*(float(Fraction(float(c)) - e) for c, e in zip(computed, exact)))
+    assert error <= analytic._residual_rounding(eps, math.hypot(*w))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.floats(1e-3, 10.0), st.sampled_from([4.0, 16.0]), st.integers(-24, -1),
+    st.integers(0, 2**40), st.integers(0, 2**40),
+)
+def test_residual_rounding_bounds_the_error_at_lattice_centres(eps, root, log_h, i, j):
+    # the tree's cell centres (i + 1/2) 2h - B, on the root squares of the
+    # default eps (B = 4) and of eps = 0.001 (B = 16)
+    h, cells = 2.0**log_h, int(root / 2.0**log_h)
+    w = ((i % cells + 0.5) * (2.0 * h) - root, (j % cells + 0.5) * (2.0 * h) - root)
+    _assert_within_residual_rounding(eps, w)
+
+
+@pytest.mark.parametrize("eps,w", [
+    (0.1, (1.709976, 0.0)),  # the axis, beside eps = 0.1's root
+    (0.5, (1.0, 0.0)), (0.5, (1.0 - 2.0**-20, 0.0)), (0.5, (1.0 + 2.0**-20, 2.0**-30)),  # the kink
+    (0.3, (0.5, 0.5)),  # w.x = 1 through the corner (1, 1)
+    (0.3, (2.0, 1.0)),  # w.x = 1 through (0, 1) and (1, -1)
+    (0.3, (1.0, -1.0)),  # w.x = 0 through (1, 1)
+    (0.3, (0.5, 0.5 - 2.0**-40)),  # w.x = 1 just short of (1, 1)
+    (0.001, (7.937005, 0.01)), (7.0, (0.7, 0.1)), (0.05, (0.02, 0.01)), (0.01, (15.0, -3.0)),
+])
+def test_residual_rounding_bounds_the_error_where_band_edges_pass_corners(eps, w):
+    _assert_within_residual_rounding(eps, w)
+
+
 @pytest.mark.parametrize("w", [(1e308, 1e308), (1e308, -1e308), (-sys.float_info.max, sys.float_info.max),
                                (2.0**1000, -(2.0**1000))])
 def test_residual_and_objective_at_huge_w_raise_no_overflow(w):
@@ -593,10 +771,11 @@ def test_epsilon_without_a_cluster_finds_no_point(monkeypatch):
 
 
 def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
-    # eps = 0.1 keeps about 50 leaf cells, eps = 2 none.  Capped at 100 live
-    # cells, eps = 0.1's tree stops at the first level that passes the cap
-    # (about 200 cells reach the residual, not 5,000), while eps = 2 in the
-    # same scan builds its whole tree
+    # eps = 0.01's tree evaluates about 5,700 cells before a box around its
+    # live cells proves one root, eps = 2's keeps no cells.  Capped at 100
+    # live cells, eps = 0.01's tree stops at the first level that passes the
+    # cap (about 230 cells reach the residual), while eps = 2 in the same
+    # scan builds its whole tree
     residual, quadtree = analytic._residual, analytic._quadtree_leaves
     counts, current = {}, []
 
@@ -614,7 +793,7 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
 
     monkeypatch.setattr(analytic, "_residual", counted_residual)
     monkeypatch.setattr(analytic, "_quadtree_leaves", tracked_quadtree)
-    models = [UniformModel(0.1), UniformModel(2.0)]
+    models = [UniformModel(0.01), UniformModel(2.0)]
     assert scan_stationary_points(models)[0].shape == (1, 2)
     uncapped = dict(counts)
     counts.clear()
@@ -622,7 +801,7 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
     found = scan_stationary_points(models)
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
-    assert counts[0.1] < uncapped[0.1] / 10
+    assert counts[0.01] < uncapped[0.01] / 10
     assert counts[2.0] == uncapped[2.0] > 0
     assert _same_bits(found[1], scan_stationary_points(models[1:])[0])
 

@@ -440,6 +440,26 @@ def test_certify_reference_epsilon_sets(tmp_path, epsilons):
         assert np.max(np.abs(np.array(entry["points"][0]) - [w1, 0.0])) <= 1e-13
 
 
+@pytest.mark.parametrize("epsilons", REFERENCE_EPSILON_SETS)
+def test_certify_reference_epsilon_sets_prove_one_root_about_the_closed_form(tmp_path, epsilons):
+    # every eps of the sets proves that F has exactly one stationary point:
+    # a box test passes (Krawczyk's, or strong monotonicity at eps = 1/2's
+    # kink), and the closed-form point lies in the proved box; or no cell
+    # survives, and the lemma's disk point is the closed form.  Near
+    # 1/sqrt(2) the box holds the disk point and the cells beside it
+    result = _certify(tmp_path, "--epsilons", epsilons)
+    for entry in result["per_epsilon"]:
+        eps = entry["epsilon"]
+        certificate = analytic._certify(eps)
+        assert entry["unique_root"] is certificate.unique_root is True
+        w1 = analytic.closed_form_minimizer(eps)[0]
+        if certificate.box is None:
+            assert analytic._disk_ball(eps) is not None and w1 == 0.5 / eps
+        else:
+            (lo1, lo2), (hi1, hi2) = certificate.box
+            assert lo1 <= w1 <= hi1 and lo2 <= 0.0 <= hi2
+
+
 def test_certify_no_longer_takes_grid(tmp_path):
     # the quadtree's one root cell is fitted to the outer radii, so there is
     # no root tiling and no box to set
