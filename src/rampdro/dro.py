@@ -27,7 +27,13 @@ grows on demand, one band of distances at a time, and a query sorts only
 the lower tail it reads.  Every prefix is the full profile's first entries,
 bit for bit, and a query stops growing it only when no breakpoint beyond
 can change its answer, rounding included (see ``_DistanceProfile``).  So
-every answer is the full profile's, bit for bit.
+every answer is the full profile's, bit for bit.  When every weight is the
+same float, as the generators, the corruptions and a CSV without a weight
+column make them, the order inside a run of tied distances cannot change any
+prefix sum, so a band is sorted by value alone; other weights take an
+argsort that puts each tie run back in input order.  The queries read the
+prefix sums in place and mask the rare tied positions, and the dual's
+per-breakpoint quotient is formed once per band.
 
 The plane-level queries (``worst_case_prob_dual``, ``worst_case_prob_knapsack``,
 ``cvar_distance``, ``check_chance_cvar``) keep one slot: the last distance
@@ -37,7 +43,9 @@ hyperplane, or both sides of ``check_chance_cvar``, forms the n x d product
 once and sorts each distance at most once.  The queries still pass that
 vector through the ``*_from_distances`` kernels, which find the slot's
 profile by identity; any other input to a kernel is validated and profiled
-afresh.
+afresh.  The slot trusts the Dataset's own checks of its weights, and keeps
+their sum and whether they are all equal for every plane of that Dataset;
+it still rejects a NaN distance, which an overflowing X @ w can give.
 
 Points at infinite distance (w = 0 with y*b > 0) contribute nothing to the
 dual sum and are untouchable by the knapsack; the CVaR enumeration likewise
@@ -112,21 +120,35 @@ class _DistanceProfile:
     term or another zero.  (Weights of -0.0 are the one exception: a sum of
     them alone may read +0.0 where the stable order's reads -0.0.)
 
-    ``lower[k]`` is the first index tied with ``d[k]``: prefix sums there
-    cover d_i < d_k only, and ties at d_k add exactly zero to phi(1/d_k) and
-    to g(d_k).
-
     Points are ordered as a stable sort orders them: by distance, ties in
-    input order.  That fixes the summation order of every prefix sum.
+    input order.  That fixes the summation order of every prefix sum.  When
+    every weight is the same positive float c, every term is (c, d_i), so
+    the order inside a run of equal distances cannot change any sum: a band
+    then sorts its values alone, and the zeros' base is z copies of c summed
+    left to right.  Weights that differ anywhere take an argsort whose tie
+    runs are put back in input order.
+
+    Ties: the breakpoint at d_k reads the prefix sums at ``lower[k]``, the
+    first index tied with d_k, which cover d_i < d_k only; ties at d_k add
+    exactly zero to phi(1/d_k) and to g(d_k).  Most points start their own
+    run, so the profile keeps only ``_ties``, the positions tied with the
+    point before them, and the dual and the CVaR read ``cum_p[:-1]`` and
+    ``cum_pd[:-1]`` in place.  There a tied position's sums stop inside its
+    run, so its phi and g are masked: its true ones are its run start's, bit
+    for bit (same d, same lower index), and the run start stays.  So the
+    minimum, the distance at its last argmin and the maximum do not move.
+    The dual's term ``cum_pd[k] / d_k`` changes only when the profile grows,
+    so each band stores it in ``_q``.
 
     The profile is built lazily.  It holds every positive distance d <=
-    ``cut``, and no other: so ``d``, ``cum_p``, ``cum_pd`` and ``lower`` are
-    always the first ``size`` entries of the full profile's, bit for bit,
-    and a tie run is never split.  A query that needs more appends the next
-    band, every point left with d <= the next cut, sorted alone and summed
-    on from the previous totals (``cumsum`` adds left to right).  The cuts come from a strided sample's estimated
-    cost and mass; each band at least doubles the sample rank of the one
-    before.  Once ``complete``, the prefix is the full profile.
+    ``cut``, and no other: so ``d``, ``cum_p`` and ``cum_pd`` are always the
+    first ``size`` entries of the full profile's, bit for bit, ``_ties`` its
+    tie positions below ``size``, and a tie run is never split.  A query
+    that needs more appends the next band, every point left with d <= the
+    next cut, sorted alone and summed on from the previous totals
+    (``cumsum`` adds left to right).  The cuts come from a strided sample's
+    estimated cost and mass; each band at least doubles the sample rank of
+    the one before.  Once ``complete``, the prefix is the full profile.
 
     A query stops growing when no point beyond ``cut`` can change its
     answer.  The knapsack reads only the prefix up to the first cost above
@@ -146,41 +168,52 @@ class _DistanceProfile:
     computed prefix sum of nonnegative terms, is off its exact value by at
     most gamma = (N+4)u / (1 - (N+4)u) times the sum of its terms'
     magnitudes (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2002, sec. 3.1 and 4.2).  Beyond the cut those magnitudes
-    are below epsilon/cut + 2M for phi and d (1 + 2M/rho) for g, with M the
-    finite mass.  The latter grows with d, so the CVaR also needs P/rho - 1
-    above gamma (1 + 3M/rho) for its bound to keep falling.  The margins of
-    ``_dual_floor`` and ``_cvar_ceiling`` take ``_tol`` = 8(N+4)u, at least
-    four times gamma, times those magnitudes and the bound's own terms: room
-    for the beyond-prefix error, for the bound's error from the rounded P
-    and C, and for the rounding of the bound itself.  So when a query stops,
-    every computed phi beyond the prefix lies strictly above the prefix
-    minimum (the last argmin stays put), and every computed g strictly below
-    the prefix maximum.  The margins need nonnegative weights, which
-    ``_build`` requires, and sums that cannot overflow; otherwise ``_mass``
-    is inf and every query grows the profile whole.  A bound that is not
-    finite also grows it.
+    2002, sec. 3.1 and 4.2).  Beyond the cut those magnitudes are below
+    epsilon/cut + 2M for phi and d (1 + 2M/rho) for g, with M the sum of all
+    the weights, which bounds the finite mass.  The latter grows with d, so
+    the CVaR also needs P/rho - 1 above gamma (1 + 3M/rho) for its bound to
+    keep falling.  The margins of ``_dual_floor`` and ``_cvar_ceiling`` take
+    ``_tol`` = 8(N+4)u, at least four times gamma, times those magnitudes
+    and the bound's own terms: room for the beyond-prefix error, for the
+    bound's error from the rounded P and C, and for the rounding of the
+    bound itself.  So when a query stops, every computed phi beyond the
+    prefix lies strictly above the prefix minimum (the last argmin stays
+    put), and every computed g strictly below the prefix maximum.  The
+    margins need nonnegative weights, which ``_build`` and the Dataset
+    require, and sums that cannot overflow; otherwise ``_mass`` is inf and
+    every query grows the profile whole.  A bound that is not finite also
+    grows it.
     """
 
-    def __init__(self, d: np.ndarray, p: np.ndarray):
-        # d and p are validated 1-D float arrays of one shape
-        finite = np.isfinite(d)
-        if not finite.all():
+    def __init__(self, d: np.ndarray, p: np.ndarray, mass: float, weight: float | None):
+        # d and p are 1-D float arrays of one shape: d is nonnegative but for
+        # a nan, which is rejected here; p is nonnegative with the finite sum
+        # mass, and weight is the positive value every p_i takes, or None
+        top = float(d.max(initial=0.0))  # nan if any d_i is
+        if not top < math.inf:
+            if math.isnan(top):
+                raise _negative_distance(d)
+            finite = np.isfinite(d)
             d, p = d[finite], p[finite]
+            top = float(d.max(initial=0.0))
         n = d.size
         self._source = d, p  # the bands are drawn from these, in input order
-        base = np.cumsum(p[np.flatnonzero(d == 0.0)])  # the zeros, left to right
+        self._weight = weight
+        if weight is None:
+            base = np.cumsum(p[d == 0.0])  # the zeros' weights, left to right
+        else:
+            base = np.cumsum(np.full(np.count_nonzero(d == 0.0), weight))
         m = n - base.size  # the positive distances
         self._d = np.empty(m)
         self._cum_p = np.empty(m + 1)
         self._cum_pd = np.empty(m + 1)
-        self._lower = np.empty(m, dtype=np.intp)
+        self._q = np.empty(m)  # cum_pd[k] / d_k
+        self._ties = np.empty(0, dtype=np.intp)
         self._cum_p[0] = base[-1] if base.size else 0.0
         self._cum_pd[0] = 0.0
         self.size, self.cut, self._rank, self._sample = 0, 0.0, -1, None
-        self._top = float(d.max(initial=0.0))  # the largest finite distance
-        mass = float(p.sum())
-        self._mass = mass if mass * self._top < 2.0**1000 else math.inf
+        self._top = top  # the largest finite distance
+        self._mass = mass if mass * top < 2.0**1000 else math.inf
         self._tol = 8.0 * (n + 4) * 2.0**-53
         self._views()
 
@@ -189,7 +222,13 @@ class _DistanceProfile:
         self.d = self._d[:k]
         self.cum_p = self._cum_p[:k + 1]
         self.cum_pd = self._cum_pd[:k + 1]
-        self.lower = self._lower[:k]
+
+    @property
+    def lower(self) -> np.ndarray:
+        """For each sorted point, the first index tied with it."""
+        lower = np.arange(self.size, dtype=np.intp)
+        lower[self._ties] = 0
+        return np.maximum.accumulate(lower)
 
     @property
     def complete(self) -> bool:
@@ -217,7 +256,7 @@ class _DistanceProfile:
         band &= d > self.cut  # the zeros, and every earlier band, lie at or below
         at = np.flatnonzero(band)
         del band
-        self._append(d[at], p[at])
+        self._append(d[at], None if self._weight else p[at])
         self._rank, self.cut = rank, cut
 
     def _draw_sample(self):
@@ -231,45 +270,53 @@ class _DistanceProfile:
         scale = self._d.size / max(1, d.size)
         return d, np.cumsum(p * d) * scale, np.cumsum(p) * scale
 
-    def _append(self, d: np.ndarray, p: np.ndarray) -> None:
-        """Sort one band (d, p in input order) onto the end of the prefix."""
+    def _append(self, d: np.ndarray, p: np.ndarray | None) -> None:
+        """Sort one band (d, and p unless the weights are equal, in input order) onto the prefix."""
         k, b = self.size, d.size
         if not b:
             return
         end = k + b
-        # the default argsort is SIMD and several times faster than a stable
-        # one, but orders ties arbitrarily; each run of ties is put back in
-        # input order below, sorting only the tied points by (run, index)
-        rank = np.argsort(d)
         sorted_d = self._d[k:end]
-        np.take(d, rank, out=sorted_d)
-        starts = np.ones(b + 1, dtype=bool)  # run starts, plus an end sentinel
-        np.not_equal(sorted_d[1:], sorted_d[:-1], out=starts[1:-1])
-        tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
-        lower = self._lower[k:end]
-        lower[:] = np.arange(k, end)
-        if tied.size:
-            key = np.cumsum(starts[tied], dtype=np.int64)
-            key *= b
-            key += rank[tied]
-            key.sort()
-            key %= b
-            rank[tied] = key
-            del key
-            # each point's run start, carried forward over its ties
-            lower *= starts[:b]
-            np.maximum.accumulate(lower, out=lower)
-        del tied, starts
+        if p is None:
+            sorted_d[:] = np.sort(d)  # equal weights: the value order sums as the stable order does
+        else:
+            # the default argsort is SIMD and several times faster than a
+            # stable one, but orders ties arbitrarily; each run of ties is
+            # put back in input order below
+            rank = np.argsort(d)
+            np.take(d, rank, out=sorted_d)
+        same = sorted_d[1:] == sorted_d[:-1]  # entry j + 1 ties with entry j
+        ties = np.flatnonzero(same)
+        if ties.size:
+            if p is not None:
+                # sort only the tied points, by (run, input index)
+                starts = np.ones(b + 1, dtype=bool)  # run starts, plus an end sentinel
+                np.logical_not(same, out=starts[1:-1])
+                tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+                key = np.cumsum(starts[tied], dtype=np.int64)
+                key *= b
+                key += rank[tied]
+                key.sort()
+                key %= b
+                rank[tied] = key
+                del key, tied, starts
+            ties += k + 1
+            self._ties = np.concatenate((self._ties, ties))
+        del same, ties
 
-        p = p[rank]
-        del rank
-        pd = self._cum_pd[k + 1:end + 1]
-        np.multiply(p, sorted_d, out=pd)
+        cp, pd = self._cum_p[k + 1:end + 1], self._cum_pd[k + 1:end + 1]
+        if p is None:
+            cp.fill(self._weight)
+        else:
+            np.take(p, rank, out=cp)
+        np.multiply(cp, sorted_d, out=pd)
         # continue both sums bit for bit: cumsum adds total + next
-        p[0] = self._cum_p[k] + p[0]
+        cp[0] = self._cum_p[k] + cp[0]
         pd[0] = self._cum_pd[k] + pd[0]
-        np.cumsum(p, out=self._cum_p[k + 1:end + 1])
+        np.cumsum(cp, out=cp)
         np.cumsum(pd, out=pd)
+        with np.errstate(over="ignore"):  # only near the float limit, where inf is the rounded quotient
+            np.divide(self._cum_pd[k:end], sorted_d, out=self._q[k:end])
         self.size = end
         self._views()
 
@@ -286,11 +333,14 @@ class _DistanceProfile:
         if not self.size:
             return WorstCaseResult(min(1.0, float(self.cum_p[0])), 0.0)
         while True:
-            d, lo = self.d, self.lower
+            d = self.d
             # phi(1/d_k), dividing by d_k: 1/d_k overflows for subnormal d_k,
             # and inf * 0 would be nan where epsilon / d_k is a correct +inf
             with np.errstate(over="ignore"):
-                phi = epsilon / d + self.cum_p[lo] - self.cum_pd[lo] / d
+                phi = epsilon / d
+            phi += self.cum_p[:-1]
+            phi -= self._q[:d.size]
+            phi[self._ties] = math.inf  # each tie's phi is its run start's
             # t = 1/d_k is descending, so the smallest minimizing t is the last argmin
             best = phi.size - 1 - int(np.argmin(phi[::-1]))
             if self.complete or phi[best] < self._dual_floor(float(epsilon)):
@@ -346,8 +396,12 @@ class _DistanceProfile:
     def _cvar_breakpoints(self, rho: float) -> float:
         # g(t) = t + (1/rho) * sum_{d_i < t} p_i (d_i - t), at t = each positive
         # breakpoint; the t -> 0+ limit contributes the baseline 0
-        t_vals, lo = self.d, self.lower
-        g = t_vals + (self.cum_pd[lo] - t_vals * self.cum_p[lo]) / rho
+        t = self.d
+        g = t * self.cum_p[:-1]
+        np.subtract(self.cum_pd[:-1], g, out=g)
+        g /= rho
+        g += t
+        g[self._ties] = -math.inf  # each tie's g is its run start's
         return float(g.max(initial=0.0))
 
     def _cvar_ceiling(self, rho: float) -> float:
@@ -362,22 +416,34 @@ class _DistanceProfile:
         return cost - c * excess + self._tol * (cost + c * scale)
 
 
+def _negative_distance(d: np.ndarray) -> ValueError:
+    at = int(np.flatnonzero(~(d >= 0.0))[0])
+    return ValueError(f"distances must be nonnegative, got {float(d[at])} at index {at}")
+
+
+def _common_weight(p: np.ndarray) -> float | None:
+    """The value every weight takes, if it is positive; else None."""
+    c = float(p[0]) if p.size else 0.0
+    return c if c > 0.0 and (p == c).all() else None
+
+
 def _build(dists, weights) -> _DistanceProfile:
     d = np.asarray(dists, dtype=float).ravel()
     p = np.asarray(weights, dtype=float).ravel()
     if d.shape != p.shape:
         raise ValueError(f"distances and weights must have matching shapes, got {d.shape} and {p.shape}")
     if not (d >= 0.0).all():
-        at = int(np.flatnonzero(~(d >= 0.0))[0])
-        raise ValueError(f"distances must be nonnegative, got {float(d[at])} at index {at}")
+        raise _negative_distance(d)
     with np.errstate(over="ignore"):  # an overflowed sum is rejected here
-        if not ((p >= 0.0).all() and p.sum() < math.inf):
-            raise ValueError(f"weights must be nonnegative with a finite sum, got {p.min()} to {p.max()}")
-    return _DistanceProfile(d, p)
+        mass = float(p.sum())
+    if not ((p >= 0.0).all() and mass < math.inf):
+        raise ValueError(f"weights must be nonnegative with a finite sum, got {p.min()} to {p.max()}")
+    return _DistanceProfile(d, p, mass, _common_weight(p))
 
 
 class _PlaneMemo(NamedTuple):
     dataset: weakref.ref
+    weights: tuple  # the Dataset's weight sum and _common_weight, for every plane
     plane: bytes  # the bits of (w, b)
     dists: np.ndarray  # read-only, and never handed to a caller
     profile: _DistanceProfile
@@ -409,20 +475,26 @@ def _plane_distances(ds, h: Hyperplane) -> np.ndarray:
     reference to the Dataset and on the bits of (w, b).  A Dataset owns its
     arrays, so no caller can change them under the key; the weak reference
     never keeps a dataset alive, and a collected one never matches, even
-    when its ``id`` is reused.  Other dataset types are not memoized.
+    when its ``id`` is reused.  Other dataset types are not memoized.  A
+    Dataset's weights are already validated, so the slot profiles them
+    unchecked, with their sum and common value carried from plane to plane.
     """
     global _last_plane
     if not isinstance(ds, Dataset):
         return distances(h, ds)
     plane = np.append(h.w, h.b).tobytes()
     last = _last_plane
-    if last is not None and last.dataset() is ds and last.plane == plane:
-        return last.dists
+    if last is not None and last.dataset() is ds:
+        if last.plane == plane:
+            return last.dists
+        weights = last.weights
+    else:
+        weights = float(ds.weights.sum()), _common_weight(ds.weights)
     # free the old pair first, so that two are never alive at once
     _last_plane = last = None
     dists = distances(h, ds)
     dists.setflags(write=False)
-    _last_plane = _PlaneMemo(weakref.ref(ds), plane, dists, _build(dists, ds.weights))
+    _last_plane = _PlaneMemo(weakref.ref(ds), weights, plane, dists, _DistanceProfile(dists, ds.weights, *weights))
     return dists
 
 

@@ -65,6 +65,17 @@ MONOTONE = (
 # when no unseen distance can change the answer
 DRO = "src/rampdro/dro.py"
 MARGINS = ("tests/test_dro.py::test_stop_bounds_lie_beyond_their_unmargined_values_by_the_tol_terms",)
+# the profile's two sort paths and its tie masks: a value sort is the
+# stable order only when every weight is equal, and a tied position's phi
+# and g, read from sums that stop inside its run, round off its run start's
+EQUAL = (
+    "tests/test_dro.py::test_profile_matches_stable_sort_bitwise",
+    "tests/test_dro.py::test_grown_profile_answers_match_stable_sort_bitwise",
+)
+TIES = (
+    "tests/test_dro.py::test_grown_profile_answers_match_stable_sort_bitwise",
+    "tests/test_dro.py::test_breakpoints_one_ulp_beyond_the_cut_keep_their_answers",
+)
 MUTANTS = [
     Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
     Mutant(
@@ -112,6 +123,9 @@ MUTANTS = [
         "CVaR ceiling without its margin", DRO,
         "return cost - c * excess + self._tol * (cost + c * scale)", "return cost - c * excess", MARGINS,
     ),
+    Mutant("equal-weights test blind to the last weight", DRO, "(p == c).all()", "(p[:-1] == c).all()", EQUAL),
+    Mutant("tie mask dropped from the dual", DRO, "phi[self._ties] = math.inf", "pass", TIES),
+    Mutant("tie mask dropped from the CVaR", DRO, "g[self._ties] = -math.inf", "pass", TIES),
     # the loss band: outside 36 sigma of a kink the exact kernels are within
     # e^-36 of their asymptotes, and a narrower band is not
     Mutant(

@@ -162,12 +162,38 @@ _DISTANCE = st.one_of(
 )
 
 
+# weights as drawn; all equal, which sorts each band by value alone; or all
+# equal but one, a ulp above or below, which must take the argsort path
+_WEIGHT_KINDS = ["drawn", "equal", "one ulp off"]
+
+
+def _weights_of_kind(p, kind, off, up):
+    """p itself, or n copies of p's mean, with the one at index ``off`` a ulp up or down for "one ulp off"."""
+    if kind == "drawn" or not p.size:
+        return p
+    q = np.full(p.size, p.mean())
+    if kind == "one ulp off" and p.size > 1:
+        q[off] = np.nextafter(q[off], math.inf if up else 0.0)
+    return q
+
+
+@st.composite
+def _weight_kind(draw, n):
+    """(kind, index, up) for ``_weights_of_kind``; the index is the first, the last or any other."""
+    off = draw(st.sampled_from([0, n - 1, draw(st.integers(0, max(0, n - 1)))]))
+    return draw(st.sampled_from(_WEIGHT_KINDS)), off, draw(st.booleans())
+
+
+def _all_equal(p):
+    return p.size > 0 and p[0] > 0.0 and bool(np.all(p == p[0]))
+
+
 @st.composite
 def _oracle_instance(draw):
     n = draw(st.integers(1, 12))
     d = np.array(draw(st.lists(_DISTANCE, min_size=n, max_size=n)))
     w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    return d, w / w.sum()
+    return d, _weights_of_kind(w / w.sum(), *draw(_weight_kind(n)))
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -219,7 +245,7 @@ def _profile_input(draw):
         d = draw(arrays(np.float64, n, elements=_PROFILE_DISTANCE))
         p = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
         perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
-        return d, p, perm
+        return d, _weights_of_kind(p, *draw(_weight_kind(n))), perm
     # long inputs, so that the SIMD argsort runs its partitioning paths:
     # a run of zeros (both signs) of half or more, the pool's ties, inf and
     # subnormals, and arbitrary positive distances
@@ -229,7 +255,7 @@ def _profile_input(draw):
     d = np.where(rng.random(n) < 0.5, rng.choice(_PROFILE_POOL, n), rng.uniform(0.0, 5.0, n))
     zero = rng.random(n) < zero_share
     d[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
-    return d, rng.uniform(0.05, 1.0, n), rng.permutation(n)
+    return d, _weights_of_kind(rng.uniform(0.05, 1.0, n), *draw(_weight_kind(n))), rng.permutation(n)
 
 
 def _assert_is_stable_prefix(profile, ref):
@@ -250,6 +276,7 @@ def _assert_is_stable_prefix(profile, ref):
 
 def _assert_profile_is_stable_sort(d, p):
     profile = dro._profile(d, p)
+    assert (profile._weight is not None) == _all_equal(p)  # the value sort only for equal weights
     ref = stable_distance_profile(d, p)
     # a prefix grown to a mid-range cost is the full profile's first entries
     profile.cover(0.5 * float(ref["cum_pd"][-1]))
@@ -326,6 +353,7 @@ def _tail_queries(draw):
     p = rng.uniform(0.05, 1.0, n)
     if draw(st.booleans()):
         p /= p.sum()
+    p = _weights_of_kind(p, *draw(_weight_kind(n)))
     ref = stable_distance_profile(d, p)
     total_cost, finite_mass = float(ref["cum_pd"][-1]), float(ref["cum_p"][-1])
     queries = []
@@ -395,6 +423,7 @@ def test_grown_profile_answers_match_stable_sort_bitwise(instance):
     d, p, queries = instance
     ref = stable_distance_profile(d, p)
     profile = dro._build(d, p)
+    assert (profile._weight is not None) == _all_equal(p)
     ds, h = SimpleNamespace(weights=p), Hyperplane([1.0], 0.0)
     with pytest.MonkeyPatch.context() as m:
         # every plane-level query, check_chance_cvar included, reads it
@@ -518,9 +547,9 @@ def test_single_check_sorts_only_the_tail(monkeypatch):
         return distances(h, ds)
 
     class CountedProfile(dro._DistanceProfile):
-        def __init__(self, d, p):
+        def __init__(self, d, *args):
             builds.append(d)
-            super().__init__(d, p)
+            super().__init__(d, *args)
 
     monkeypatch.setattr(dro, "np", counter)
     monkeypatch.setattr(dro, "distances", counted)
@@ -534,7 +563,9 @@ def test_single_check_sorts_only_the_tail(monkeypatch):
         counter.sorted = 0
         verdict = check_chance_cvar(ds, h, 0.05, 0.3)
         d = distances(h, ds)
-        assert counter.sorted < np.count_nonzero(d > 0.0) / 2
+        # every distance in the prefix went through a sort the counter sees
+        # (a sort made by an array's own method would go uncounted)
+        assert 0 < dro._last_plane.profile.size <= counter.sorted < np.count_nonzero(d > 0.0) / 2
         ref = stable_distance_profile(d, ds.weights)
         assert verdict == _stable_answer("chance", ref, 0.05, 0.3)
         # one distance vector and one profile object per plane
@@ -719,7 +750,7 @@ def _query(op, ds, h, epsilon, rho):
 
 def _fresh_answer(op, ds, h, epsilon, rho):
     # built directly, so the memo slot takes no part
-    profile = dro._DistanceProfile(distances(h, ds), np.asarray(ds.weights, dtype=float))
+    profile = dro._build(distances(h, ds), ds.weights)
     if op == "dual":
         result = profile.dual(epsilon)
         return result.value, result.t_star
@@ -825,9 +856,9 @@ def test_plane_queries_form_distances_once_per_plane(monkeypatch):
         return distances(h, ds)
 
     class CountedProfile(dro._DistanceProfile):
-        def __init__(self, d, p):
+        def __init__(self, d, *args):
             builds.append(d)
-            super().__init__(d, p)
+            super().__init__(d, *args)
 
     monkeypatch.setattr(dro, "distances", counted)
     monkeypatch.setattr(dro, "_DistanceProfile", CountedProfile)
@@ -863,6 +894,50 @@ def test_plane_queries_form_distances_once_per_plane(monkeypatch):
     # an equal-bits copy of the dataset is another key
     worst_case_prob_dual(Dataset(ds.points, ds.labels, ds.weights), single, 0.1)
     assert (len(calls), len(builds)) == (3, 9)
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_plane_queries_reject_a_nan_distance_every_time(equal):
+    # on w's power-of-two scale the third row's product overflows to +inf
+    # and b to -inf, so its margin, and its distance, is nan; the second
+    # row's distance is inf
+    points = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0], [1.5e308, 1.5e308, 1.5e308], [0.0, 0.0, 0.0]])
+    weights = np.full(4, 0.25) if equal else np.array([0.1, 0.2, 0.3, 0.4])
+    ds = Dataset(points, np.array([1.0, -1.0, 1.0, 1.0]), weights)
+    h = Hyperplane(np.full(3, 1e-300), -1e10)
+    message = "distances must be nonnegative, got nan at index 2"
+    with _memo_cleared(), np.errstate(over="ignore", invalid="ignore"):
+        d = distances(h, ds)
+        assert np.isnan(d).tolist() == [False, False, True, False] and d[1] == math.inf
+        for _ in range(2):  # never served from the slot
+            for query in (lambda: worst_case_prob_dual(ds, h, 0.1), lambda: check_chance_cvar(ds, h, 0.1, 0.3)):
+                with pytest.raises(ValueError) as err:
+                    query()
+                assert str(err.value) == message
+                assert dro._last_plane is None
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_plane_queries_on_a_zero_normal_match_the_stable_profile(equal):
+    # w = 0: each point lies at distance 0 (y b <= 0) or inf, so the slot's
+    # profile drops the infinite distances and holds only the base mass
+    rng = np.random.default_rng(29)
+    n = 40
+    weights = np.full(n, 1.0 / n) if equal else rng.uniform(0.05, 1.0, n)
+    ds = Dataset(rng.standard_normal((n, 2)), rng.choice([-1.0, 1.0], n), weights / weights.sum())
+    with _memo_cleared():
+        for b in (1.0, -0.5, 0.0):
+            h = Hyperplane(np.zeros(2), b)
+            d = distances(h, ds)
+            ref = stable_distance_profile(d, ds.weights)
+            for op in ("dual", "knapsack", "cvar", "chance"):
+                for eps, rho in ((0.05, 0.3), (2.0, 0.7), (0.0, 0.5)):
+                    if op == "chance" and eps == 0.0:
+                        continue
+                    assert _same_answer(_query(op, ds, h, eps, rho), _stable_answer(op, ref, eps, rho))
+            mass = min(1.0, float(np.cumsum(ds.weights[d == 0.0])[-1])) if (d == 0.0).any() else 0.0
+            assert astuple(worst_case_prob_dual(ds, h, 0.05)) == (mass, 0.0)
+            assert dro._last_plane.profile.size == 0 and dro._last_plane.profile.complete
 
 
 def test_worst_case_monotone_in_epsilon():
