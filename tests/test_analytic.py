@@ -208,6 +208,14 @@ def test_origin_derivative_rejects_degenerate_direction(direction):
         origin_directional_derivative(direction)
 
 
+@pytest.mark.parametrize("direction,size", [((1.0, 2.0, 3.0), 3), ((1.0,), 1), ([[1.0, 0.0, 0.0]], 3), ((), 0)])
+def test_origin_derivative_requires_two_entries(direction, size):
+    # three entries raised numpy's "cannot reshape array of size 3"
+    with pytest.raises(ValueError, match=rf"^direction must have 2 entries, got {size}$"):
+        origin_directional_derivative(direction)
+    assert origin_directional_derivative([[1.0, 0.0]]) == origin_directional_derivative((1.0, 0.0))
+
+
 def _moment(w1, w2):
     # the band moment m(w), read from the eps = 0 residual -m/2
     r1, r2 = analytic._residual(0.0, w1, w2)
@@ -675,26 +683,29 @@ def test_scan_finds_small_disk_roots():
 
 
 def test_disk_root_merges_with_annulus_cluster(monkeypatch):
-    # at eps = 1/sqrt(2) the minimizer lies on the inner disk's edge: leaf
-    # cells survive around it and the disk point's disk touches them, so
-    # the two make one cluster, one seed and one point
-    leaves, seeds = [], []
-    quadtree, refine = analytic._quadtree_leaves, analytic.refine_candidate
+    # at eps = 1/sqrt(2) the minimizer lies on the inner disk's edge: cells
+    # survive around it, so the proved box is wider than the disk point's
+    # own box and holds the disk point, which is the one seed and the point
+    boxes, seeds = [], []
+    tree, refine = analytic._proved_box, analytic.refine_candidate
 
-    def recording_quadtree(*args):
-        leaves.append(quadtree(*args))
-        return leaves[-1]
+    def recording_tree(*args):
+        boxes.append(tree(*args))
+        return boxes[-1]
 
     def recording_refine(epsilon, points):
         seeds.append(np.asarray(points))
         return refine(epsilon, points)
 
-    monkeypatch.setattr(analytic, "_quadtree_leaves", recording_quadtree)
+    monkeypatch.setattr(analytic, "_proved_box", recording_tree)
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
     eps = math.sqrt(0.5)
     (pts,) = scan_stationary_points([UniformModel(eps)])
-    assert len(leaves) == 1 and leaves[0][0].size > 0
-    assert len(seeds) == 1 and seeds[0].shape == (1, 2)
+    assert len(boxes) == 1
+    (lo1, lo2), (hi1, hi2) = boxes[0]
+    assert lo1 <= 0.5 / eps <= hi1 and lo2 <= 0.0 <= hi2
+    assert hi1 - lo1 > 2.0 * math.ulp(0.5 / eps)
+    assert len(seeds) == 1 and seeds[0].tolist() == [[0.5 / eps, 0.0]]
     assert pts.shape == (1, 2)
     assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
 
@@ -720,8 +731,8 @@ def test_disk_point_is_certified_at_the_largest_epsilon_and_the_disk_edge():
 
 
 def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
-    # a root found outside the cluster's cells is not the cluster's root, so
-    # the certificate does not close; eps = 2 has its cluster in the disk
+    # a point refined outside the proved box is not the box's root, so the
+    # certificate does not close; eps = 2's box is the disk point's
     refine = analytic.refine_candidate
 
     def stray_refine(epsilon, seeds):
@@ -736,7 +747,7 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
 
 def test_scan_refines_each_epsilon_once_with_its_own_seeds(monkeypatch):
     # on the default five eps, each eps makes one refine_candidate call with
-    # a float eps and one seed, its own cluster's, within 1e-6 of its root
+    # a float eps and one seed, from its own proved box, within 1e-6 of its root
     calls, refine = [], analytic.refine_candidate
 
     def recording_refine(epsilon, seeds):
@@ -756,15 +767,15 @@ def test_scan_refines_each_epsilon_once_with_its_own_seeds(monkeypatch):
 
 def test_epsilon_without_a_cluster_finds_no_point(monkeypatch):
     # eps = 0.1 has no disk point (1/(2 eps) = 5 lies outside the inner
-    # disk), so a tree with no leaves leaves it no cluster and no point; eps
-    # = 2 in the same scan is unaffected
-    quadtree = analytic._quadtree_leaves
+    # disk), so a tree whose every cell is excluded proves no box and gives
+    # no point; eps = 2 in the same scan is unaffected
+    bound = analytic._exclusion_bound
 
-    def leafless_quadtree(eps):
-        i, j, h = quadtree(eps)
-        return (i[:0], j[:0], h) if eps == 0.1 else (i, j, h)
+    def leafless_bound(eps, r_min, h):
+        return -1.0 if eps == 0.1 else bound(eps, r_min, h)
 
-    monkeypatch.setattr(analytic, "_quadtree_leaves", leafless_quadtree)
+    monkeypatch.setattr(analytic, "_exclusion_bound", leafless_bound)
+    assert analytic._proved_box(0.1) is None
     found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)])
     assert found[0].shape == (0, 2)
     assert found[1].shape == (1, 2)
@@ -776,7 +787,7 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
     # live cells, eps = 0.01's tree stops at the first level that passes the
     # cap (about 230 cells reach the residual), while eps = 2 in the same
     # scan builds its whole tree
-    residual, quadtree = analytic._residual, analytic._quadtree_leaves
+    residual, tree = analytic._residual, analytic._proved_box
     counts, current = {}, []
 
     def counted_residual(epsilon, w1, w2):
@@ -784,15 +795,15 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
             counts[current[-1]] = counts.get(current[-1], 0) + np.size(w1)
         return residual(epsilon, w1, w2)
 
-    def tracked_quadtree(eps):
+    def tracked_tree(eps):
         current.append(eps)
         try:
-            return quadtree(eps)
+            return tree(eps)
         finally:
             current.pop()
 
     monkeypatch.setattr(analytic, "_residual", counted_residual)
-    monkeypatch.setattr(analytic, "_quadtree_leaves", tracked_quadtree)
+    monkeypatch.setattr(analytic, "_proved_box", tracked_tree)
     models = [UniformModel(0.01), UniformModel(2.0)]
     assert scan_stationary_points(models)[0].shape == (1, 2)
     uncapped = dict(counts)
@@ -804,6 +815,32 @@ def test_live_cell_cap_gives_up_only_that_epsilon(monkeypatch):
     assert counts[0.01] < uncapped[0.01] / 10
     assert counts[2.0] == uncapped[2.0] > 0
     assert _same_bits(found[1], scan_stationary_points(models[1:])[0])
+
+
+def test_tree_tests_only_boxes_that_hold_the_disk_point(monkeypatch):
+    # at eps = 0.8 the disk point (0.625, 0) is the one root, and cells
+    # beside it live for a few levels, at one of which the box around them
+    # leaves the point out.  A box test passed there would prove a second
+    # root, so the tree does not ask for one
+    eps = 0.8
+    disk = analytic._disk_box(eps)
+    formed, asked = [], []
+    cell_box, one_root = analytic._cell_box, analytic._one_root
+
+    def recording_cell_box(*args):
+        formed.append(cell_box(*args))
+        return formed[-1]
+
+    def recording_one_root(epsilon, lo, hi):
+        asked.append((lo, hi))
+        return one_root(epsilon, lo, hi)
+
+    monkeypatch.setattr(analytic, "_cell_box", recording_cell_box)
+    monkeypatch.setattr(analytic, "_one_root", recording_one_root)
+    (pts,) = scan_stationary_points([UniformModel(eps)])
+    assert pts.tolist() == [[0.625, 0.0]]
+    assert not all(analytic._holds(box, disk) for box in formed)
+    assert asked and all(analytic._holds(box, disk) for box in asked)
 
 
 def test_scan_rejects_epsilon_too_small_for_leaf_lattice():

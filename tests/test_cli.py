@@ -450,14 +450,26 @@ def test_certify_reference_epsilon_sets_prove_one_root_about_the_closed_form(tmp
     result = _certify(tmp_path, "--epsilons", epsilons)
     for entry in result["per_epsilon"]:
         eps = entry["epsilon"]
-        certificate = analytic._certify(eps)
-        assert entry["unique_root"] is certificate.unique_root is True
+        assert entry["unique_root"] is True
+        box = analytic._proved_box(eps)
+        (lo1, lo2), (hi1, hi2) = box
         w1 = analytic.closed_form_minimizer(eps)[0]
-        if certificate.box is None:
-            assert analytic._disk_ball(eps) is not None and w1 == 0.5 / eps
-        else:
-            (lo1, lo2), (hi1, hi2) = certificate.box
-            assert lo1 <= w1 <= hi1 and lo2 <= 0.0 <= hi2
+        assert lo1 <= w1 <= hi1 and lo2 <= 0.0 <= hi2
+        if box == analytic._disk_box(eps):
+            assert w1 == 0.5 / eps
+
+
+def test_certify_reports_no_point_where_no_box_test_passes(tmp_path, monkeypatch):
+    # without a passed box test eps = 0.1's tree reaches the leaf width and
+    # proves nothing, so it reports no point and not unique_root; eps = 2,
+    # whose cells all go, still closes by the lemma
+    one_root = analytic._one_root
+    monkeypatch.setattr(analytic, "_one_root", lambda eps, lo, hi: None if eps == 0.1 else one_root(eps, lo, hi))
+    result = _certify(tmp_path, "--epsilons", "0.1,2")
+    low, high = result["per_epsilon"]
+    assert (low["n_points"], low["unique_root"], low["checks"]["single_point"]) == (0, False, False)
+    assert (high["n_points"], high["unique_root"]) == (1, True) and all(high["checks"].values())
+    assert result["all_pass"] is False
 
 
 def test_certify_no_longer_takes_grid(tmp_path):
