@@ -4,7 +4,6 @@ from .analytic import (
     UniformModel,
     closed_form_minimizer,
     f_epsilon,
-    label_flip_balance,
     origin_directional_derivatives,
     scan_stationary_points,
     stationarity_residual,

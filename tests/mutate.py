@@ -61,10 +61,16 @@ MONOTONE = (
     "tests/test_analytic.py::test_monotonicity_bounds_the_symmetric_jacobian_from_below",
     "tests/test_analytic.py::test_monotone_image_needs_the_disk_of_its_radius_in_the_box",
 )
-# the one certificate path: the refined point must lie in the proved box,
-# and the tree asks for a proof only of boxes that hold the disk point
-BOX = ("tests/test_analytic.py::test_refined_point_leaving_its_cluster_gives_up_that_epsilon",)
+# the one certificate path: the reported point is the contracted box's
+# midpoint, it must pass the residual check, and the tree asks for a proof
+# only of boxes that hold the disk point
+MIDPOINT = ("tests/test_analytic.py::test_scan_finds_the_closed_form_point",)
+RESIDUAL = ("tests/test_analytic.py::test_refined_point_leaving_its_cluster_gives_up_that_epsilon",)
 DISK = ("tests/test_analytic.py::test_tree_tests_only_boxes_that_hold_the_disk_point",)
+# the inner-disk cut: a cell is dropped only where the lemma covers it.
+# Cut at 0.75, the tree drops the root's own cells just outside the disk,
+# which the tree's early box proof hides unless it runs every level
+INNER = ("tests/test_analytic.py::test_every_level_keeps_the_cell_that_holds_the_root",)
 # the oracles' rounding margins, which stop a profile's growth early only
 # when no unseen distance can change the answer
 DRO = "src/rampdro/dro.py"
@@ -120,8 +126,16 @@ MUTANTS = [
         "reach = (_thin(_nextafter(math.hypot(*value), math.inf)) / mu).hi", MONOTONE,
     ),
     Mutant(
-        "in-box test dropped from the certificate", ANALYTIC,
-        "if res <= _ACCEPT_RESIDUAL and lo1 <= w1 <= hi1 and lo2 <= w2 <= hi2:", "if res <= _ACCEPT_RESIDUAL:", BOX,
+        "midpoint of the unshrunk box", ANALYTIC,
+        "(lo1, lo2), (hi1, hi2) = refine_candidate(eps, proof)",
+        "refine_candidate(eps, proof); (lo1, lo2), (hi1, hi2) = proof", MIDPOINT,
+    ),
+    Mutant(
+        "residual check dropped", ANALYTIC,
+        "if max(abs(float(f)) for f in _residual(eps, *point)) <= _ACCEPT_RESIDUAL:", "if True:", RESIDUAL,
+    ),
+    Mutant(
+        "inner-disk cut at 0.75", ANALYTIC, "inner = _INNER_RADIUS * (1.0 - _CUT_MARGIN)", "inner = 0.75", INNER,
     ),
     Mutant(
         "box test without the disk point", ANALYTIC,

@@ -5,8 +5,9 @@ solved by enumerating polytope vertices or by HiGHS, the oracle answers
 are read off a profile built whole with a stable sort, gradients come
 from central finite differences, and expectations from dense midpoint
 quadrature.  The closed-form origin derivatives are checked against
-Richardson-extrapolated difference quotients, and the analytic residual's
-rounding against the same residual in exact rational arithmetic.  The training inner loop is
+Richardson-extrapolated difference quotients, the analytic residual's
+rounding against the same residual in exact rational arithmetic, and the
+Jacobian enclosures against the closed-form Jacobian at single points.  The training inner loop is
 checked bit for bit against its earlier, plainer form: a two-pass objective
 evaluation and an L-BFGS iteration written with ``float(a @ b)`` dots and a
 recomputed accepted point.  So is the analytic band kernel, against its
@@ -20,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
+from rampdro import analytic
 from rampdro.analytic import UniformModel, f_epsilon
-from rampdro.losses import BAND_SIGMAS, LossKind
-from rampdro.objective import RegKind
+from rampdro.losses import BAND_SIGMAS, LossKind, LossSpec
+from rampdro.objective import ObjectiveSpec, RegKind, evaluate_with_gradient
 from rampdro.solve import LBFGS_MEMORY, MAX_LINESEARCH, WOLFE_C1, WOLFE_C2, SolveReport
 
 
@@ -259,6 +261,65 @@ def origin_derivative_richardson(epsilon, direction, steps=(1e-3, 1e-4, 1e-5)):
     e2 = (ratio * d[2] - d[1]) / (ratio - 1.0)
     return (ratio**2 * e2 - e1) / (ratio**2 - 1.0)
 
+
+
+def f_epsilon_quadrature(model, w, grid):
+    """Composite-midpoint evaluation of the uniform model's objective, integer grid >= 1 cells a side."""
+    if not (grid >= 1 and float(grid).is_integer()):
+        raise ValueError(f"grid must be an integer of at least 1, got {grid}")
+    w1, w2 = analytic._finite_point(w)
+    reg = 0.5 * model.epsilon * (w1 * w1 + w2 * w2)
+    r = (np.arange(grid) + 0.5) / grid
+    x2 = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
+    total = 0.0
+    for ri in r:  # row at a time to bound memory at large grids
+        total += float(np.clip(1.0 - (w1 * ri + w2 * x2), 0.0, 1.0).sum())
+    return reg + total / (grid * grid)
+
+
+def newton_system(epsilon, w1, w2):
+    """Residual (f1, f2) at w = (w1, w2), arrays of shape (k,), and its
+    closed-form Jacobian eps I - Dm(w)/2 as entries (a, b, c, d) row by row,
+    from one band evaluation; eps is one float.
+
+    Dm(w) = (M_0 - M_1)/||w||, M_s the integral of x x^T along the band's
+    chord on w.x = s (see ``analytic.scan_stationary_points``).  Simpson's
+    rule is exact for x x^T: a chord p -> q of length l has
+    M = (l/6) [p p^T + q q^T + (p + q)(p + q)^T].  A chord that lies along
+    an edge of the rectangle is clipped to length 0.  At w = (1, 0), eps =
+    1/2's root, that gives the Jacobian from w1 < 1.  On the axis w2 = 0 the
+    chord on s = 0 lies along u = 0 and drops out of d.  At a subnormal
+    ||w||, Dm overflows to inf.
+    """
+    _, (p, q) = analytic._band(w1, w2)
+    _, (mu, mv) = analytic._moments(p, q)
+    # the two chords' ends as C-ordered (k, chord, 2) arrays, x = (u, v) on
+    # the last axis: the einsum's order of summation follows its operands'
+    # memory layout
+    p, q = (e[..., -2:].transpose(1, 2, 0).copy() for e in (p, q))
+    ends = np.stack([p, q, p + q], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Dm/2 = (M_0 - M_1)/(2 ||w||), each M by Simpson's rule on e = p, q, p + q
+        weight = np.linalg.norm(q - p, axis=-1) * ([1.0, -1.0] / (12.0 * np.hypot(w1, w2))[:, None])
+        jac = epsilon * np.eye(2) - np.einsum("kc,kcni,kcnj->kij", weight, ends, ends)
+    return (epsilon * w1 - 0.5 * mu, epsilon * w2 - 0.5 * mv), jac.reshape(-1, 4).T
+
+
+def label_flip_balance(ds, h, sigma):
+    """Per-coordinate mass of the stationarity balance for the smoothed ramp.
+
+    Returns (first coordinate, remaining coordinates) of
+    -sum_i p_i psi'(y_i (<w, x_i> + b)) y_i x_i, the vector that a
+    stationary w must be proportional to.  With labels y = sign(x1), every
+    term pushes the first coordinate the same way while the others largely
+    cancel, which is the mechanism behind the flip-robustness results.
+    This is minus the w-part of the unregularized empirical gradient, so a
+    nonpositive ``sigma`` is rejected by ``LossSpec``.
+    """
+    spec = ObjectiveSpec(LossSpec(LossKind.SMOOTHED_RAMP, sigma))
+    _, grad = evaluate_with_gradient(spec, ds, h)
+    balance = -grad[:-1]
+    return float(balance[0]), balance[1:]
 
 # -- the training inner loop, two-pass form --------------------------------
 #

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import sys
@@ -12,6 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     central_difference_gradient,
     f_epsilon_interleaved,
+    f_epsilon_quadrature,
+    label_flip_balance,
+    newton_system,
     newton_system_interleaved,
     origin_derivative_richardson,
     origin_directional_derivative_interleaved,
@@ -23,12 +25,9 @@ from rampdro.analytic import (
     UniformModel,
     closed_form_minimizer,
     f_epsilon,
-    f_epsilon_quadrature,
-    label_flip_balance,
     origin_directional_derivative,
     origin_directional_derivatives,
     outer_radius,
-    refine_candidate,
     root_half_width,
     scan_stationary_points,
     stationarity_residual,
@@ -216,6 +215,18 @@ def test_origin_derivative_requires_two_entries(direction, size):
     assert origin_directional_derivative([[1.0, 0.0]]) == origin_directional_derivative((1.0, 0.0))
 
 
+def test_origin_derivative_along_directions_whose_norm_overflows():
+    # math.hypot(1.7e308, 1.7e308) overflows, though the direction is finite
+    # and nonzero.  At 45 degrees the half-plane moment is (5/6, 1/3), so the
+    # derivative is -7/12 per unit of u1 = u2; and it is linear in the
+    # direction, so a power-of-two multiple scales it exactly
+    big = 1.7e308
+    assert origin_directional_derivative((big, big)) == pytest.approx(-7.0 / 12.0 * big, rel=1e-15)
+    for u in [(1.5, 1.5), (1.5, -1.5), (-1.5, 1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, -1.5), (1.25, 1e-300)]:
+        huge = (2.0**1023 * u[0], 2.0**1023 * u[1])
+        assert origin_directional_derivative(huge) == 2.0**1023 * origin_directional_derivative(u)
+
+
 def _moment(w1, w2):
     # the band moment m(w), read from the eps = 0 residual -m/2
     r1, r2 = analytic._residual(0.0, w1, w2)
@@ -242,7 +253,7 @@ def test_band_kernel_matches_the_interleaved_reference_bit_for_bit(eps, points):
     # its bits, for one point and for several at once
     w1, w2 = np.array(points).T
     assert all(_same_bits(a, b) for a, b in zip(analytic._residual(eps, w1, w2), residual_interleaved(eps, w1, w2)))
-    (f, jac), (f_ref, jac_ref) = analytic._newton_system(eps, w1, w2), newton_system_interleaved(eps, w1, w2)
+    (f, jac), (f_ref, jac_ref) = newton_system(eps, w1, w2), newton_system_interleaved(eps, w1, w2)
     assert _same_bits(np.array(f), np.array(f_ref))
     assert _same_bits(np.asarray(jac), np.asarray(jac_ref))
     for u1, u2 in points:
@@ -303,7 +314,7 @@ def test_exclusion_bound_holds_at_cell_corners(eps, angle, log_radius, log_h):
 
 def _system_at(eps, w):
     # the residual and its closed-form Jacobian at one point, as a 2 x 2 array
-    (f1, f2), jac = analytic._newton_system(eps, np.array([w[0]]), np.array([w[1]]))
+    (f1, f2), jac = newton_system(eps, np.array([w[0]]), np.array([w[1]]))
     return np.array([f1[0], f2[0]]), np.array(jac).reshape(2, 2)
 
 
@@ -353,7 +364,7 @@ _POINTS = st.builds(
 def test_closed_form_jacobian_obeys_the_exclusion_bound(eps, w):
     # the scan's exclusion bound takes sqrt(5)/||w|| for ||Dm(w)/2||_2: each
     # chord moment M_s is positive semidefinite with ||M_s|| <= 2 sqrt(5), so
-    # ||M_0 - M_1|| <= 2 sqrt(5).  J from _newton_system is eps I - Dm/2.
+    # ||M_0 - M_1|| <= 2 sqrt(5).  J from newton_system is eps I - Dm/2.
     # Every direction is drawn, w1 <= 0 too, which segments in cells that
     # straddle the axis w1 = 0 cross.  The largest ||Dm/2|| ||w|| observed is
     # about 1.0, just right of the kink (0.99999809 at w1 = 1 + 2^-20 on the
@@ -379,7 +390,7 @@ def test_closed_form_jacobian_at_the_kink_is_the_left_hand_one(eps):
 
 
 def _jacobian_off_the_clip_artifact(eps, w):
-    # J at w from _newton_system.  On the axis w2 = 0 the clip gives the
+    # J at w from newton_system.  On the axis w2 = 0 the clip gives the
     # chord on s = 0 length 0, though the derivative is its limit from
     # either side, where that chord runs from the origin to (0, -+1): its
     # Simpson moment adds 1/(6 w1) to Dm/2's (2, 2) entry, which J subtracts
@@ -621,6 +632,30 @@ def test_exclusion_facts(eps, angle, scale, beyond):
     assert np.dot(w, analytic._residual(eps, *w)) > 0.0
 
 
+@pytest.mark.parametrize("eps", [0.6889235437151584, 0.7, 0.705])
+def test_every_level_keeps_the_cell_that_holds_the_root(monkeypatch, eps):
+    # no cut may drop a cell that holds a root.  These roots, at w1 = 0.7258,
+    # 0.7143 and 0.7092, lie just outside the inner disk, where only cells
+    # reaching beyond its edge are kept; eps has no disk point.  With every
+    # box test failing, the tree runs down to the leaf width, and the live
+    # cells of every level must include the root's
+    levels, cell_box = [], analytic._cell_box
+
+    def recording_cell_box(i, j, h, root):
+        levels.append((i.copy(), j.copy(), h, root))
+        return cell_box(i, j, h, root)
+
+    monkeypatch.setattr(analytic, "_cell_box", recording_cell_box)
+    monkeypatch.setattr(analytic, "_one_root", lambda epsilon, lo, hi: None)
+    w1 = closed_form_minimizer(eps)[0]
+    assert analytic._disk_box(eps) is None
+    assert analytic._proved_box(eps) is None
+    assert levels[-1][2] <= analytic._LEAF_HALF_WIDTH
+    for i, j, h, root in levels:
+        lo1, lo2 = i * (2.0 * h) - root, j * (2.0 * h) - root
+        assert np.any((lo1 <= w1) & (w1 <= lo1 + 2.0 * h) & (lo2 <= 0.0) & (0.0 <= lo2 + 2.0 * h)), h
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -682,32 +717,39 @@ def test_scan_finds_small_disk_roots():
         assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-15
 
 
+def _holds_point(box, w):
+    # whether the closed box (lo, hi) holds the point w
+    (lo1, lo2), (hi1, hi2) = box
+    return lo1 <= w[0] <= hi1 and lo2 <= w[1] <= hi2
+
+
 def test_disk_root_merges_with_annulus_cluster(monkeypatch):
     # at eps = 1/sqrt(2) the minimizer lies on the inner disk's edge: cells
     # survive around it, so the proved box is wider than the disk point's
-    # own box and holds the disk point, which is the one seed and the point
-    boxes, seeds = [], []
+    # own box and holds the disk point; it is the one box contracted, and
+    # the contracted box holds the disk point too
+    boxes, contracted = [], []
     tree, refine = analytic._proved_box, analytic.refine_candidate
 
     def recording_tree(*args):
         boxes.append(tree(*args))
         return boxes[-1]
 
-    def recording_refine(epsilon, points):
-        seeds.append(np.asarray(points))
-        return refine(epsilon, points)
+    def recording_refine(epsilon, box):
+        contracted.append(refine(epsilon, box))
+        return contracted[-1]
 
     monkeypatch.setattr(analytic, "_proved_box", recording_tree)
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
     eps = math.sqrt(0.5)
+    disk = (0.5 / eps, 0.0)
     (pts,) = scan_stationary_points([UniformModel(eps)])
-    assert len(boxes) == 1
-    (lo1, lo2), (hi1, hi2) = boxes[0]
-    assert lo1 <= 0.5 / eps <= hi1 and lo2 <= 0.0 <= hi2
+    assert len(boxes) == 1 and _holds_point(boxes[0], disk)
+    (lo1, _), (hi1, _) = boxes[0]
     assert hi1 - lo1 > 2.0 * math.ulp(0.5 / eps)
-    assert len(seeds) == 1 and seeds[0].tolist() == [[0.5 / eps, 0.0]]
+    assert len(contracted) == 1 and _holds_point(contracted[0], disk)
     assert pts.shape == (1, 2)
-    assert np.max(np.abs(pts[0] - [0.5 / eps, 0.0])) <= 1e-12
+    assert np.max(np.abs(pts[0] - disk)) <= 1e-12
 
 
 def test_disk_point_is_certified_at_the_largest_epsilon_and_the_disk_edge():
@@ -731,13 +773,15 @@ def test_disk_point_is_certified_at_the_largest_epsilon_and_the_disk_edge():
 
 
 def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
-    # a point refined outside the proved box is not the box's root, so the
-    # certificate does not close; eps = 2's box is the disk point's
+    # a contraction whose midpoint is not a root, here eps = 0.1's box moved
+    # by 1e-3, whose midpoint's residual is about 1e-4, fails the residual
+    # check, so that eps's certificate does not close; eps = 2, whose box is
+    # the disk point's, is unaffected
     refine = analytic.refine_candidate
 
-    def stray_refine(epsilon, seeds):
-        points, residuals = refine(epsilon, seeds)
-        return points + (1e-3 if epsilon < 1.0 else 0.0), residuals
+    def stray_refine(epsilon, box):
+        shift = 1e-3 if epsilon < 1.0 else 0.0
+        return tuple(tuple(x + shift for x in corner) for corner in refine(epsilon, box))
 
     monkeypatch.setattr(analytic, "refine_candidate", stray_refine)
     found = scan_stationary_points([UniformModel(0.1), UniformModel(2.0)])
@@ -747,22 +791,24 @@ def test_refined_point_leaving_its_cluster_gives_up_that_epsilon(monkeypatch):
 
 def test_scan_refines_each_epsilon_once_with_its_own_seeds(monkeypatch):
     # on the default five eps, each eps makes one refine_candidate call with
-    # a float eps and one seed, from its own proved box, within 1e-6 of its root
+    # a float eps and its own proved box, which holds its root; the reported
+    # point is the contracted box's midpoint
     calls, refine = [], analytic.refine_candidate
 
-    def recording_refine(epsilon, seeds):
-        calls.append((epsilon, np.array(seeds)))
-        return refine(epsilon, seeds)
+    def recording_refine(epsilon, box):
+        calls.append((epsilon, box, refine(epsilon, box)))
+        return calls[-1][2]
 
     monkeypatch.setattr(analytic, "refine_candidate", recording_refine)
     epsilons = [0.1, 0.3, 0.5, 1.0, 2.0]
     found = scan_stationary_points([UniformModel(e) for e in epsilons])
-    assert [eps for eps, _ in calls] == epsilons
-    for eps, seeds in calls:
+    assert [eps for eps, _, _ in calls] == epsilons
+    for (eps, box, contracted), pts in zip(calls, found):
         assert type(eps) is float
-        assert seeds.shape == (1, 2)
-        assert np.max(np.abs(seeds[0] - [closed_form_minimizer(eps)[0], 0.0])) <= 1e-6
-    assert [pts.shape for pts in found] == [(1, 2)] * 5
+        assert box == analytic._proved_box(eps)
+        assert _holds_point(box, (closed_form_minimizer(eps)[0], 0.0))
+        (lo1, lo2), (hi1, hi2) = contracted
+        assert pts.tolist() == [[0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)]]
 
 
 def test_epsilon_without_a_cluster_finds_no_point(monkeypatch):
@@ -857,93 +903,6 @@ def test_root_half_width_is_the_next_power_of_two_above_the_outer_radius(eps):
     radius = max(outer_radius(2.0), outer_radius(eps))
     assert math.frexp(root)[0] == 0.5
     assert 0.5 * root <= radius < root <= 2.0**28
-
-
-def test_refine_without_seeds_returns_empty_arrays():
-    points, residuals = refine_candidate(0.1, np.empty((0, 2)))
-    assert points.shape == (0, 2)
-    assert residuals.shape == (0,)
-
-
-def test_lockstep_refinement_equals_one_seed_calls():
-    # roots, an off-axis stall, seeds near the origin and in the excluded
-    # half-plane, and two cells of a 300-point grid over [-3, 3]^2, each
-    # refined at one eps after another; each keeps its own iterates
-    axis = np.linspace(-3.0, 3.0, 300)
-    seeds = np.array([(1.7, 0.02), (0.8, 1.2), (0.3, -0.01), (0.02, 0.02), (-1.5, 0.9),
-                      (0.0, 0.04), (2.2, -0.8), (axis[143], axis[148]), (axis[148], axis[149])])
-    for eps in (0.05, 0.1, 0.37, 0.5, 1.0, 2.0):
-        points, residuals = refine_candidate(eps, seeds)
-        assert points.shape == (9, 2) and residuals.shape == (9,)
-        for seed, point, res in zip(seeds, points, residuals):
-            one_point, one_res = refine_candidate(eps, [seed])
-            assert _same_bits(point, one_point[0]) and _same_bits(res, one_res[0])
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.floats(1e-3, 10.0), st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5))
-# eps = 1/2 has its root at the kink w = (1, 0), where the Jacobian jumps;
-# seeds on either side take that side's exact Jacobian, and each smooth piece
-# vanishes at the root.  1/sqrt(2) puts the root on the inner disk's edge
-@example(0.5, 1e-5, 0.0)
-@example(0.5, 7e-6, -4e-6)
-@example(0.5, -1e-5, 1e-5)
-@example(math.sqrt(0.5), 1e-5, -1e-5)
-@example(math.sqrt(0.5), -6e-6, 2e-6)
-def test_newton_refinement_reaches_the_root_from_nearby_seeds(eps, d1, d2):
-    root = np.array([closed_form_minimizer(eps)[0], 0.0])
-    (point,), (res,) = refine_candidate(eps, [root + (d1, d2)])
-    assert res <= 1e-14
-    assert res == np.max(np.abs(stationarity_residual(UniformModel(eps), point)))
-    assert np.max(np.abs(point - root)) <= 1e-13
-
-
-def test_singular_jacobian_returns_the_seed_without_warnings(monkeypatch):
-    # a constant residual with a zero or a rank-one Jacobian: every step is
-    # 0/0 or x/0, so each seed stays put, every pass evaluates the seeds
-    # themselves, and the suite's error filter sees no warning
-    seeds = np.array([(1.2, 0.3), (0.5, 0.0), (2.0, -1.0)])
-    for jacobian, eps in itertools.product(((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 2.0, 4.0)), (0.1, 1.0, 1e308)):
-        iterates = []
-
-        def singular_system(epsilon, w1, w2):
-            iterates.append(np.column_stack([w1, w2]))
-            zero = np.zeros(np.shape(w1))
-            return (zero + 0.25, zero - 0.125), tuple(zero + entry for entry in jacobian)
-
-        monkeypatch.setattr(analytic, "_newton_system", singular_system)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            points, residuals = refine_candidate(eps, seeds)
-        assert _same_bits(points, seeds)
-        assert np.all(residuals == 0.25)
-        assert len(iterates) == analytic._NEWTON_STEPS + 1
-        assert all(_same_bits(x, seeds) for x in iterates)
-
-
-def test_refinement_evaluates_the_band_once_per_step(monkeypatch):
-    # each of the Newton steps, and the pass that scores the last iterate,
-    # clips the rectangle once, at the k iterates alone
-    clip, shapes = analytic._clip, []
-
-    def counted_clip(p, q, a, b, c):
-        if p is analytic._RECT_P:
-            shapes.append(np.shape(a))
-        return clip(p, q, a, b, c)
-
-    monkeypatch.setattr(analytic, "_clip", counted_clip)
-    seeds = [(1.7, 0.02), (0.3, -0.01), (1.01, 0.0), (2.2, -0.8)]
-    refine_candidate(0.1, seeds)
-    assert shapes == [(4,)] * (analytic._NEWTON_STEPS + 1)
-
-
-def test_offaxis_candidates_fail_refinement():
-    # no stationary points exist with w2 != 0: refinement from off-axis
-    # seeds must either return to the axis or stall at a real residual
-    seeds = [(1.7, 0.5), (0.8, 1.2), (2.2, -0.8), (1.2, 0.06)]
-    points, residuals = refine_candidate(0.1, seeds)
-    for point, res in zip(points, residuals):
-        assert abs(point[1]) <= 0.05 or res > 1e-8
 
 
 def test_closed_form_minimizer_branches_meet_at_half():

@@ -459,6 +459,26 @@ def test_certify_reference_epsilon_sets_prove_one_root_about_the_closed_form(tmp
             assert w1 == 0.5 / eps
 
 
+@pytest.mark.parametrize("epsilons", REFERENCE_EPSILON_SETS)
+def test_contracted_box_lies_in_the_proved_box_and_holds_the_closed_form(epsilons):
+    # each eps's one refine_candidate call contracts its proved box: the box
+    # returned lies inside the proved one, is narrower unless the proved box
+    # is the disk point's (two ulps wide, returned as it is), and still holds
+    # the closed-form root
+    for eps in map(float, epsilons.split(",")):
+        proof = analytic._proved_box(eps)
+        box = analytic.refine_candidate(eps, proof)
+        (lo1, lo2), (hi1, hi2) = box
+        (proof_lo1, proof_lo2), (proof_hi1, proof_hi2) = proof
+        assert proof_lo1 <= lo1 <= hi1 <= proof_hi1 and proof_lo2 <= lo2 <= hi2 <= proof_hi2
+        if proof == analytic._disk_box(eps):
+            assert box == proof
+        else:
+            assert hi1 - lo1 < proof_hi1 - proof_lo1 and hi2 - lo2 < proof_hi2 - proof_lo2
+        w1 = analytic.closed_form_minimizer(eps)[0]
+        assert lo1 <= w1 <= hi1 and lo2 <= 0.0 <= hi2
+
+
 def test_certify_reports_no_point_where_no_box_test_passes(tmp_path, monkeypatch):
     # without a passed box test eps = 0.1's tree reaches the leaf width and
     # proves nothing, so it reports no point and not unique_root; eps = 2,
