@@ -407,59 +407,51 @@ def _band_jacobian(eps, lo, hi):
     return eps - low[0] / 6.0 + high[0], high[1] - low[1] / 6.0, eps - low[2] / 6.0 + high[2]
 
 
-def _jacobian_enclosure(eps, lo, hi):
-    """(mid, rad), 2 x 2 nested lists, with |J(w) - mid| <= rad entrywise
-    at every w in the box [lo, hi] (each a (w1, w2) pair), or None where
-    ``_chord_edges`` is None.  mid is the middle of J's enclosure over the
-    box, and rad, J's variation about it, covers the rounding too.
+def _mid_inverse(jac):
+    """The float inverse of the midpoint of J's enclosure ``jac``, (J11, J12,
+    J22) as from ``_band_jacobian``, as rows ((y11, y12), (y21, y22)), or
+    None where jac is None or that matrix is singular in floating point.
     """
-    over = _band_jacobian(eps, lo, hi)
-    if over is None:
+    if jac is None:
         return None
-    mid, rad = [], []
-    for entry in over:
-        centre = min(max(0.5 * (entry.lo + entry.hi), entry.lo), entry.hi)
-        mid.append(centre)
-        rad.append(max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))
-    return [[mid[0], mid[1]], [mid[1], mid[2]]], [[rad[0], rad[1]], [rad[1], rad[2]]]
-
-
-def _krawczyk(lo, hi, f, delta, mid, rad):
-    """Krawczyk's test of the box [lo, hi] (each a (w1, w2) pair) for a map
-    whose value at the box's centre c is f to within delta in each
-    component, and whose Jacobian at every point of the box lies within rad
-    of mid entrywise (2 x 2 nested lists).
-
-    With Y = mid^-1 in floating point, K = c - Y f(c) + (I - Y J)(X - c),
-    over every J in the enclosure and X the box.  If K lies in the open
-    box, the map has exactly one zero in the box, and it lies in K
-    (Krawczyk, Computing 1969; Rump, "Verification methods", Acta Numerica
-    2010).  Returns an enclosure of K as (lo, hi), or None.
-    """
-    det = mid[0][0] * mid[1][1] - mid[0][1] * mid[1][0]
+    a, b, d = (0.5 * (entry.lo + entry.hi) for entry in jac)
+    det = a * d - b * b
     if not (math.isfinite(det) and det != 0.0):
         return None
-    y = [[mid[1][1] / det, -mid[0][1] / det], [-mid[1][0] / det, mid[0][0] / det]]
-    mid, rad = [[_thin(x) for x in row] for row in mid], [[_thin(x) for x in row] for row in rad]
+    return (d / det, -b / det), (-b / det, a / det)
+
+
+def _krawczyk(lo, hi, f, delta, jac):
+    """Krawczyk's test of the box [lo, hi] (each a (w1, w2) pair) for a map
+    whose value at the box's centre c is f to within delta in each
+    component, and whose Jacobian at every point of the box lies in ``jac``,
+    the intervals (J11, J12, J22) of ``_band_jacobian`` (None: no test).
+
+    With Y the float inverse of jac's midpoint (``_mid_inverse``), K =
+    c - Y (f +- delta) + (I - Y J)(X - c), over X the box, is formed in
+    interval arithmetic.  If K lies in the open box, the map has exactly one
+    zero in the box, and it lies in K (Krawczyk, Computing 1969; Rump,
+    "Verification methods", Acta Numerica 2010).  Returns K as (lo, hi), or
+    None.
+    """
+    y = _mid_inverse(jac)
+    if y is None:
+        return None
+    j11, j12, j22 = jac
     c = [0.5 * (lo[k] + hi[k]) for k in range(2)]
-    reach = [_thin(max((_thin(hi[k]) - c[k]).hi, (_thin(c[k]) - lo[k]).hi)) for k in range(2)]
-    # f(c), to within the rounding bound delta
+    # X - c, and f(c) to within the rounding bound delta
+    offset = [_Interval(lo[k], hi[k]) - c[k] for k in range(2)]
     values = [f[k] + _Interval(-delta, delta) for k in range(2)]
-    image_lo, image_hi = [], []
+    images = []
     for i, (y0, y1) in enumerate(y):
-        step = y0 * values[0] + y1 * values[1]
-        # the contraction margin: |(I - Y J)(X - c)| <= (|I - Y mid| + |Y| rad) |X - c|
-        margin = 0.0
-        for j in range(2):
-            residue = abs(float(i == j) - (y0 * mid[0][j] + y1 * mid[1][j])).hi
-            spread = abs(y0) * rad[0][j] + abs(y1) * rad[1][j] + residue
-            margin = (spread.hi * reach[j] + margin).hi
-        image = c[i] - step + _Interval(-margin, margin)
+        image = c[i] - (y0 * values[0] + y1 * values[1])
+        # the contraction term, the sum over J's columns j of (I - Y J)_ij (X_j - c_j)
+        for j, (a, b) in enumerate(((j11, j12), (j12, j22))):
+            image += (float(i == j) - (y0 * a + y1 * b)) * offset[j]
         if not (lo[i] < image.lo and image.hi < hi[i]):
             return None
-        image_lo.append(image.lo)
-        image_hi.append(image.hi)
-    return tuple(image_lo), tuple(image_hi)
+        images.append(image)
+    return tuple(k.lo for k in images), tuple(k.hi for k in images)
 
 
 def _monotonicity(eps, lo, hi):
@@ -486,9 +478,10 @@ def _monotone_image(eps, lo, hi, f, delta, mu):
     mu ||w* - c||^2 <= (f(w*) - f(c)).(w* - c) <= ||f(c)|| ||w* - c||.  If
     the disk of radius rho about c lies in the box, f(w).(w - c) >= 0 on
     its edge, so the disk holds a root (the acute-angle lemma, a consequence
-    of Brouwer's fixed-point theorem; Ortega & Rheinboldt 1970, section 6.3).  The same bound about the Newton point from c,
-    on the middle of J(c)'s enclosure, then gives a box that shrinks
-    quadratically, as Krawczyk's does.
+    of Brouwer's fixed-point theorem; Ortega & Rheinboldt 1970, section
+    6.3).  The same bound about the Newton point c - Y f(c), Y the float
+    inverse of J(c)'s midpoint (``_mid_inverse``), then gives a box that
+    shrinks quadratically, as Krawczyk's does.
     """
 
     def around(point, value):
@@ -503,14 +496,10 @@ def _monotone_image(eps, lo, hi, f, delta, mu):
     box = around(c, f)
     if not all(lo[k] < box[0][k] and box[1][k] < hi[k] for k in range(2)):
         return None
-    jac = _band_jacobian(eps, c, c)
-    if jac is None:
+    y = _mid_inverse(_band_jacobian(eps, c, c))
+    if y is None:
         return box
-    a, b, d = (0.5 * (entry.lo + entry.hi) for entry in jac)
-    det = a * d - b * b
-    if not (math.isfinite(det) and det != 0.0):
-        return box
-    point = (c[0] - (d * f[0] - b * f[1]) / det, c[1] - (a * f[1] - b * f[0]) / det)
+    point = tuple(c[i] - (y[i][0] * f[0] + y[i][1] * f[1]) for i in range(2))
     if not all(lo[k] <= point[k] <= hi[k] for k in range(2)):
         return box
     tighter = around(point, tuple(float(x) for x in _residual(eps, *point)))
@@ -521,19 +510,19 @@ def _one_root(eps, lo, hi):
     """An enclosure (lo, hi) of the one root in the box [lo, hi] (each a
     (w1, w2) pair of floats) if a test proves that the box holds exactly
     one root of the residual, else None.  Krawczyk's test runs on J's
-    enclosure, and where it has none (the kink at eps = 1/2's root) or
-    fails, strong monotonicity (``_monotone_image``) may prove it.  Both
-    read the residual at the box's centre, to within
+    enclosure (``_band_jacobian``), and where it has none (the kink at
+    eps = 1/2's root) or fails, strong monotonicity (``_monotone_image``)
+    may prove it.  Both read the residual at the box's centre, to within
     ``_residual_rounding``.
     """
-    enclosure = _jacobian_enclosure(eps, lo, hi)
+    jac = _band_jacobian(eps, lo, hi)
     mu = _monotonicity(eps, lo, hi)
-    if enclosure is None and mu is None:
+    if jac is None and mu is None:
         return None
     f = tuple(float(x) for x in _residual(eps, 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])))
     # every point of the box has ||w|| <= hi1 + max |w2|
     delta = _residual_rounding(eps, hi[0] + max(abs(lo[1]), abs(hi[1])))
-    image = _krawczyk(lo, hi, f, delta, *enclosure) if enclosure else None
+    image = _krawczyk(lo, hi, f, delta, jac)
     if image is None and mu is not None:
         image = _monotone_image(eps, lo, hi, f, delta, mu)
     return image
@@ -820,15 +809,15 @@ def scan_stationary_points(models) -> list[np.ndarray]:
     Written with w1 and w2 once, each entry of the s = 0 chord's term and
     each end is evaluated in interval arithmetic with outward rounding
     over the box, which gives its exact range; the rest are sums and
-    products of those intervals (``_Interval``).  The midpoint of J's
-    enclosure and its half-width, the variation term, bound J over the box
-    entrywise (``_jacobian_enclosure``).  Near the roots, on 1,463 boxes of
-    half-width 1e-6 to 0.1 about them (eps in [1e-3, 10], off the kink),
-    J's sampled half-range reached a median 0.74 of the half-width in J11,
-    0.24 in J12 and 0.33 in J22 (J22 = eps - 1/(6 w1) + 1/(3 w1) on the
-    axis: the two terms' intervals add), and at least 0.33 in one entry of
-    every box.  Krawczyk's test (``_krawczyk``) then forms, with
-    Y = mid^-1, K = c - Y f(c) + (I - Y J)(X - c) over the enclosure, the
+    products of those intervals (``_Interval``), which hold J entrywise
+    over the box.  Near the roots, on 1,463 boxes of half-width 1e-6 to 0.1
+    about them (eps in [1e-3, 10], off the kink), J's sampled range reached
+    a median 0.74 of its interval's width in J11, 0.24 in J12 and 0.33 in
+    J22 (J22 = eps - 1/(6 w1) + 1/(3 w1) on the axis: the two terms'
+    intervals add), and at least 0.33 in one entry of every box.
+    Krawczyk's test (``_krawczyk``) then forms, with Y the float inverse of
+    the intervals' midpoint (``_mid_inverse``), K = c - Y f(c) +
+    (I - Y J)(X - c) in interval arithmetic over those intervals, the
     residual at the centre taken to within delta.  If K lies in the open
     box X, the box holds exactly one root, and it lies in K (Krawczyk,
     Computing 1969; Rump, Acta Numerica 2010): f(x) - f(y) = integral of

@@ -128,17 +128,17 @@ class _DistanceProfile:
     left to right.  Weights that differ anywhere take an argsort whose tie
     runs are put back in input order.
 
-    Ties: the breakpoint at d_k reads the prefix sums at ``lower[k]``, the
-    first index tied with d_k, which cover d_i < d_k only; ties at d_k add
-    exactly zero to phi(1/d_k) and to g(d_k).  Most points start their own
-    run, so the profile keeps only ``_ties``, the positions tied with the
-    point before them, and the dual and the CVaR read ``cum_p[:-1]`` and
-    ``cum_pd[:-1]`` in place.  There a tied position's sums stop inside its
-    run, so its phi and g are masked: its true ones are its run start's, bit
-    for bit (same d, same lower index), and the run start stays.  So the
-    minimum, the distance at its last argmin and the maximum do not move.
-    The dual's term ``cum_pd[k] / d_k`` changes only when the profile grows,
-    so each band stores it in ``_q``.
+    Ties: the breakpoint at d_k reads the prefix sums at the first index
+    tied with d_k, which cover d_i < d_k only; ties at d_k add exactly zero
+    to phi(1/d_k) and to g(d_k).  Most points start their own run, so the
+    profile keeps only ``_ties``, the positions tied with the point before
+    them, and the dual and the CVaR read ``cum_p[:-1]`` and ``cum_pd[:-1]``
+    in place.  There a tied position's sums stop inside its run, so its phi
+    and g are masked: its true ones are its run start's, bit for bit (same
+    d, same lower index), and the run start stays.  So the minimum, the
+    distance at its last argmin and the maximum do not move.  The dual's
+    term ``cum_pd[k] / d_k`` changes only when the profile grows, so each
+    band stores it in ``_q``.
 
     The profile is built lazily.  It holds every positive distance d <=
     ``cut``, and no other: so ``d``, ``cum_p`` and ``cum_pd`` are always the
@@ -222,13 +222,6 @@ class _DistanceProfile:
         self.d = self._d[:k]
         self.cum_p = self._cum_p[:k + 1]
         self.cum_pd = self._cum_pd[:k + 1]
-
-    @property
-    def lower(self) -> np.ndarray:
-        """For each sorted point, the first index tied with it."""
-        lower = np.arange(self.size, dtype=np.intp)
-        lower[self._ties] = 0
-        return np.maximum.accumulate(lower)
 
     @property
     def complete(self) -> bool:

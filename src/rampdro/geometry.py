@@ -80,7 +80,10 @@ class GeneralizedMargin(NamedTuple):
 
 def _margins(ds, w: np.ndarray, b: float) -> np.ndarray:
     # y * (X w + b), formed in place in the one array the product allocates;
-    # private, so that a traced run adds no span per call
+    # private, so that a traced run adds no span per call.  Every distance,
+    # oracle and objective query reads it, so its one shape check is theirs
+    if w.size != ds.points.shape[1]:
+        raise ValueError(f"hyperplane has {w.size} weights, dataset has d = {ds.points.shape[1]}")
     r = ds.points @ w
     r += b
     r *= ds.labels

@@ -46,15 +46,15 @@ class Mutant(NamedTuple):
 ANALYTIC = "src/rampdro/analytic.py"
 BOUND = "(eps + _RECT_DIAMETER / r_min) * (h * math.sqrt(2.0))"
 CORNERS = ("tests/test_analytic.py::test_exclusion_bound_holds_at_cell_corners",)
-# the uniqueness proof: the Jacobian's enclosure over a box (its variation
-# about the middle of its range) and Krawczyk's test (the residual's
-# rounding bound delta and the contraction margin |I - Y J| |X - c|),
+# the uniqueness proof: the Jacobian's intervals over a box (the chord on
+# s = 1's Simpson weight) and Krawczyk's test, which must read J over the
+# whole box, the residual's rounding bound delta and the contraction term
+# (I - Y J)(X - c),
 ENCLOSURE = ("tests/test_analytic.py::test_jacobian_enclosure_holds_the_closed_form_jacobian",)
 KRAWCZYK = (
     "tests/test_analytic.py::test_krawczyk_proves_one_root_and_refuses_two",
     "tests/test_analytic.py::test_krawczyk_allows_for_the_rounding_of_the_residual",
 )
-VARIATION = "rad.append(max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))"
 # and, where J jumps, strong monotonicity: mu from the chord on s = 0, and
 # the disk about the centre that the residual's rounding widens
 MONOTONE = (
@@ -69,8 +69,15 @@ RESIDUAL = ("tests/test_analytic.py::test_refined_point_leaving_its_cluster_give
 DISK = ("tests/test_analytic.py::test_tree_tests_only_boxes_that_hold_the_disk_point",)
 # the inner-disk cut: a cell is dropped only where the lemma covers it.
 # Cut at 0.75, the tree drops the root's own cells just outside the disk,
-# which the tree's early box proof hides unless it runs every level
+# which the tree's early box proof hides unless it runs every level.  The
+# half-plane cut drops a cell only where it lies wholly in w1 <= 0; cutting
+# every cell that reaches into it drops the root square itself.
+# Dropping the cut, or the radius cuts' margin (_CUT_MARGIN = 0), survives:
+# the first only keeps more cells, and the second covers up to 125 ulps of
+# error in pow and 254 in hypot, where an accurate C library errs by about
+# one (see ROADMAP item 12)
 INNER = ("tests/test_analytic.py::test_every_level_keeps_the_cell_that_holds_the_root",)
+HALF_PLANE = INNER + MIDPOINT
 # the oracles' rounding margins, which stop a profile's growth early only
 # when no unseen distance can change the answer
 DRO = "src/rampdro/dro.py"
@@ -102,10 +109,13 @@ MUTANTS = [
         "return 0.5 * (0.5 * _RECT_DIAMETER / epsilon) ** (1.0 / 3.0)",
         ("tests/test_analytic.py::test_exclusion_facts",),
     ),
-    Mutant("enclosure without its variation term", ANALYTIC, VARIATION, "rad.append(0.0)", ENCLOSURE),
     Mutant(
-        "enclosure's variation term halved", ANALYTIC, VARIATION,
-        "rad.append(0.5 * max((_thin(entry.hi) - centre).hi, (_thin(centre) - entry.lo).hi))", ENCLOSURE,
+        "s = 1 chord weight halved", ANALYTIC,
+        "weight = abs(qv - pv) / (12.0 * w1)", "weight = abs(qv - pv) / (24.0 * w1)", ENCLOSURE,
+    ),
+    Mutant(
+        "Krawczyk on J's midpoint only", ANALYTIC,
+        "j11, j12, j22 = jac", "j11, j12, j22 = (_thin(0.5 * (e.lo + e.hi)) for e in jac)", KRAWCZYK,
     ),
     Mutant(
         "Krawczyk without delta", ANALYTIC,
@@ -113,8 +123,8 @@ MUTANTS = [
         KRAWCZYK,
     ),
     Mutant(
-        "Krawczyk without its contraction margin", ANALYTIC,
-        "margin = (spread.hi * reach[j] + margin).hi", "margin = 0.0", KRAWCZYK,
+        "Krawczyk without its contraction term", ANALYTIC,
+        "image += (float(i == j) - (y0 * a + y1 * b)) * offset[j]", "pass", KRAWCZYK,
     ),
     Mutant(
         "monotonicity without the chord on s = 0", ANALYTIC,
@@ -137,6 +147,7 @@ MUTANTS = [
     Mutant(
         "inner-disk cut at 0.75", ANALYTIC, "inner = _INNER_RADIUS * (1.0 - _CUT_MARGIN)", "inner = 0.75", INNER,
     ),
+    Mutant("half-plane cut at c1 - h", ANALYTIC, "(c1 + h > 0.0)", "(c1 - h > 0.0)", HALF_PLANE),
     Mutant(
         "box test without the disk point", ANALYTIC,
         "proof = _one_root(eps, *box) if _holds(box, disk) else None", "proof = _one_root(eps, *box)", DISK,

@@ -117,6 +117,15 @@ def stable_distance_profile(dists, weights):
     }
 
 
+def first_tied_index(size, ties):
+    """For each of a profile's first ``size`` sorted points, the first index
+    tied with it, from ``ties``, the positions tied with the point before.
+    """
+    lower = np.arange(size, dtype=np.intp)
+    lower[ties] = 0
+    return np.maximum.accumulate(lower)
+
+
 def dual_from_stable_profile(ref, epsilon):
     """(value, t_star) of the dual, read off ``stable_distance_profile``.
 

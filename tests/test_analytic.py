@@ -420,23 +420,26 @@ def _jacobian_off_the_clip_artifact(eps, w):
 @example(0.3, math.atan2(1.0 - 1e-3, 2.0), math.log10(math.hypot(2.0, 1.0 - 1e-3)), -4.0, -4.0, [(0.0, 0.0)])
 @example(1.0, 0.2, math.log10(0.5), -1.5, -1.5, [(0.0, 0.0)])
 def test_jacobian_enclosure_holds_the_closed_form_jacobian(eps, angle, log_radius, log_h1, log_h2, offsets):
-    # wherever the enclosure claims validity, J at the box's corners, at
-    # drawn points and on the axis lies within rad of mid, entrywise
+    # wherever _band_jacobian gives J's intervals, J at the box's corners,
+    # at drawn points and on the axis lies in them, entrywise
     centre = 10.0**log_radius * np.array([math.cos(angle), math.sin(angle)])
     h = np.array([10.0**log_h1, 10.0**log_h2])
     lo, hi = tuple(centre - h), tuple(centre + h)
-    enclosure = analytic._jacobian_enclosure(eps, lo, hi)
-    assume(enclosure is not None)
-    mid, rad = (np.array(e) for e in enclosure)
+    jac = analytic._band_jacobian(eps, lo, hi)
+    assume(jac is not None)
+    j11, j12, j22 = jac
+    low = np.array([[j11.lo, j12.lo], [j12.lo, j22.lo]])
+    high = np.array([[j11.hi, j12.hi], [j12.hi, j22.hi]])
     points = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
     points += [tuple(np.clip(centre + np.array(o) * h, lo, hi)) for o in offsets]
     if lo[1] <= 0.0 <= hi[1]:
         points.append((float(centre[0]), 0.0))
     for w in points:
-        # the enclosure is rigorous; the float J and |J - mid| round, by a
-        # few dozen units of roundoff of eps + 1/||w|| at most
+        # the intervals are rigorous; the float J rounds, by a few dozen
+        # units of roundoff of eps + 1/||w|| at most
         slack = 2.0**-44 * (1.0 + eps + 1.0 / math.hypot(*w))
-        assert np.all(np.abs(_jacobian_off_the_clip_artifact(eps, w) - mid) <= rad + slack), w
+        jac_w = _jacobian_off_the_clip_artifact(eps, w)
+        assert np.all(low - slack <= jac_w) and np.all(jac_w <= high + slack), w
 
 
 def test_jacobian_enclosure_refuses_boxes_where_a_chord_changes_edges():
@@ -444,24 +447,23 @@ def test_jacobian_enclosure_refuses_boxes_where_a_chord_changes_edges():
     # rectangle in it: at eps = 1/2's kink (1, 0) the edge w.x = 1 passes
     # (1, -1) and (1, 1); where |w2| = w1 the edge w.x = 0 passes one
     for lo, hi in [((-0.1, 0.2), (0.1, 0.3)), ((0.99, -0.01), (1.01, 0.01)), ((0.5, 0.45), (0.6, 0.55))]:
-        assert analytic._jacobian_enclosure(0.5, lo, hi) is None
+        assert analytic._band_jacobian(0.5, lo, hi) is None
 
 
 def _krawczyk_square(lo, hi, f_at_centre, delta, jac_range):
     # Krawczyk's test for a map of (x, y) whose Jacobian is diag(J11, 1),
     # with J11 in jac_range over the box
     low, high = jac_range
-    mid = [[0.5 * (low + high), 0.0], [0.0, 1.0]]
-    rad = [[0.5 * (high - low), 0.0], [0.0, 0.0]]
-    return analytic._krawczyk(lo, hi, f_at_centre, delta, mid, rad)
+    jac = (analytic._Interval(low, high), analytic._Interval(0.0, 0.0), analytic._Interval(1.0, 1.0))
+    return analytic._krawczyk(lo, hi, f_at_centre, delta, jac)
 
 
 def test_krawczyk_proves_one_root_and_refuses_two():
     # f(x, y) = (x^2 - 1, y) has roots (-1, 0) and (1, 0), and J11 = 2x
     # over the box.  From the centre (0.5, 0) of [-1.5, 2.5] x [-0.5, 0.5],
     # which holds both, Newton's step lands inside at (1.25, 0); only the
-    # contraction margin, |1 - J11/mid| |X - c| <= 4 * 2, shows that the box
-    # may hold more than one root
+    # contraction term, (1 - J11/mid)(X - c) in [-4, 4] * [-2, 2], shows that
+    # the box may hold more than one root
     assert _krawczyk_square((-1.5, -0.5), (2.5, 0.5), (-0.75, 0.0), 0.0, (-3.0, 5.0)) is None
     # [0.8, 1.3] x [-0.3, 0.2] holds (1, 0) alone; its centre is (1.05, -0.05)
     lo, hi = (0.8, -0.3), (1.3, 0.2)
@@ -513,13 +515,13 @@ def test_monotonicity_bounds_the_symmetric_jacobian_from_below(eps, angle, log_h
 
 
 def test_monotone_image_needs_the_disk_of_its_radius_in_the_box():
-    # about eps = 1/2's root (1, 0), where no Jacobian enclosure forms: the
-    # residual at the centre is rounding only, so with the rounding bound
-    # the box holds one root, in the box returned; if the residual were
-    # known only to within 0.01, the root could lie 0.03 away, beyond the
-    # box.  A box beside the root fails too
+    # about eps = 1/2's root (1, 0), where _band_jacobian gives no
+    # intervals: the residual at the centre is rounding only, so with the
+    # rounding bound the box holds one root, in the box returned; if the
+    # residual were known only to within 0.01, the root could lie 0.03
+    # away, beyond the box.  A box beside the root fails too
     eps, lo, hi = 0.5, (0.99, -0.01), (1.01, 0.01)
-    assert analytic._jacobian_enclosure(eps, lo, hi) is None
+    assert analytic._band_jacobian(eps, lo, hi) is None
     mu = analytic._monotonicity(eps, lo, hi)
     assert 0.33 < mu < 1.0 / 3.0
     f = tuple(float(x) for x in analytic._residual(eps, 1.0, 0.0))
@@ -530,6 +532,29 @@ def test_monotone_image_needs_the_disk_of_its_radius_in_the_box():
     lo, hi = (1.01, -0.01), (1.03, 0.01)
     f = tuple(float(x) for x in analytic._residual(eps, 1.02, 0.0))
     assert analytic._monotone_image(eps, lo, hi, f, 0.0, analytic._monotonicity(eps, lo, hi)) is None
+
+
+def test_singular_midpoint_gives_no_krawczyk_test_and_the_monotone_ball(monkeypatch):
+    # J11 in [-1, 1] has midpoint 0, so J's midpoint diag(0, 1) has no
+    # inverse: Krawczyk's test proves nothing, without a warning or a
+    # division by zero, and the monotone test keeps its ball about the
+    # centre instead of the Newton point's smaller box
+    singular = (analytic._Interval(-1.0, 1.0), analytic._Interval(0.0, 0.0), analytic._Interval(1.0, 1.0))
+    eps, lo, hi = 1.0, (0.46, -0.04), (0.56, 0.06)
+    f = tuple(float(x) for x in analytic._residual(eps, 0.51, 0.01))
+    delta, mu = analytic._residual_rounding(eps, 1.0), analytic._monotonicity(eps, lo, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytic._mid_inverse(singular) is None
+        assert analytic._krawczyk(lo, hi, f, delta, singular) is None
+        newton = analytic._monotone_image(eps, lo, hi, f, delta, mu)
+        monkeypatch.setattr(analytic, "_band_jacobian", lambda *args: singular)
+        ball = analytic._monotone_image(eps, lo, hi, f, delta, mu)
+    reach = (math.hypot(*f) + delta) / mu
+    for k, c in enumerate((0.51, 0.01)):
+        assert ball[0][k] <= c - reach < c + reach <= ball[1][k]
+        assert ball[1][k] - ball[0][k] <= 2.0 * reach * (1.0 + 1e-12)
+    assert newton[1][0] - newton[0][0] < 0.01 * (ball[1][0] - ball[0][0])
 
 
 def _assert_within_residual_rounding(eps, w):

@@ -19,6 +19,8 @@ from rampdro.geometry import (
     sin_angle,
     subset_sums,
 )
+from rampdro.losses import LossKind, LossSpec
+from rampdro.objective import ObjectiveSpec, evaluate
 
 
 def one_d_instance():
@@ -191,6 +193,23 @@ def test_distances_with_b_overflowing_after_scaling():
     for b in (1e300, -1e300):
         dist = distances(Hyperplane(np.array([2.0**-1000, 0.0]), b), ds)
         assert np.array_equal(dist, np.where(ds.labels * b > 0.0, np.inf, 0.0))
+
+
+def test_hyperplane_of_another_dimension_is_rejected_by_name():
+    # the distances, the oracles, the margin profile and the objective all
+    # form X w, so each names the mismatch in plain numbers, not numpy's
+    ds = generate_separable(20, 2, 1)
+    h = Hyperplane(np.array([1.0, 0.5, -0.25]), 0.1)
+    spec = ObjectiveSpec(LossSpec(LossKind.RAMP))
+    calls = [
+        lambda: distances(h, ds),
+        lambda: worst_case_prob_dual(ds, h, 0.1),
+        lambda: margin_profile(h, ds),
+        lambda: evaluate(spec, ds, h),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("hyperplane has 3 weights, dataset has d = 2")):
+            call()
 
 
 def test_margin_profile_separable_pair():
