@@ -31,9 +31,13 @@ every answer is the full profile's, bit for bit.  When every weight is the
 same float, as the generators, the corruptions and a CSV without a weight
 column make them, the order inside a run of tied distances cannot change any
 prefix sum, so a band is sorted by value alone; other weights take an
-argsort that puts each tie run back in input order.  The queries read the
-prefix sums in place and mask the rare tied positions, and the dual's
-per-breakpoint quotient is formed once per band.
+argsort that puts each tie run back in input order, and the zeros' mass, z
+copies of one weight summed left to right, is formed in closed form, one
+binade of the running sum at a time, with no array (see ``_run_sum``).  The
+queries read the prefix sums in place and mask the rare tied positions, and
+the dual's per-breakpoint quotient is formed once per band.  The prefix
+arrays hold only what the queries read: the first band's length, widened
+once, when a second band is needed, to every positive distance.
 
 The plane-level queries (``worst_case_prob_dual``, ``worst_case_prob_knapsack``,
 ``cvar_distance``, ``check_chance_cvar``) keep one slot: the last distance
@@ -125,8 +129,9 @@ class _DistanceProfile:
     every weight is the same positive float c, every term is (c, d_i), so
     the order inside a run of equal distances cannot change any sum: a band
     then sorts its values alone, and the zeros' base is z copies of c summed
-    left to right.  Weights that differ anywhere take an argsort whose tie
-    runs are put back in input order.
+    left to right, which ``_run_sum`` forms in closed form, one binade at a
+    time, with no z-sized array.  Weights that differ anywhere take an
+    argsort whose tie runs are put back in input order.
 
     Ties: the breakpoint at d_k reads the prefix sums at the first index
     tied with d_k, which cover d_i < d_k only; ties at d_k add exactly zero
@@ -148,7 +153,13 @@ class _DistanceProfile:
     next cut, sorted alone and summed on from the previous totals
     (``cumsum`` adds left to right).  The cuts come from a strided sample's
     estimated cost and mass; each band at least doubles the sample rank of
-    the one before.  Once ``complete``, the prefix is the full profile.
+    the one before.  Once ``complete``, the prefix is the full profile.  The
+    arrays behind ``d``, ``cum_p``, ``cum_pd`` and ``_q`` hold the first
+    band and no more; the second band widens all four once, to the positive
+    count, copying the first band's prefix, and every later band fills them
+    in place.  So a query that reads one band allocates no array of the
+    positive count's size.  (Doubling them instead would hold an old and a
+    new set together at every widening.)
 
     A query stops growing when no point beyond ``cut`` can change its
     answer.  The knapsack reads only the prefix up to the first cost above
@@ -201,16 +212,15 @@ class _DistanceProfile:
         self._weight = weight
         if weight is None:
             base = np.cumsum(p[d == 0.0])  # the zeros' weights, left to right
+            zeros, base = base.size, float(base[-1]) if base.size else 0.0
         else:
-            base = np.cumsum(np.full(np.count_nonzero(d == 0.0), weight))
-        m = n - base.size  # the positive distances
-        self._d = np.empty(m)
-        self._cum_p = np.empty(m + 1)
-        self._cum_pd = np.empty(m + 1)
-        self._q = np.empty(m)  # cum_pd[k] / d_k
+            zeros = int(np.count_nonzero(d == 0.0))
+            base = _run_sum(weight, zeros)
+        self._positive = n - zeros
+        # empty until _append sizes them to the bands
+        self._d, self._q = np.empty(0), np.empty(0)  # _q[k] = cum_pd[k] / d_k
+        self._cum_p, self._cum_pd = np.full(1, base), np.zeros(1)
         self._ties = np.empty(0, dtype=np.intp)
-        self._cum_p[0] = base[-1] if base.size else 0.0
-        self._cum_pd[0] = 0.0
         self.size, self.cut, self._rank, self._sample = 0, 0.0, -1, None
         self._top = top  # the largest finite distance
         self._mass = mass if mass * top < 2.0**1000 else math.inf
@@ -225,7 +235,7 @@ class _DistanceProfile:
 
     @property
     def complete(self) -> bool:
-        return self.size == self._d.size
+        return self.size == self._positive
 
     def cover(self, epsilon: float = -math.inf, rho: float = -math.inf) -> None:
         """Grow until the prefix's cost exceeds epsilon and its mass rho, or it is whole."""
@@ -260,7 +270,7 @@ class _DistanceProfile:
         keep = np.flatnonzero(d > 0.0)
         order = keep[np.argsort(d[keep])]
         d, p = d[order], p[order]
-        scale = self._d.size / max(1, d.size)
+        scale = self._positive / max(1, d.size)
         return d, np.cumsum(p * d) * scale, np.cumsum(p) * scale
 
     def _append(self, d: np.ndarray, p: np.ndarray | None) -> None:
@@ -269,6 +279,10 @@ class _DistanceProfile:
         if not b:
             return
         end = k + b
+        if end > self._d.size:
+            # the first band gets arrays of its own length; a second widens
+            # them once, to every positive distance
+            self._widen(self._positive if k else b)
         sorted_d = self._d[k:end]
         if p is None:
             sorted_d[:] = np.sort(d)  # equal weights: the value order sums as the stable order does
@@ -312,6 +326,16 @@ class _DistanceProfile:
             np.divide(self._cum_pd[k:end], sorted_d, out=self._q[k:end])
         self.size = end
         self._views()
+
+    def _widen(self, size: int) -> None:
+        """Reallocate the prefix arrays to hold ``size`` distances, keeping the prefix."""
+        k = self.size
+        arrays = []
+        for old, extra in ((self._d, 0), (self._cum_p, 1), (self._cum_pd, 1), (self._q, 0)):
+            new = np.empty(size + extra)
+            new[:k + extra] = old[:k + extra]
+            arrays.append(new)
+        self._d, self._cum_p, self._cum_pd, self._q = arrays
 
     def dual(self, epsilon: float) -> WorstCaseResult:
         """Minimize phi over the positive breakpoints t = 1/d_k and t -> 0+."""
@@ -407,6 +431,47 @@ class _DistanceProfile:
         if not (excess > self._tol * scale and self._top * scale < 2.0**1000):
             return math.inf
         return cost - c * excess + self._tol * (cost + c * scale)
+
+
+def _run_sum(c: float, z: int) -> float:
+    """z copies of c > 0 summed left to right in IEEE double: ``np.cumsum(np.full(z, c))[-1]``, or 0.0.
+
+    The run is taken one binade at a time, with no array.  In a binade
+    [2^(e-1), 2^e) with ulp u (the subnormals share the ulp of the binade
+    above them, so they join it), every sum is M u for an integer M, and the
+    top is 2^e = 2^53 u.  Write c/u = Q + F with 0 <= F < 1; ``divmod`` gives
+    Q and F u exactly, as u is a power of two.  A step from M u whose result
+    stays in the binade rounds the exact (M + Q + F) u to (M + Q + r) u, with
+    r = [F > 1/2]; in the tie F = 1/2, r = 1 exactly when M + Q is odd (ties
+    to even), which leaves M + Q + r even.  So after any such step, M + Q = Q
+    (mod 2) whenever F = 1/2, and from the second step inside a binade on, r
+    and the increment delta = (Q + r) u are fixed.  Since c < (Q + 1) u <=
+    delta + u, a step from s <= 2^e - delta - 2u has an exact sum below
+    2^e - u, which rounds inside the binade.  So from t, the result of a step
+    inside the binade, the run is t + j delta exactly up to that margin:
+    every term is a multiple of u below 2^e, so the integer M + j (Q + r)
+    stays below 2^53, converts to a float exactly, and scales by u exactly.
+    The last steps below the top, and the crossing, are taken one IEEE add
+    at a time; Python's float addition rounds as numpy's ``add.accumulate``
+    does.  Ties are common, not exotic: for c = 1.2103269940439809e-06,
+    c/u = 22326592304631.5 in [2^-12, 2^-11), where the first step's
+    increment differs from the steady one.  An increment of 0 leaves every
+    further sum at s; so does inf, whose ulp is inf.
+    """
+    s, left = (c, z - 1) if z else (0.0, 0)
+    while left:
+        prev, s, left = s, s + c, left - 1
+        u = math.ulp(s)
+        if math.ulp(prev) != u:  # crossed into the next binade, or overflowed
+            continue
+        q, rem = divmod(c, u)
+        step = int(q) + (2.0 * rem > u or (2.0 * rem == u and q % 2.0 == 1.0))  # delta / u
+        if not step:
+            return s
+        m = int(s / u)
+        j = min(left, max(0, (2**53 - 2 - step - m) // step + 1))
+        s, left = float(m + j * step) * u, left - j
+    return s
 
 
 def _negative_distance(d: np.ndarray) -> ValueError:

@@ -93,6 +93,20 @@ TIES = (
     "tests/test_dro.py::test_grown_profile_answers_match_stable_sort_bitwise",
     "tests/test_dro.py::test_breakpoints_one_ulp_beyond_the_cut_keep_their_answers",
 )
+# the profile's zeros' base and its arrays: the closed form's steady
+# increment, which differs from a binade's first one in a tie, and arrays
+# sized to the first band, then widened once to every positive distance;
+# the two array mutants change memory, not answers, so only the allocation
+# test sees them
+RUN_SUM = (
+    "tests/test_dro.py::test_run_sum_matches_cumsum_bitwise",
+    "tests/test_dro.py::test_run_sum_matches_cumsum_bitwise_property",
+)
+ARRAYS = ("tests/test_dro.py::test_profile_arrays_hold_only_the_bands_read",)
+WIDEN = "self._widen(self._positive if k else b)"
+# the solver's weak Wolfe constants and its stop test's relative scale,
+# which only an objective with |f| > 1 at the stop can see
+SOLVE = "src/rampdro/solve.py"
 MUTANTS = [
     Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
     Mutant(
@@ -163,6 +177,26 @@ MUTANTS = [
     Mutant("equal-weights test blind to the last weight", DRO, "(p == c).all()", "(p[:-1] == c).all()", EQUAL),
     Mutant("tie mask dropped from the dual", DRO, "phi[self._ties] = math.inf", "pass", TIES),
     Mutant("tie mask dropped from the CVaR", DRO, "g[self._ties] = -math.inf", "pass", TIES),
+    Mutant(
+        "run sum's increment from the binade's first step", DRO,
+        "step = int(q) + (2.0 * rem > u or (2.0 * rem == u and q % 2.0 == 1.0))", "step = int((s - prev) / u)",
+        RUN_SUM,
+    ),
+    Mutant("second band widened to its own end", DRO, WIDEN, "self._widen(end)", ARRAYS),
+    Mutant("first band given every positive distance", DRO, WIDEN, "self._widen(self._positive)", ARRAYS),
+    Mutant(
+        "Wolfe c1 at 0.45", SOLVE, "WOLFE_C1 = 1e-4", "WOLFE_C1 = 0.45",
+        ("tests/test_solve.py::test_convex_minimum_matches_scipy_bfgs",),
+    ),
+    Mutant(
+        "Wolfe c2 at 0.5", SOLVE, "WOLFE_C2 = 0.9", "WOLFE_C2 = 0.5",
+        ("tests/test_solve.py::test_line_search_never_accepts_non_finite_trial",),
+    ),
+    Mutant(
+        "stop test without its scale", SOLVE,
+        "if gnorm <= opts.grad_tol * max(1.0, abs(f)):", "if gnorm <= opts.grad_tol:",
+        ("tests/test_solve.py::test_stop_rule_scales_grad_tol_by_a_large_value",),
+    ),
     # the loss band: outside 36 sigma of a kink the exact kernels are within
     # e^-36 of their asymptotes, and a narrower band is not
     Mutant(

@@ -332,6 +332,54 @@ def test_misclassified_mass_is_the_stable_run_sum_and_no_stored_entry():
     _assert_is_stable_prefix(profile, ref)
 
 
+def _cumsum_run(c, z):
+    """The stable order's sum of a run of z zeros of weight c: numpy adds left to right."""
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(np.full(z, c))[-1]) if z else 0.0
+
+
+def _tie(e, q):
+    """c = (q + 1/2) ulp in the binade [2^(e-1), 2^e), a run that crosses that binade, and e."""
+    c = math.ldexp(2 * q + 1, e - 54)
+    return c, math.ceil(math.ldexp(1.0, e) / c) + 3, e
+
+
+_RUN_CASES = [
+    *((0.1, z, None) for z in range(5)),
+    (1e-5, 20_000, None),  # an n = 10^5 workload's weight and misclassified count
+    (1.2103269940439809e-06, 34_429, -11),  # a natural tie: c/u = 22326592304631.5
+    _tie(0, 2**40),  # constructed ties, with Q even and odd
+    _tie(0, 2**40 + 1),
+    _tie(-20, 3 * 2**38 + 1),
+    (3 * 5e-324, 1000, None),  # subnormal
+    (1e308, 2, None),  # overflows to inf
+    (1.0 / 999_983, 999_983, None),  # from 1e-6 to 1, across 20 binades
+]
+
+
+def _assert_run_sum_is_cumsum(c, z):
+    got, want = dro._run_sum(c, z), _cumsum_run(c, z)
+    assert _same_answer(got, want), (c, z, got, want)
+
+
+@pytest.mark.parametrize("c, z, e", _RUN_CASES)
+def test_run_sum_matches_cumsum_bitwise(c, z, e):
+    if e is not None:  # c/u ends in exactly 1/2 in [2^(e-1), 2^e), and the run crosses it
+        assert math.fmod(c, math.ulp(math.ldexp(1.0, e - 1))) * 2.0 == math.ulp(math.ldexp(1.0, e - 1))
+        assert c * z > math.ldexp(1.0, e)
+    _assert_run_sum_is_cumsum(c, z)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.floats(5e-324, 1e300), st.integers(0, 20_000)),
+    st.builds(lambda n, share: (1.0 / n, int(share * n)), st.integers(1, 10**5), st.floats(0.0, 3.0)),
+    st.builds(lambda e, q: _tie(e, q)[:2], st.integers(-60, 60), st.integers(2**37, 2**44)),
+))
+def test_run_sum_matches_cumsum_bitwise_property(instance):
+    _assert_run_sum_is_cumsum(*instance)
+
+
 # zeros of both signs, a pool of ties heavy enough that tie runs straddle
 # the sample's cuts, neighbours one ulp apart, inf, subnormals and
 # arbitrary positive distances
@@ -573,6 +621,46 @@ def test_single_check_sorts_only_the_tail(monkeypatch):
         assert verdict == _stable_answer("chance", ref, 0.05, 0.3)
         # one distance vector and one profile object per plane
         assert len(calls) == len(builds) == i + 1
+
+
+def test_profile_arrays_hold_only_the_bands_read(monkeypatch):
+    # the slot's profile at n = 2*10^4, the benchmark's shape: a check that
+    # reads one band holds arrays of that band's length; the first query
+    # that needs a second band widens all four once, to the positive count,
+    # and later bands fill them in place; every answer is the stable one
+    ds = flip_labels(generate_separable(20_000, 10, 5), 0.1, 6)
+    bands = []
+
+    class RecordedProfile(dro._DistanceProfile):
+        def _append(self, d, p):
+            super()._append(d, p)
+            if d.size:
+                bands.append((self.size, self._d, self._cum_p, self._cum_pd, self._q))
+
+    monkeypatch.setattr(dro, "_DistanceProfile", RecordedProfile)
+    monkeypatch.setattr(dro, "_last_plane", None)
+    h = Hyperplane(np.array([1.3, -0.2, 0.1, 0.0, 0.3, -0.1, 0.2, 0.0, -0.3, 0.1]), 0.2)
+    d = distances(h, ds)
+    positive = int(np.count_nonzero((d > 0.0) & (d < math.inf)))
+    ref = stable_distance_profile(d, ds.weights)
+    assert check_chance_cvar(ds, h, 0.05, 0.3) == _stable_answer("chance", ref, 0.05, 0.3)
+    assert len(bands) == 1
+    size, *arrays = bands[0]
+    assert 0 < size < positive / 2
+    assert [a.size for a in arrays] == [size, size + 1, size + 1, size]
+    total_cost = float(ref["cum_pd"][-1])
+    for share in (0.05, 0.2, 0.5, 0.9, 2.0):
+        eps = share * total_cost
+        assert _same_answer(_query("dual", ds, h, eps, 0.5), _stable_answer("dual", ref, eps, 0.5))
+        assert _same_answer(_query("knapsack", ds, h, eps, 0.5), _stable_answer("knapsack", ref, eps, 0.5))
+    assert _same_answer(_query("cvar", ds, h, 0.1, 0.9), _stable_answer("cvar", ref, 0.1, 0.9))
+    profile = dro._last_plane.profile
+    assert profile.complete and len(bands) >= 3
+    widened = bands[1][1:]
+    assert [a.size for a in widened] == [positive, positive + 1, positive + 1, positive]
+    for _, *later in bands[2:]:
+        assert all(a is b for a, b in zip(later, widened))
+    _assert_is_stable_prefix(profile, ref)
 
 
 @pytest.mark.parametrize("n", [50, 120, 500])

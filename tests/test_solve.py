@@ -109,6 +109,24 @@ def test_converged_implies_relative_grad_tol():
     assert rep.grad_norm <= opts.grad_tol * max(1.0, abs(rep.value))
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_stop_rule_scales_grad_tol_by_a_large_value(shift):
+    # the same objective shifted by a constant has the same gradients, but
+    # the stop test reads grad_tol * |f|: the run stops at the first iterate
+    # that meets it, where a test without the scale would go on
+    base, dim = sramp_objective()
+
+    def fun(x):
+        f, g = base(x)
+        return f + shift, g
+
+    opts = SolveOptions(grad_tol=1e-8)
+    rep = minimize(fun, np.ones(dim), opts)
+    assert rep.converged and rep.iterations > 0
+    assert opts.grad_tol < rep.grad_norm <= opts.grad_tol * abs(rep.value)
+    assert all(gnorm > opts.grad_tol * abs(f) for _, f, gnorm in rep.trace[:-1])
+
+
 def test_stop_reasons():
     fun, dim = sramp_objective()
     x0 = np.ones(dim)
