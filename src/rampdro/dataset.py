@@ -7,11 +7,21 @@ a deterministic function of its parameters and an integer seed (PCG64 via
 ``numpy.random.default_rng``, one independent stream per operation).
 
 A dataset owns its arrays.  It adopts an input without copying only when the
-input is read-only and owns its data, which is how the generators, the
-corruptions and ``load_csv`` hand over the arrays they build; every other
-input is copied.  So no caller array, or view made of one before the call,
+input is read-only, owns its data and is column-major, which is how the
+generators, the corruptions and ``load_csv`` hand over the arrays they
+build; every other input is copied once.  So no caller array, or view made of one before the call,
 can write into a dataset, and a corruption shares the unchanged n x d points
 with its base.
+
+The points are held column-major (Fortran order).  Their only readers are
+the two products of every oracle and objective evaluation, X w (the
+margins) and X^T s (the gradient), and on column-major points OpenBLAS forms
+both as d passes over whole columns rather than n dot products of length d.
+At d = 10 with one BLAS thread on a 2-core Intel Xeon (numpy 2.4 with
+OpenBLAS 0.3.31, best of 5 x 50 calls), X w took 17 us at n = 10^4 and
+about 360 us at n = 10^5 (29 and 670-740 us row-major), and X^T s 15 and
+340-360 us (26 and 580-620 us).  The generators fill that layout directly,
+drawing the same values in the same order as one row-major draw.
 """
 
 from __future__ import annotations
@@ -38,6 +48,10 @@ ADVERSARIAL_X1 = -10.0
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# rows drawn per call when filling column-major points: a row-major chunk of
+# 8192 x d values stays small beside the n x d array it fills
+_CHUNK_ROWS = 8192
+
 
 class CsvFormatError(ValueError):
     """Malformed dataset file; the message names the offending line."""
@@ -45,7 +59,7 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    points: np.ndarray   # (n, d) float
+    points: np.ndarray   # (n, d) float, column-major so that X w and X^T s stream whole columns
     labels: np.ndarray   # (n,) entries +1.0 / -1.0
     weights: np.ndarray  # (n,) positive, sums to 1
 
@@ -101,16 +115,19 @@ class Dataset:
 
 
 def _private(x, ndim: int) -> np.ndarray:
-    """x as a read-only float array that no caller can write through.
+    """x as a read-only, column-major float array that no caller can write through.
 
-    A read-only input that owns its data is adopted as it is (no caller
-    keeps a writable handle on it); any other input is copied.
+    A read-only input that owns its data and is column-major is adopted as
+    it is (no caller keeps a writable handle on it); any other input is
+    copied once, into column-major order.  Column-major points halve the
+    time of the margins' X w and the gradient's X^T s (see the module
+    docstring); a 1-D array is column-major whenever it is contiguous.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != ndim:
         a = np.atleast_2d(a) if ndim == 2 else a.ravel()
-    if a.flags.writeable or not a.flags.owndata:
-        a = a.copy()
+    if a.flags.writeable or not a.flags.owndata or not a.flags.f_contiguous:
+        a = a.copy(order="F")
         a.setflags(write=False)
     return a
 
@@ -140,12 +157,17 @@ def generate_separable(n: int, d: int, seed: int) -> Dataset:
     """Uniform points in the box [-10, 10]^d labelled by the sign of x1.
 
     Points whose first coordinate is exactly zero are resampled so the label
-    rule is total.  Weights are uniform 1/n.
+    rule is total.  Weights are uniform 1/n.  The column-major points are
+    filled in row chunks from the one stream, so they hold the values of one
+    row-major ``rng.uniform`` draw of shape (n, d), bit for bit.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, size=(n, d))
+    points = np.empty((n, d), order="F")
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = points[start:start + _CHUNK_ROWS]
+        rows[...] = rng.uniform(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, size=rows.shape)
     on_boundary = points[:, 0] == 0.0
     while on_boundary.any():
         points[on_boundary] = rng.uniform(
@@ -177,7 +199,7 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
 def inject_adversarial(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Move floor(fraction * n) random points to x1 = -10 and relabel them +1."""
     idx = select_corruption_indices(ds.n, fraction, seed)
-    points = ds.points.copy()
+    points = ds.points.copy(order="F")
     labels = ds.labels.copy()
     points[idx, 0] = ADVERSARIAL_X1
     labels[idx] = 1.0
@@ -255,4 +277,4 @@ def load_csv(path) -> Dataset:
             raise CsvFormatError(f"{path}: no data rows")
         n = len(points)
         w = np.asarray(weights) if has_weights else np.full(n, 1.0 / n)
-        return Dataset(_frozen(np.asarray(points)), _frozen(np.asarray(labels)), _frozen(w))
+        return Dataset(_frozen(np.array(points, order="F")), _frozen(np.asarray(labels)), _frozen(w))

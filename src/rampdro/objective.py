@@ -11,6 +11,8 @@ repeated evaluations at the same point are bit-identical.  A gradient
 evaluation forms the margins in place, takes the loss and its slope from one
 band pass of the loss (``LossSpec.value_and_slope``) and writes the gradient
 into one (d + 1,) buffer; its value is bit-identical to ``evaluate``'s.
+Both products, X w in the margins and X^T s in the gradient, stream the
+dataset's column-major points a whole column at a time.
 """
 
 from __future__ import annotations

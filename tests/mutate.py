@@ -105,8 +105,19 @@ RUN_SUM = (
 ARRAYS = ("tests/test_dro.py::test_profile_arrays_hold_only_the_bands_read",)
 WIDEN = "self._widen(self._positive if k else b)"
 # the solver's weak Wolfe constants and its stop test's relative scale,
-# which only an objective with |f| > 1 at the stop can see
+# which only an objective with |f| > 1 at the stop can see.  c1 at 0.45
+# fails the convex comparison only when rounding ends its search in a
+# failure there (row-major points did, column-major points do not); the
+# unit step that meets weak Wolfe only for c1 < 0.1 fails it every time
 SOLVE = "src/rampdro/solve.py"
+# the points' column-major layout, which moves answers only by rounding, so
+# only the layout tests see it, and the generator's row chunks, which must
+# draw the one stream's values in order
+DATASET = "src/rampdro/dataset.py"
+LAYOUT = (
+    "tests/test_dataset.py::test_dataset_owns_its_arrays",
+    "tests/test_dataset.py::test_dataset_copies_read_only_row_major_points",
+)
 MUTANTS = [
     Mutant("bound without sqrt(2)", ANALYTIC, BOUND, "(eps + _RECT_DIAMETER / r_min) * h", CORNERS),
     Mutant(
@@ -186,7 +197,10 @@ MUTANTS = [
     Mutant("first band given every positive distance", DRO, WIDEN, "self._widen(self._positive)", ARRAYS),
     Mutant(
         "Wolfe c1 at 0.45", SOLVE, "WOLFE_C1 = 1e-4", "WOLFE_C1 = 0.45",
-        ("tests/test_solve.py::test_convex_minimum_matches_scipy_bfgs",),
+        (
+            "tests/test_solve.py::test_convex_minimum_matches_scipy_bfgs",
+            "tests/test_solve.py::test_line_search_takes_a_unit_step_with_a_tenth_of_the_predicted_decrease",
+        ),
     ),
     Mutant(
         "Wolfe c2 at 0.5", SOLVE, "WOLFE_C2 = 0.9", "WOLFE_C2 = 0.5",
@@ -202,6 +216,12 @@ MUTANTS = [
     Mutant(
         "loss band at 18 sigma", "src/rampdro/losses.py", "BAND_SIGMAS = 36.0", "BAND_SIGMAS = 18.0",
         ("tests/test_losses.py::test_banded_spec_within_bound_of_exact",),
+    ),
+    Mutant("points copied row-major", DATASET, 'a = a.copy(order="F")', "a = a.copy()", LAYOUT),
+    Mutant(
+        "generator's chunk one row long", DATASET,
+        "rows = points[start:start + _CHUNK_ROWS]", "rows = points[start:start + _CHUNK_ROWS + 1]",
+        ("tests/test_dataset.py::test_generate_fills_the_values_of_one_row_major_draw",),
     ),
 ]
 

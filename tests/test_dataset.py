@@ -1,9 +1,12 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rampdro.dataset import (
+    _CHUNK_ROWS,
     CsvFormatError,
     Dataset,
     flip_labels,
@@ -13,6 +16,7 @@ from rampdro.dataset import (
     save_csv,
     select_corruption_indices,
 )
+from rampdro.geometry import _margins
 
 
 def test_generate_labels_match_sign_and_reproducible():
@@ -22,6 +26,16 @@ def test_generate_labels_match_sign_and_reproducible():
     assert np.array_equal(a.labels, np.sign(a.points[:, 0]))
     assert np.all(a.points >= -10.0) and np.all(a.points <= 10.0)
     assert np.array_equal(a.weights, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+@pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
+def test_generate_fills_the_values_of_one_row_major_draw(n, d):
+    # the column-major points are filled in row chunks from the one stream,
+    # so they hold one (n, d) draw bit for bit, across every chunk edge (no
+    # first coordinate of these draws is exactly 0, so none is resampled)
+    ds = generate_separable(n, d, 31)
+    assert np.array_equal(ds.points, np.random.default_rng(31).uniform(-10.0, 10.0, (n, d)))
 
 
 def test_generate_different_seeds_differ():
@@ -99,6 +113,19 @@ def test_dataset_owns_its_arrays():
     assert np.array_equal(ds.weights, np.full(3, 1.0 / 3.0))
     for arr in (ds.points, ds.labels, ds.weights):
         assert not arr.flags.writeable and arr.flags.owndata
+    # the caller's row-major points are copied once, into column-major storage
+    assert points.flags.c_contiguous and not points.flags.f_contiguous
+    assert ds.points.flags.f_contiguous and not np.shares_memory(ds.points, points)
+
+
+def test_dataset_copies_read_only_row_major_points():
+    # a read-only row-major array that owns its data is safe to adopt, but
+    # not in the layout the products stream, so it too is copied
+    points = np.arange(6.0).reshape(3, 2)
+    points.setflags(write=False)
+    ds = Dataset(points, np.ones(3), np.full(3, 1.0 / 3.0))
+    assert ds.points.flags.f_contiguous and not np.shares_memory(ds.points, points)
+    assert np.array_equal(ds.points, points)
 
 
 def test_dataset_copies_read_only_views():
@@ -125,6 +152,65 @@ def test_built_datasets_adopt_their_fresh_arrays(tmp_path):
     loaded = load_csv(tmp_path / "ds.csv")
     for arr in (loaded.points, loaded.labels, loaded.weights):
         assert not arr.flags.writeable and arr.flags.owndata
+    # every built dataset holds its points column-major, as the products read them
+    for ds in (base, flipped, injected, loaded):
+        assert ds.points.flags.f_contiguous
+
+
+_U = Fraction(1, 2**53)  # unit roundoff of binary64, round to nearest
+
+
+def _gamma(k: int) -> Fraction:
+    return k * _U / (1 - k * _U)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 40),
+)
+def test_products_of_the_column_major_points_stay_within_their_rounding_bound(n, d, seed, spread):
+    # Derivation (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, section 3.1).  Without underflow or overflow, fl(a op b) =
+    # (a op b)(1 + delta) with |delta| <= u = 2^-53.  A k-term dot product
+    # summed in any order, with or without fused multiply-adds, passes each
+    # term a_j b_j through at most k roundings (its product and at most k - 1
+    # additions), so its computed value is sum_j a_j b_j (1 + theta_j) with
+    # |theta_j| <= gamma_k = k u / (1 - k u) (Lemma 3.1), and its error is at
+    # most gamma_k sum_j |a_j b_j|.  The margin y_i (x_i . w + b) adds b to a
+    # d-term dot product with one more rounding, and (1 + theta_d)(1 + delta)
+    # = 1 + theta_{d+1} (Lemma 3.3); times y_i = +-1 is exact.  So it lies
+    # within gamma_{d+1} (sum_j |x_ij w_j| + |b|) of its exact value.  Entry
+    # j of X^T s is an n-term dot product: within gamma_n sum_i |x_ij s_i|.
+    # The exact values and the comparisons use rational arithmetic, since a
+    # float reference such as math.fsum of the rounded products is itself
+    # off by up to u sum |x_ij w_j|.  Entries span 2^+-spread in magnitude,
+    # and no product underflows or overflows.
+    rng = np.random.default_rng(seed)
+    scale = np.ldexp(1.0, rng.integers(-spread, spread + 1, size=(n, d)))
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    ds = Dataset.with_uniform_weights(rng.uniform(-1.0, 1.0, (n, d)) * scale, labels)
+    assert ds.points.flags.f_contiguous
+    w = rng.standard_normal(d) * np.ldexp(1.0, rng.integers(-spread, spread + 1, size=d))
+    b = float(rng.standard_normal())
+    s = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-spread, spread + 1, size=n))
+    x = [[Fraction(v) for v in row] for row in ds.points.tolist()]
+
+    margins = _margins(ds, w, b)
+    wq = [Fraction(v) for v in w.tolist()]
+    for i in range(n):
+        terms = [x[i][j] * wq[j] for j in range(d)]
+        exact = int(labels[i]) * (sum(terms) + Fraction(b))  # a numpy or float label would round it
+        bound = _gamma(d + 1) * (sum(map(abs, terms)) + abs(Fraction(b)))
+        assert abs(Fraction(margins[i]) - exact) <= bound
+
+    products = ds.points.T @ s
+    sq = [Fraction(v) for v in s.tolist()]
+    for j in range(d):
+        terms = [x[i][j] * sq[i] for i in range(n)]
+        assert abs(Fraction(products[j]) - sum(terms)) <= _gamma(n) * sum(map(abs, terms))
 
 
 def test_flip_none_is_identity():

@@ -63,6 +63,21 @@ def test_line_search_on_scalar_quadratic():
     assert float(ga @ np.array([-1.0])) >= 0.9 * slope
 
 
+def test_line_search_takes_a_unit_step_with_a_tenth_of_the_predicted_decrease():
+    # f = 0.9 x^2 from x = 1 along p = -f'(1) = -1.8: the unit step lands at
+    # -0.8, where f has fallen by 0.324, a tenth of the linear model's 3.24,
+    # and the slope along p has risen to 2.592, so curvature holds.  That
+    # step meets the weak Wolfe conditions for any c1 below 0.1, and with
+    # the customary c1 = 1e-4 (Nocedal & Wright 2006, section 3.1) the
+    # search takes it at once, without bisecting
+    fun = quadratic([1.8], [0.0])
+    x = np.array([1.0])
+    f0, g0 = fun(x)
+    res = _wolfe_search(fun, x, f0, g0, -g0, 1.0)
+    assert res is not None and res[0] == 1.0
+    assert res[1] == pytest.approx([-0.8])
+
+
 def test_line_search_rejects_ascent_direction():
     fun = quadratic([1.0], [0.0])
     f0, g0 = fun(np.array([1.0]))
