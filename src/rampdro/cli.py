@@ -6,15 +6,17 @@ Commands
     reproduce         rerun one of the four experiment tables, write CSV + trend flags
     certify-analytic  certify the closed-form results for the uniform model
 
-Every command is a deterministic function of its arguments and seeds; reports
-are identical across reruns except for the ``timestamp`` field.  Every JSON
-report is ``{command, timestamp, config, ...}``, written by one helper:
-``config`` echoes every parsed flag except ``--out`` under its argparse name,
-and lays the command's derived fields over it (``train``: n, d, the parsed
-reference, the start distribution and the Wolfe constants; ``oracle``: n, d
-and the parsed ``w``; ``certify-analytic``: the parsed ``epsilons`` and the
-root box).  JSON report layouts are pinned by the schemas shipped under
-``rampdro/schemas``.
+Every command is a deterministic function of its arguments and seeds, for a
+fixed BLAS thread count; reports are identical across reruns except for the
+``timestamp`` field.  (At n = 10^5, OpenBLAS splits the n-long sums of X^T s
+across threads, so ``train`` reports can differ in their last bits between
+thread counts.)  Every JSON report is ``{command, timestamp, config, ...}``,
+written by one helper: ``config`` echoes every parsed flag except ``--out``
+under its argparse name, and lays the command's derived fields over it
+(``train``: n, d, the parsed reference, the start distribution and the Wolfe
+constants; ``oracle``: n, d and the parsed ``w``; ``certify-analytic``: the
+parsed ``epsilons`` and the root box).  JSON report layouts are pinned by
+the schemas shipped under ``rampdro/schemas``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (``SolveAbort``,
 raised and caught here when no start of a training solve converges), 4 I/O
@@ -89,8 +91,7 @@ def _resolve_out(path_str: str) -> Path:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -30,14 +30,13 @@ can change its answer, rounding included (see ``_DistanceProfile``).  So
 every answer is the full profile's, bit for bit.  When every weight is the
 same float, as the generators, the corruptions and a CSV without a weight
 column make them, the order inside a run of tied distances cannot change any
-prefix sum, so a band is sorted by value alone; other weights take an
-argsort that puts each tie run back in input order, and the zeros' mass, z
-copies of one weight summed left to right, is formed in closed form, one
-binade of the running sum at a time, with no array (see ``_run_sum``).  The
-queries read the prefix sums in place and mask the rare tied positions, and
-the dual's per-breakpoint quotient is formed once per band.  The prefix
-arrays hold only what the queries read: the first band's length, widened
-once, when a second band is needed, to every positive distance.
+prefix sum, so a band is sorted by value alone, and the zeros' mass, z
+copies of that weight summed left to right, is formed in closed form, one
+binade of the running sum at a time, with no array (see ``_run_sum``);
+other weights take a stable argsort.  The queries read the prefix sums in
+place and mask the rare tied positions.  The prefix arrays hold only what
+the queries read: the first band's length, widened once, when a second band
+is needed, to every positive distance.
 
 The plane-level queries (``worst_case_prob_dual``, ``worst_case_prob_knapsack``,
 ``cvar_distance``, ``check_chance_cvar``) keep one slot: the last distance
@@ -130,8 +129,8 @@ class _DistanceProfile:
     the order inside a run of equal distances cannot change any sum: a band
     then sorts its values alone, and the zeros' base is z copies of c summed
     left to right, which ``_run_sum`` forms in closed form, one binade at a
-    time, with no z-sized array.  Weights that differ anywhere take an
-    argsort whose tie runs are put back in input order.
+    time, with no z-sized array.  Weights that differ anywhere take a stable
+    argsort.
 
     Ties: the breakpoint at d_k reads the prefix sums at the first index
     tied with d_k, which cover d_i < d_k only; ties at d_k add exactly zero
@@ -141,9 +140,7 @@ class _DistanceProfile:
     in place.  There a tied position's sums stop inside its run, so its phi
     and g are masked: its true ones are its run start's, bit for bit (same
     d, same lower index), and the run start stays.  So the minimum, the
-    distance at its last argmin and the maximum do not move.  The dual's
-    term ``cum_pd[k] / d_k`` changes only when the profile grows, so each
-    band stores it in ``_q``.
+    distance at its last argmin and the maximum do not move.
 
     The profile is built lazily.  It holds every positive distance d <=
     ``cut``, and no other: so ``d``, ``cum_p`` and ``cum_pd`` are always the
@@ -154,8 +151,8 @@ class _DistanceProfile:
     (``cumsum`` adds left to right).  The cuts come from a strided sample's
     estimated cost and mass; each band at least doubles the sample rank of
     the one before.  Once ``complete``, the prefix is the full profile.  The
-    arrays behind ``d``, ``cum_p``, ``cum_pd`` and ``_q`` hold the first
-    band and no more; the second band widens all four once, to the positive
+    arrays behind ``d``, ``cum_p`` and ``cum_pd`` hold the first band and
+    no more; the second band widens all three once, to the positive
     count, copying the first band's prefix, and every later band fills them
     in place.  So a query that reads one band allocates no array of the
     positive count's size.  (Doubling them instead would hold an old and a
@@ -218,7 +215,7 @@ class _DistanceProfile:
             base = _run_sum(weight, zeros)
         self._positive = n - zeros
         # empty until _append sizes them to the bands
-        self._d, self._q = np.empty(0), np.empty(0)  # _q[k] = cum_pd[k] / d_k
+        self._d = np.empty(0)
         self._cum_p, self._cum_pd = np.full(1, base), np.zeros(1)
         self._ties = np.empty(0, dtype=np.intp)
         self.size, self.cut, self._rank, self._sample = 0, 0.0, -1, None
@@ -287,29 +284,13 @@ class _DistanceProfile:
         if p is None:
             sorted_d[:] = np.sort(d)  # equal weights: the value order sums as the stable order does
         else:
-            # the default argsort is SIMD and several times faster than a
-            # stable one, but orders ties arbitrarily; each run of ties is
-            # put back in input order below
-            rank = np.argsort(d)
+            rank = np.argsort(d, kind="stable")
             np.take(d, rank, out=sorted_d)
-        same = sorted_d[1:] == sorted_d[:-1]  # entry j + 1 ties with entry j
-        ties = np.flatnonzero(same)
+        ties = np.flatnonzero(sorted_d[1:] == sorted_d[:-1])  # entry j + 1 ties with entry j
         if ties.size:
-            if p is not None:
-                # sort only the tied points, by (run, input index)
-                starts = np.ones(b + 1, dtype=bool)  # run starts, plus an end sentinel
-                np.logical_not(same, out=starts[1:-1])
-                tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
-                key = np.cumsum(starts[tied], dtype=np.int64)
-                key *= b
-                key += rank[tied]
-                key.sort()
-                key %= b
-                rank[tied] = key
-                del key, tied, starts
             ties += k + 1
             self._ties = np.concatenate((self._ties, ties))
-        del same, ties
+        del ties
 
         cp, pd = self._cum_p[k + 1:end + 1], self._cum_pd[k + 1:end + 1]
         if p is None:
@@ -322,8 +303,6 @@ class _DistanceProfile:
         pd[0] = self._cum_pd[k] + pd[0]
         np.cumsum(cp, out=cp)
         np.cumsum(pd, out=pd)
-        with np.errstate(over="ignore"):  # only near the float limit, where inf is the rounded quotient
-            np.divide(self._cum_pd[k:end], sorted_d, out=self._q[k:end])
         self.size = end
         self._views()
 
@@ -331,11 +310,11 @@ class _DistanceProfile:
         """Reallocate the prefix arrays to hold ``size`` distances, keeping the prefix."""
         k = self.size
         arrays = []
-        for old, extra in ((self._d, 0), (self._cum_p, 1), (self._cum_pd, 1), (self._q, 0)):
+        for old, extra in ((self._d, 0), (self._cum_p, 1), (self._cum_pd, 1)):
             new = np.empty(size + extra)
             new[:k + extra] = old[:k + extra]
             arrays.append(new)
-        self._d, self._cum_p, self._cum_pd, self._q = arrays
+        self._d, self._cum_p, self._cum_pd = arrays
 
     def dual(self, epsilon: float) -> WorstCaseResult:
         """Minimize phi over the positive breakpoints t = 1/d_k and t -> 0+."""
@@ -352,11 +331,12 @@ class _DistanceProfile:
         while True:
             d = self.d
             # phi(1/d_k), dividing by d_k: 1/d_k overflows for subnormal d_k,
-            # and inf * 0 would be nan where epsilon / d_k is a correct +inf
+            # and inf * 0 would be nan where epsilon / d_k is a correct +inf;
+            # near the float limit either quotient rounds to inf
             with np.errstate(over="ignore"):
                 phi = epsilon / d
-            phi += self.cum_p[:-1]
-            phi -= self._q[:d.size]
+                phi += self.cum_p[:-1]
+                phi -= self.cum_pd[:-1] / d
             phi[self._ties] = math.inf  # each tie's phi is its run start's
             # t = 1/d_k is descending, so the smallest minimizing t is the last argmin
             best = phi.size - 1 - int(np.argmin(phi[::-1]))

@@ -83,8 +83,10 @@ HALF_PLANE = INNER + MIDPOINT
 DRO = "src/rampdro/dro.py"
 MARGINS = ("tests/test_dro.py::test_stop_bounds_lie_beyond_their_unmargined_values_by_the_tol_terms",)
 # the profile's two sort paths and its tie masks: a value sort is the
-# stable order only when every weight is equal, and a tied position's phi
-# and g, read from sums that stop inside its run, round off its run start's
+# stable order only when every weight is equal, other weights need a stable
+# argsort (the default one orders the ties of a long input arbitrarily), and
+# a tied position's phi and g, read from sums that stop inside its run,
+# round off its run start's
 EQUAL = (
     "tests/test_dro.py::test_profile_matches_stable_sort_bitwise",
     "tests/test_dro.py::test_grown_profile_answers_match_stable_sort_bitwise",
@@ -186,6 +188,11 @@ MUTANTS = [
         "return cost - c * excess + self._tol * (cost + c * scale)", "return cost - c * excess", MARGINS,
     ),
     Mutant("equal-weights test blind to the last weight", DRO, "(p == c).all()", "(p[:-1] == c).all()", EQUAL),
+    Mutant(
+        "unequal weights sorted by the default argsort", DRO,
+        'rank = np.argsort(d, kind="stable")', "rank = np.argsort(d)",
+        ("tests/test_dro.py::test_profile_matches_stable_sort_bitwise",),
+    ),
     Mutant("tie mask dropped from the dual", DRO, "phi[self._ties] = math.inf", "pass", TIES),
     Mutant("tie mask dropped from the CVaR", DRO, "g[self._ties] = -math.inf", "pass", TIES),
     Mutant(

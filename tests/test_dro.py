@@ -164,7 +164,7 @@ _DISTANCE = st.one_of(
 
 
 # weights as drawn; all equal, which sorts each band by value alone; or all
-# equal but one, a ulp above or below, which must take the argsort path
+# equal but one, a ulp above or below, which must take the stable argsort
 _WEIGHT_KINDS = ["drawn", "equal", "one ulp off"]
 
 
@@ -247,7 +247,7 @@ def _profile_input(draw):
         p = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
         perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
         return d, _weights_of_kind(p, *draw(_weight_kind(n))), perm
-    # long inputs, so that the SIMD argsort runs its partitioning paths:
+    # long inputs, so that the sorts run past their short-input paths:
     # a run of zeros (both signs) of half or more, the pool's ties, inf and
     # subnormals, and arbitrary positive distances
     n = draw(st.integers(201, 2000))
@@ -291,7 +291,8 @@ def _assert_profile_is_stable_sort(d, p):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_profile_input())
 def test_profile_matches_stable_sort_bitwise(instance):
-    # the SIMD argsort orders ties arbitrarily; the profile must not
+    # the profile orders ties in input order, as a stable sort does, on
+    # both sort paths
     d, p, perm = instance
     _assert_profile_is_stable_sort(d, p)
     _assert_profile_is_stable_sort(d[perm], p[perm])
@@ -623,19 +624,24 @@ def test_single_check_sorts_only_the_tail(monkeypatch):
         assert len(calls) == len(builds) == i + 1
 
 
-def test_profile_arrays_hold_only_the_bands_read(monkeypatch):
-    # the slot's profile at n = 2*10^4, the benchmark's shape: a check that
-    # reads one band holds arrays of that band's length; the first query
-    # that needs a second band widens all four once, to the positive count,
-    # and later bands fill them in place; every answer is the stable one
+@pytest.mark.parametrize("weights", ["equal", "drawn"])
+def test_profile_arrays_hold_only_the_bands_read(monkeypatch, weights):
+    # the slot's profile at n = 2*10^4, the benchmark's shape, on both sort
+    # paths: a check that reads one band holds arrays of that band's length;
+    # the first query that needs a second band widens all three once, to the
+    # positive count, and later bands fill them in place; every answer is
+    # the stable one
     ds = flip_labels(generate_separable(20_000, 10, 5), 0.1, 6)
+    if weights == "drawn":
+        p = np.random.default_rng(7).uniform(0.5, 1.5, ds.n)
+        ds = Dataset(ds.points, ds.labels, p / p.sum())
     bands = []
 
     class RecordedProfile(dro._DistanceProfile):
         def _append(self, d, p):
             super()._append(d, p)
             if d.size:
-                bands.append((self.size, self._d, self._cum_p, self._cum_pd, self._q))
+                bands.append((self.size, self._d, self._cum_p, self._cum_pd))
 
     monkeypatch.setattr(dro, "_DistanceProfile", RecordedProfile)
     monkeypatch.setattr(dro, "_last_plane", None)
@@ -647,7 +653,7 @@ def test_profile_arrays_hold_only_the_bands_read(monkeypatch):
     assert len(bands) == 1
     size, *arrays = bands[0]
     assert 0 < size < positive / 2
-    assert [a.size for a in arrays] == [size, size + 1, size + 1, size]
+    assert [a.size for a in arrays] == [size, size + 1, size + 1]
     total_cost = float(ref["cum_pd"][-1])
     for share in (0.05, 0.2, 0.5, 0.9, 2.0):
         eps = share * total_cost
@@ -655,9 +661,10 @@ def test_profile_arrays_hold_only_the_bands_read(monkeypatch):
         assert _same_answer(_query("knapsack", ds, h, eps, 0.5), _stable_answer("knapsack", ref, eps, 0.5))
     assert _same_answer(_query("cvar", ds, h, 0.1, 0.9), _stable_answer("cvar", ref, 0.1, 0.9))
     profile = dro._last_plane.profile
+    assert (profile._weight is None) == (weights == "drawn")  # the stable argsort for drawn weights
     assert profile.complete and len(bands) >= 3
     widened = bands[1][1:]
-    assert [a.size for a in widened] == [positive, positive + 1, positive + 1, positive]
+    assert [a.size for a in widened] == [positive, positive + 1, positive + 1]
     for _, *later in bands[2:]:
         assert all(a is b for a, b in zip(later, widened))
     _assert_is_stable_prefix(profile, ref)
